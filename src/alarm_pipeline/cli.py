@@ -43,6 +43,7 @@ Corpus = dict[str, list[tuple[PredictionStream, VideoAnnotation]]]
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
+SKIPPED_IDS_SHOWN = 3  # the skipped-videos warning names only the first few
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -208,7 +209,10 @@ def _load_corpus(annotations_path: str | None, predictions_path: str | None) -> 
     corpus: Corpus = {}
     skipped = [a.video_id for a in annotations if a.video_id not in stream_map]
     if skipped:
-        warnings.warn(f"skipping {len(skipped)} annotated videos without predictions: {skipped}")
+        shown = ", ".join(skipped[:SKIPPED_IDS_SHOWN])
+        if len(skipped) > SKIPPED_IDS_SHOWN:
+            shown += f", ... ({len(skipped) - SKIPPED_IDS_SHOWN} more)"
+        warnings.warn(f"skipping {len(skipped)} annotated videos without predictions: {shown}")
     for annotation in annotations:
         stream = stream_map.get(annotation.video_id)
         if stream is None:

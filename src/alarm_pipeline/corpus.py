@@ -105,7 +105,7 @@ class PredictionStream:
             raise ValueError("anchor_frames and scores must be 1-D and the same length")
         if self.anchor_frames.size > 1 and not np.all(np.diff(self.anchor_frames) > 0):
             raise ValueError(f"anchor frames must be strictly increasing in {self.video_id!r}")
-        if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
+        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails both
             raise ValueError(f"scores must lie in [0, 1] in {self.video_id!r}")
 
     def __len__(self) -> int:

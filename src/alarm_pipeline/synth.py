@@ -11,7 +11,7 @@ advance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -282,8 +282,3 @@ def generate(spec: SynthSpec) -> SynthCorpus:
         streams.append(stream)
         ledger[annotation.video_id] = events
     return SynthCorpus(spec=spec, annotations=annotations, streams=streams, ledger=ledger)
-
-
-def with_seed(spec: SynthSpec, seed: int) -> SynthSpec:
-    """Same corpus shape, different randomness."""
-    return replace(spec, seed=seed)

@@ -183,6 +183,61 @@ def match_alarms(
     return counts, events, fp_records
 
 
+def decision_counts(
+    filtered: np.ndarray,
+    t_values: Sequence[float] | np.ndarray,
+    truth_fall: np.ndarray,
+    eligible: np.ndarray,
+    anchors: np.ndarray,
+    fall_intervals: Sequence[tuple[int, int]],
+    stack_length: int,
+) -> np.ndarray:
+    """Stack and alarm counts of one filtered stream at many thresholds.
+
+    Row i holds ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` for ``t_values[i]``,
+    exactly as :func:`threshold_labels`, :func:`extract_alarms` and
+    :func:`match_alarms` would give them. ``tp``/``fn`` count ``truth_fall``
+    stacks, ``tn``/``fp`` count eligible non-fall stacks. ``fall_intervals``
+    must be sorted and disjoint, as :class:`VideoAnnotation` guarantees.
+    """
+    t = np.asarray(t_values, dtype=np.float64)
+    fall = filtered < t[:, None]
+    negative = eligible & ~truth_fall
+    out = np.empty((t.size, 7), dtype=np.int64)
+    out[:, 0] = (fall & truth_fall).sum(1)
+    out[:, 2] = (fall & negative).sum(1)
+    out[:, 3] = np.count_nonzero(truth_fall) - out[:, 0]
+    out[:, 1] = np.count_nonzero(negative) - out[:, 2]
+
+    # Alarm runs: a run starts where a row's Fall label rises and ends where
+    # it drops; both scans visit runs in the same (threshold, anchor) order.
+    rises = fall.copy()
+    rises[:, 1:] &= ~fall[:, :-1]
+    drops = fall.copy()
+    drops[:, :-1] &= ~fall[:, 1:]
+    row, first = np.divmod(np.flatnonzero(rises), filtered.size)
+    last = np.flatnonzero(drops) % filtered.size
+
+    # A run's span [anchor[first] - (L-1), anchor[last]] overlaps exactly the
+    # falls i0 .. i1-1: the first fall ending at or after the span start up to
+    # the last fall starting at or before the span end.
+    falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
+    i0 = falls[:, 1].searchsorted(anchors[first] - (stack_length - 1), side="left")
+    i1 = falls[:, 0].searchsorted(anchors[last], side="right")
+    hit = i0 < i1
+    out[:, 5] = np.bincount(row[~hit], minlength=t.size)
+
+    # Mark each hit run's fall range [i0, i1) per threshold as +1/-1 edges;
+    # a fall is detected at a threshold where the running edge sum is positive.
+    width = falls.shape[0] + 1
+    edges = np.bincount(row[hit] * width + i0[hit], minlength=t.size * width)
+    edges -= np.bincount(row[hit] * width + i1[hit], minlength=t.size * width)
+    detected = edges.reshape(t.size, width).cumsum(1)[:, :-1] > 0
+    out[:, 4] = detected.sum(1)
+    out[:, 6] = falls.shape[0] - out[:, 4]
+    return out
+
+
 @dataclass(frozen=True)
 class OffsetSummary:
     """Fractions of false alarms below the offset/duration cutoffs."""
@@ -235,7 +290,8 @@ def evaluate_video(
     Stack-level confusion compares the post-filter, post-threshold stack
     decisions against the derived stack labels; Transition-labeled stacks are
     excluded from those counts but their scores still flow through the alarm
-    path.
+    path. The counts come from :func:`decision_counts`; the alarm events and
+    false-alarm offsets from :func:`extract_alarms` and :func:`match_alarms`.
     """
     if stream.video_id != annotation.video_id:
         raise ValueError(
@@ -243,25 +299,19 @@ def evaluate_video(
         )
     width = cfg.resolve_width_frames(annotation.fps)
     filtered = gate_filter(stream.scores, width)
-    predicted_fall = threshold_labels(filtered, cfg.t_pred)
     truth_fall, truth_transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
-
-    eligible = ~truth_transition
-    stack_counts = ConfusionCounts(
-        tp=int(np.sum(predicted_fall & truth_fall)),
-        tn=int(np.sum(~predicted_fall & ~truth_fall & eligible)),
-        fp=int(np.sum(predicted_fall & ~truth_fall & eligible)),
-        fn=int(np.sum(~predicted_fall & truth_fall)),
-    )
-
-    runs = extract_alarms(predicted_fall, stream.anchor_frames)
-    alarm_counts, events, fp_records = match_alarms(
+    counts = decision_counts(
+        filtered, [cfg.t_pred], truth_fall, ~truth_transition, stream.anchor_frames,
+        annotation.fall_intervals, stack_cfg.stack_length,
+    )[0].tolist()
+    runs = extract_alarms(threshold_labels(filtered, cfg.t_pred), stream.anchor_frames)
+    _, events, fp_records = match_alarms(
         runs, annotation.fall_intervals, stack_cfg.stack_length, stream.video_id
     )
     return VideoEvaluation(
         video_id=stream.video_id,
-        stack_counts=stack_counts,
-        alarm_counts=alarm_counts,
+        stack_counts=ConfusionCounts(*counts[:4]),
+        alarm_counts=AlarmCounts(*counts[4:]),
         alarms=events,
         fp_offsets=fp_records,
         width_frames=width,
@@ -278,14 +328,3 @@ def combine(
         stack = stack + ev.stack_counts
         alarm = alarm + ev.alarm_counts
     return MetricReport.from_counts(stack, alarm, betas)
-
-
-def evaluate(
-    stream: PredictionStream,
-    annotation: VideoAnnotation,
-    cfg: FilterConfig,
-    stack_cfg: StackConfig = StackConfig(),
-    betas: Sequence[float] = DEFAULT_BETAS,
-) -> MetricReport:
-    """Single-video convenience wrapper returning just the metric report."""
-    return combine([evaluate_video(stream, annotation, cfg, stack_cfg)], betas)

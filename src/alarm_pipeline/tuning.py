@@ -5,9 +5,7 @@ constraints, with per-database optima averaged into one deployable setting.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,29 +16,14 @@ from .errors import InfeasibleError
 from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
 from .temporal import (
     combine,
+    decision_counts,
     evaluate_video,
-    extract_alarms,
     gate_filter,
     identity_filter,
-    match_alarms,
     width_to_frames,
 )
 
-THREADS_ENV_VAR = "ALARM_PIPELINE_THREADS"
-
 Corpus = Mapping[str, Sequence[tuple[PredictionStream, VideoAnnotation]]]
-
-
-def max_workers() -> int:
-    """Parallelism cap from the environment; 1 (sequential) by default."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring non-integer {THREADS_ENV_VAR}={raw!r}")
-        return 1
 
 
 def default_w_values() -> list[float]:
@@ -122,31 +105,19 @@ def _video_cells(
     w_values: Sequence[float],
     t_values: Sequence[float],
     stack_cfg: StackConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell counts for one video: (nW, nT, 4) stack and (nW, nT, 3) alarm."""
+) -> np.ndarray:
+    """Per-cell counts for one video, (nW, nT, 7) as in :func:`decision_counts`."""
     truth_fall, truth_transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
     eligible = ~truth_transition
-    stack_arr = np.zeros((len(w_values), len(t_values), 4), dtype=np.int64)
-    alarm_arr = np.zeros((len(w_values), len(t_values), 3), dtype=np.int64)
-    filtered_by_width: dict[int, np.ndarray] = {}
-    for wi, w in enumerate(w_values):
-        width = width_to_frames(w, annotation.fps)
-        filtered = filtered_by_width.get(width)
-        if filtered is None:
-            filtered = gate_filter(stream.scores, width)
-            filtered_by_width[width] = filtered
-        for ti, t in enumerate(t_values):
-            predicted = filtered < t
-            stack_arr[wi, ti, 0] = np.sum(predicted & truth_fall)
-            stack_arr[wi, ti, 1] = np.sum(~predicted & ~truth_fall & eligible)
-            stack_arr[wi, ti, 2] = np.sum(predicted & ~truth_fall & eligible)
-            stack_arr[wi, ti, 3] = np.sum(~predicted & truth_fall)
-            runs = extract_alarms(predicted, stream.anchor_frames)
-            counts, _, _ = match_alarms(
-                runs, annotation.fall_intervals, stack_cfg.stack_length, stream.video_id
-            )
-            alarm_arr[wi, ti] = (counts.tp_a, counts.fp_a, counts.fn_a)
-    return stack_arr, alarm_arr
+    widths = [width_to_frames(w, annotation.fps) for w in w_values]
+    by_width = {
+        width: decision_counts(
+            gate_filter(stream.scores, width), t_values, truth_fall, eligible,
+            stream.anchor_frames, annotation.fall_intervals, stack_cfg.stack_length,
+        )
+        for width in dict.fromkeys(widths)
+    }
+    return np.stack([by_width[width] for width in widths])
 
 
 def sweep(
@@ -158,8 +129,8 @@ def sweep(
 ) -> SweepGrid:
     """Populate the full (W, T_pred) grid for every database.
 
-    Deterministic regardless of the worker count: per-video results are
-    reduced in corpus order. Empty databases are skipped with a warning.
+    Per-video counts are summed in corpus order. Empty databases are skipped
+    with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
@@ -167,31 +138,17 @@ def sweep(
         raise ValueError("w_values and t_values must be non-empty")
     cells: dict[tuple[str, float, float], MetricReport] = {}
     databases: list[str] = []
-    workers = max_workers()
     for db, videos in corpus.items():
         if not videos:
             warnings.warn(f"database {db!r} has no videos; skipped")
             continue
         databases.append(db)
-        tasks = [(s, a) for s, a in videos]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda sa: _video_cells(sa[0], sa[1], w_values, t_values, stack_cfg), tasks)
-                )
-        else:
-            results = [_video_cells(s, a, w_values, t_values, stack_cfg) for s, a in tasks]
-        stack_total = np.zeros((len(w_values), len(t_values), 4), dtype=np.int64)
-        alarm_total = np.zeros((len(w_values), len(t_values), 3), dtype=np.int64)
-        for stack_arr, alarm_arr in results:
-            stack_total += stack_arr
-            alarm_total += alarm_arr
+        total = sum(_video_cells(s, a, w_values, t_values, stack_cfg) for s, a in videos)
         for wi, w in enumerate(w_values):
             for ti, t in enumerate(t_values):
+                counts = total[wi, ti].tolist()
                 cells[(db, w, t)] = MetricReport.from_counts(
-                    ConfusionCounts(*map(int, stack_total[wi, ti])),
-                    AlarmCounts(*map(int, alarm_total[wi, ti])),
-                    betas,
+                    ConfusionCounts(*counts[:4]), AlarmCounts(*counts[4:]), betas
                 )
     return SweepGrid(
         w_values=w_values,

@@ -156,6 +156,8 @@ def test_prediction_stream_validation():
         PredictionStream("v", np.array([1, 1]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         PredictionStream("v", np.array([1, 2]), np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PredictionStream("v", (9, 10, 11), (0.5, float("nan"), 0.5))
     with pytest.raises(ValueError):
         PredictionStream("v", np.array([1, 2, 3]), np.array([0.5, 0.5]))
     stream = PredictionStream("v", [9, 10, 11], [0.0, 0.5, 1.0])

@@ -9,7 +9,6 @@ from alarm_pipeline.temporal import (
     AlarmKind,
     FilterConfig,
     combine,
-    evaluate,
     evaluate_video,
     extract_alarms,
     gate_filter,
@@ -292,7 +291,7 @@ def test_combine_pools_counts():
     assert merged.alarm_counts.tp_a == 1
     assert merged.alarm_counts.fn_a == 1
     assert merged.stack_counts.tp == e1.stack_counts.tp + e2.stack_counts.tp
-    single = evaluate(s1, a1, identity_filter())
+    single = combine([evaluate_video(s1, a1, identity_filter())])
     assert single.alarm_counts == e1.alarm_counts
 
 

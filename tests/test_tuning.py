@@ -16,7 +16,6 @@ from alarm_pipeline.tuning import (
     baseline_sensitivities,
     default_t_values,
     default_w_values,
-    max_workers,
     per_database_argmax,
     snap_to_grid,
     sweep,
@@ -127,27 +126,6 @@ def test_sweep_warns_on_empty_database():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep(small_corpus(), [], [0.5])
-
-
-def test_sweep_is_thread_count_invariant(monkeypatch):
-    corpus = small_corpus(seed=5)
-    monkeypatch.delenv("ALARM_PIPELINE_THREADS", raising=False)
-    serial = sweep(corpus, [0.2, 0.6], [0.4, 0.6])
-    monkeypatch.setenv("ALARM_PIPELINE_THREADS", "4")
-    threaded = sweep(corpus, [0.2, 0.6], [0.4, 0.6])
-    assert serial.cells == threaded.cells
-
-
-def test_max_workers_env_parsing(monkeypatch):
-    monkeypatch.delenv("ALARM_PIPELINE_THREADS", raising=False)
-    assert max_workers() == 1
-    monkeypatch.setenv("ALARM_PIPELINE_THREADS", "6")
-    assert max_workers() == 6
-    monkeypatch.setenv("ALARM_PIPELINE_THREADS", "0")
-    assert max_workers() == 1
-    monkeypatch.setenv("ALARM_PIPELINE_THREADS", "lots")
-    with pytest.warns(UserWarning):
-        assert max_workers() == 1
 
 
 # -- baselines and argmax ----------------------------------------------------------
