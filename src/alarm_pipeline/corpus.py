@@ -9,8 +9,10 @@ intervals are inclusive on both ends and 0-based throughout.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,16 +33,13 @@ class StackLabel(Enum):
 
 @dataclass(frozen=True)
 class StackConfig:
-    """Stack geometry: window length in frames and anchor stride."""
+    """Stack geometry: window length in frames (anchors advance with stride 1)."""
 
     stack_length: int = 10
-    stride: int = 1
 
     def __post_init__(self) -> None:
         if self.stack_length < 1:
             raise ValueError(f"stack_length must be >= 1, got {self.stack_length}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
     def span(self, anchor_frame: int) -> tuple[int, int]:
         """Inclusive frame span covered by the stack anchored at ``anchor_frame``."""
@@ -124,13 +123,26 @@ class FoldAssignment:
         return sorted(v for v, f in self.folds.items() if f == fold)
 
 
+def _covered_spans(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted disjoint fall intervals with each run of touching ones merged."""
+    spans: list[tuple[int, int]] = []
+    for start, end in intervals:
+        if spans and start == spans[-1][1] + 1:
+            spans[-1] = (spans[-1][0], end)
+        else:
+            spans.append((start, end))
+    return spans
+
+
 def label_stack(
     annotation: VideoAnnotation, anchor_frame: int, config: StackConfig = StackConfig()
 ) -> StackLabel:
     """Classify one stack against the fall intervals.
 
-    FALL if every frame of the stack's span lies inside a fall interval,
-    NO_FALL if none does, TRANSITION if the span straddles a boundary.
+    FALL if every frame of the stack's span is a fall frame, NO_FALL if none
+    is, TRANSITION if the span straddles a boundary. Touching intervals
+    (``start == previous end + 1``) cover one unbroken span, so a stack
+    across their junction is FALL.
     """
     lo, hi = config.span(anchor_frame)
     if lo < 0 or hi >= annotation.frame_count:
@@ -138,7 +150,7 @@ def label_stack(
             f"stack span [{lo}, {hi}] outside frames [0, {annotation.frame_count}) "
             f"of {annotation.video_id!r}"
         )
-    for start, end in annotation.fall_intervals:
+    for start, end in _covered_spans(annotation.fall_intervals):
         if start <= lo and hi <= end:
             return StackLabel.FALL
         if lo <= end and hi >= start:
@@ -167,7 +179,7 @@ def stack_label_masks(
             )
     fall = np.zeros(anchors.shape, dtype=bool)
     touches = np.zeros(anchors.shape, dtype=bool)
-    for start, end in annotation.fall_intervals:
+    for start, end in _covered_spans(annotation.fall_intervals):
         fall |= (lo >= start) & (anchors <= end)
         touches |= (lo <= end) & (anchors >= start)
     return fall, touches & ~fall
@@ -285,9 +297,70 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
 
     Rows of one video may be interleaved with other videos but must keep
     strictly increasing anchor frames; violations are reported with the
-    offending line number.
+    offending line number. A file in the layout :func:`save_predictions`
+    writes is parsed in bulk, one video block at a time; any other file, and
+    any file the bulk parse finds fault with, is read row by row, so both
+    paths return the same streams and every error comes from the row loop.
     """
     path = Path(path)
+    streams = _load_canonical_predictions(path.read_bytes())
+    return streams if streams is not None else _load_prediction_rows(path)
+
+
+_CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
+# One video's block in the canonical layout: rows ``id,<digits>,<number>\n``
+# that all repeat the first row's id. Anything else ends the match.
+_CANONICAL_BLOCK = re.compile(
+    rb"([^,\n]*),[0-9]+,[0-9.eE+-]+\n(?:\1,[0-9]+,[0-9.eE+-]+\n)*"
+)
+
+
+def _load_canonical_predictions(data: bytes) -> list[PredictionStream] | None:
+    """Bulk parse of a canonical prediction file, or None to use the row loop.
+
+    Canonical means the header line, ``\\n`` line endings, no quote and no
+    ``\\r`` anywhere, and each video's rows in one block. Every row is
+    checked to have three fields and ASCII numerals before ``np.loadtxt``
+    parses the anchor and score columns (scores with CPython's own float
+    parser, so they match ``float()`` bit for bit). Score range and anchor
+    order are left to :class:`PredictionStream`. Returns None, never raises,
+    on anything the row loop might treat differently or reject.
+    """
+    if not data.startswith(_CANONICAL_HEADER) or b'"' in data or b"\r" in data:
+        return None
+    ids: list[bytes] = []
+    bounds = [0]
+    pos = len(_CANONICAL_HEADER)
+    while pos < len(data):
+        block = _CANONICAL_BLOCK.match(data, pos)
+        if block is None:
+            return None
+        ids.append(block.group(1))
+        bounds.append(bounds[-1] + data.count(b"\n", pos, block.end()))
+        pos = block.end()
+    if not ids:
+        return []
+    if len(set(ids)) != len(ids):
+        return None
+    try:
+        table = np.loadtxt(
+            io.BytesIO(data), delimiter=",", skiprows=1, usecols=(1, 2), comments=None,
+            dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
+        )
+        if len(table) != bounds[-1]:
+            return None
+        anchors = np.ascontiguousarray(table["anchor"])
+        scores = np.ascontiguousarray(table["score"])
+        return [
+            PredictionStream(video_id.decode("utf-8"), anchors[lo:hi], scores[lo:hi])
+            for video_id, lo, hi in zip(ids, bounds, bounds[1:])
+        ]
+    except ValueError:  # unparsable number, id not UTF-8, score range, anchor order
+        return None
+
+
+def _load_prediction_rows(path: Path) -> list[PredictionStream]:
+    """Row-by-row reader for any prediction CSV; the only one that reports errors."""
     order: list[str] = []
     anchors: dict[str, list[int]] = {}
     scores: dict[str, list[float]] = {}
@@ -338,12 +411,33 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     ]
 
 
+# Rows formatted into one string by save_predictions; bounds its memory.
+_ROWS_PER_WRITE = 1 << 14
+
+
 def save_predictions(streams: Iterable[PredictionStream], path: str | Path) -> None:
-    """Write prediction streams as canonical CSV (shortest round-trip floats)."""
+    """Write prediction streams as canonical CSV (shortest round-trip floats).
+
+    Each video's rows are formatted as one string per chunk of
+    ``_ROWS_PER_WRITE`` rows; the id field is quoted once per video by the
+    same ``csv.writer`` dialect, so the bytes equal a row-by-row write.
+    """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_PREDICTION_HEADER)
+        handle.write(_CANONICAL_HEADER.decode())
         for stream in streams:
-            for anchor, score in zip(stream.anchor_frames, stream.scores):
-                writer.writerow([stream.video_id, int(anchor), repr(float(score))])
+            video_id = _csv_field(stream.video_id)
+            anchors = stream.anchor_frames.tolist()
+            scores = stream.scores.tolist()
+            for lo in range(0, len(anchors), _ROWS_PER_WRITE):
+                hi = lo + _ROWS_PER_WRITE
+                handle.write("".join(
+                    [f"{video_id},{a},{s!r}\n" for a, s in zip(anchors[lo:hi], scores[lo:hi])]
+                ))
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of several fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]

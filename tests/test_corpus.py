@@ -1,9 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from alarm_pipeline.corpus import (
+    _ROWS_PER_WRITE,
+    _load_canonical_predictions,
+    _load_prediction_rows,
     PredictionStream,
     StackConfig,
     StackLabel,
@@ -40,8 +46,6 @@ def test_stack_span_is_trailing_window():
 def test_stack_config_validation():
     with pytest.raises(ValueError):
         StackConfig(stack_length=0)
-    with pytest.raises(ValueError):
-        StackConfig(stride=0)
 
 
 def test_label_stack_examples():
@@ -89,12 +93,15 @@ def test_label_stack_matches_naive_oracle():
             if end >= frame_count:
                 break
             intervals.append((start, end))
-            cursor = end + 2
+            cursor = end + 1
         ann = make_annotation(intervals, frame_count=frame_count)
-        for anchor in range(9, frame_count):
-            got = label_stack(ann, anchor, cfg)
-            want = naive_label(ann.fall_intervals, anchor, 10)
+        anchors = np.arange(9, frame_count)
+        fall, transition = stack_label_masks(ann, anchors, cfg)
+        for anchor, f, t in zip(anchors, fall, transition):
+            got = label_stack(ann, int(anchor), cfg)
+            want = naive_label(ann.fall_intervals, int(anchor), 10)
             assert got.value == want, (ann.fall_intervals, anchor)
+            assert (f, t) == (want == "fall", want == "transition"), (ann.fall_intervals, anchor)
 
 
 def test_stack_label_masks_agree_with_label_stack():
@@ -219,27 +226,56 @@ def test_prediction_round_trip_is_fixed_point(tmp_path):
     assert path.read_bytes() == first
 
 
+HEADER = "video_id,anchor_frame,score\n"
+TRICKY_SCORES = [0.0, 1.0, 5e-324, 0.1, 1 - 2**-53, 1e-05, 0.30000000000000004]
+
+
+def stream_bits(streams):
+    """Ids, dtypes and raw bytes of each stream, for bit-for-bit comparison."""
+    return [
+        (s.video_id, s.anchor_frames.dtype, s.anchor_frames.tobytes(),
+         s.scores.dtype, s.scores.tobytes())
+        for s in streams
+    ]
+
+
+def reference_csv(streams):
+    """Bytes of the row-by-row ``csv.writer`` layout that save_predictions keeps."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["video_id", "anchor_frame", "score"])
+    for stream in streams:
+        for anchor, score in zip(stream.anchor_frames, stream.scores):
+            writer.writerow([stream.video_id, int(anchor), repr(float(score))])
+    return buffer.getvalue().encode("utf-8")
+
+
 def test_prediction_loader_errors(tmp_path):
     path = tmp_path / "pred.csv"
-    path.write_text("video,anchor,score\n")
-    with pytest.raises(CorpusFormatError, match="header"):
-        load_predictions(path)
+    cases = [  # (file text, message, line) of the row loop's error
+        ("video,anchor,score\n", "header", 1),
+        ("", "empty", 1),
+        (HEADER + "v,9,0.5\nv,9,0.6\n", "anchor 9 not increasing", 3),
+        (HEADER + "a,9,0.5\nb,9,0.5\na,9,0.5\n", "anchor 9 not increasing", 4),
+        (HEADER + "v,9,1.5\n", r"score 1.5 outside \[0, 1\]", 2),
+        (HEADER + "v,9,nan\n", r"score nan outside \[0, 1\]", 2),
+        (HEADER + "v,9,0.5\nv,10,1e5\n", "outside", 3),
+        (HEADER + "v,x,0.5\n", "bad anchor", 2),
+        (HEADER + "v,9.0,0.5\n", "bad anchor/score '9.0','0.5'", 2),
+        (HEADER + "v,9,0.5\nv,10,1-2\n", "bad anchor/score '10','1-2'", 3),
+        (HEADER + "v,9,0.5,1\n", "expected 3 columns, got 4", 2),
+        (HEADER + "a\rb,9,0.5\n", "expected 3 columns, got 1", 2),  # csv ends a row at \r
+    ]
+    for text, message, line in cases:
+        path.write_bytes(text.encode())
+        assert _load_canonical_predictions(path.read_bytes()) is None, text
+        with pytest.raises(CorpusFormatError, match=message) as err:
+            load_predictions(path)
+        assert err.value.line == line, text
 
-    path.write_text("video_id,anchor_frame,score\nv,9,0.5\nv,9,0.6\n")
-    with pytest.raises(CorpusFormatError) as err:
-        load_predictions(path)
-    assert err.value.line == 3
-
-    path.write_text("video_id,anchor_frame,score\nv,9,1.5\n")
-    with pytest.raises(CorpusFormatError, match="outside"):
-        load_predictions(path)
-
-    path.write_text("video_id,anchor_frame,score\nv,x,0.5\n")
-    with pytest.raises(CorpusFormatError, match="bad anchor"):
-        load_predictions(path)
-
-    path.write_text("")
-    with pytest.raises(CorpusFormatError, match="empty"):
+    path.write_bytes(HEADER.encode() + b"\xff,9,0.5\n")
+    assert _load_canonical_predictions(path.read_bytes()) is None
+    with pytest.raises(UnicodeDecodeError):
         load_predictions(path)
 
 
@@ -253,6 +289,72 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     assert [s.video_id for s in loaded] == ["a", "b"]
     assert loaded[0].anchor_frames.tolist() == [9, 10]
     assert loaded[1].scores.tolist() == [0.2, 0.4]
+
+    canonical = HEADER + "a,9,0.1\na,10,0.3\nb,9,0.2\nb,10,0.4\n"
+    bulk = _load_canonical_predictions(canonical.encode())
+    assert stream_bits(bulk) == stream_bits(loaded)
+    variants = [  # each read row by row into the same streams
+        HEADER + "a,9,0.1\nb,9,0.2\na,10,0.3\nb,10,0.4\n",  # interleaved
+        canonical[:-1],  # no final newline
+        canonical.replace("a,10,0.3\n", "a,10,0.3\n\n"),  # blank line
+        canonical.replace("\n", "\r\n"),
+        canonical.replace("b,", '"b",'),
+        canonical.replace("a,10,", "a, 10,"),
+        canonical.replace("a,10,", "a,+10,"),
+    ]
+    for text in variants:
+        path.write_bytes(text.encode())
+        assert _load_canonical_predictions(path.read_bytes()) is None, text
+        assert stream_bits(load_predictions(path)) == stream_bits(bulk), text
+
+
+@st.composite
+def prediction_streams(draw):
+    """Streams with ids that may need CSV quoting and boundary scores."""
+    ids = draw(st.lists(st.text(alphabet="ab Z9#é中,\"\x00\x0b\u2028", max_size=5), max_size=4, unique=True))
+    streams = []
+    for video_id in ids:
+        steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=30))
+        anchors = draw(st.integers(0, 20)) + np.cumsum(steps)
+        scores = draw(st.lists(st.sampled_from(TRICKY_SCORES) | st.floats(0.0, 1.0),
+                               min_size=len(steps), max_size=len(steps)))
+        streams.append(PredictionStream(video_id, anchors, scores))
+    return streams
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(streams=prediction_streams())
+def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams):
+    path = tmp_path / "pred.csv"
+    save_predictions(streams, path)
+    assert path.read_bytes() == reference_csv(streams)
+    rows = _load_prediction_rows(path)
+    assert stream_bits(rows) == stream_bits(streams)
+    bulk = _load_canonical_predictions(path.read_bytes())
+    quoted = any(set(s.video_id) & set(',"') for s in streams)
+    assert (bulk is None) == quoted
+    if bulk is not None:
+        assert stream_bits(bulk) == stream_bits(rows)
+    assert stream_bits(load_predictions(path)) == stream_bits(rows)
+
+
+def test_save_predictions_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    long_scores = rng.random(2 * _ROWS_PER_WRITE + 5)
+    long_scores[::7] = np.resize(TRICKY_SCORES, long_scores[::7].size)
+    streams = [
+        PredictionStream("a,b", np.arange(9, 9 + len(TRICKY_SCORES)), TRICKY_SCORES),
+        PredictionStream('say "hi"', [3, 7], [0.5, 0.25]),
+        PredictionStream("two\nlines", [0], [1.0]),
+        PredictionStream("cr\rid", [0], [0.0]),
+        PredictionStream("", [4], [0.1]),
+        PredictionStream(" é 中 ", [4], [0.1]),
+        PredictionStream("long", np.arange(long_scores.size), long_scores),
+    ]
+    path = tmp_path / "pred.csv"
+    save_predictions(streams, path)
+    assert path.read_bytes() == reference_csv(streams)
 
 
 # -- fold assignment ----------------------------------------------------------
