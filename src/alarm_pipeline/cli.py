@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: evaluate, sweep, tune, offsets, synth, folds. Every command
-accepts ``--config FILE`` (JSON object of parameter defaults, same names as
-the flags with underscores); explicit flags win over the file. Commands that
-write into ``--out`` also drop a manifest.json there with a content hash of
-the semantic inputs, so two runs with identical inputs produce identical
-manifests.
+Subcommands: evaluate, sweep, tune, offsets, synth, folds. Each parameter is
+declared once, in ``PARAMS``: its name is the config key, the manifest key and,
+with dashes, the flag. ``COMMANDS`` lists each subcommand's parameters, and the
+parser and the config resolution are generated from the two tables. Every
+command accepts ``--config FILE`` (a JSON object of parameter defaults, each
+value of its flag's type); explicit flags win over the file. Commands that
+write into ``--out`` also drop a manifest.json there with a content hash of the
+semantic inputs, so two runs with identical inputs produce identical manifests.
 
 Exit codes: 0 success, 1 bad usage or bad data, 2 constraints infeasible.
 """
@@ -19,9 +21,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     PredictionStream,
@@ -36,7 +37,7 @@ from .corpus import (
 from .errors import CorpusFormatError, GenerationError, InfeasibleError, PipelineError
 from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, macro_average
 from .synth import SynthSpec, generate
-from .temporal import FilterConfig, VideoEvaluation, combine, evaluate_video, offset_histogram
+from .temporal import FilterConfig, combine, evaluate_video, offset_histogram
 from .tuning import default_t_values, default_w_values, sweep, tune
 
 Corpus = dict[str, list[tuple[PredictionStream, VideoAnnotation]]]
@@ -46,119 +47,145 @@ COUNTS_FBETA_DECIMALS = 3
 SKIPPED_IDS_SHOWN = 3  # the skipped-videos warning names only the first few
 
 
-# -- config plumbing ----------------------------------------------------------
+# -- parameters ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvaluateConfig:
-    annotations: str | None = None
-    predictions: str | None = None
-    counts_only: str | None = None
-    w_seconds: float | None = None
-    w_frames: int | None = None
-    t_pred: float = 0.5
-    beta: tuple[float, ...] = DEFAULT_BETAS
-    stack_length: int = 10
-    out: str | None = None
+def _grid(text: str) -> str:
+    """Type of --w-grid/--t-grid: the text as given, read by :func:`parse_grid`."""
+    return text
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    annotations: str | None = None
-    predictions: str | None = None
-    w_grid: Any = None
-    t_grid: Any = None
-    beta: tuple[float, ...] = DEFAULT_BETAS
-    stack_length: int = 10
-    out: str | None = None
+class Param(NamedTuple):
+    """One parameter: config and manifest key ``name``, flag ``--name-with-dashes``.
+
+    ``type``, ``help``, ``action`` and ``metavar`` go to argparse. ``key`` names
+    the table entry when two commands declare the same flag differently.
+    """
+
+    name: str
+    default: Any = None
+    type: Callable[[str], Any] = str
+    help: str | None = None
+    action: str | None = None
+    metavar: str | None = None
+    key: str | None = None
 
 
-@dataclass(frozen=True)
-class TuneConfig:
-    annotations: str | None = None
-    predictions: str | None = None
-    w_grid: Any = None
-    t_grid: Any = None
-    beta: float = 0.5
-    min_precision: float = 0.80
-    max_drop: float = 10.0
-    stack_length: int = 10
-    out: str | None = None
+PARAMS = {p.key or p.name: p for p in (
+    Param("config", help="JSON file of parameter defaults"),
+    Param("out", help="output directory"),
+    Param("annotations", help="annotation JSONL file"),
+    Param("predictions", help="prediction CSV file"),
+    Param("w_seconds", None, float, "filter width in seconds"),
+    Param("w_frames", None, int, "filter width in frames"),
+    Param("t_pred", 0.5, float, "decision threshold (default 0.5)"),
+    Param("counts_only", metavar="COUNTS_JSON",
+          help="render metrics from a JSON list of per-database alarm counts"),
+    Param("beta", DEFAULT_BETAS, float, "F-score beta; repeatable (default 0.5 and 2)",
+          action="append"),
+    Param("beta", 0.5, float, "objective F-score beta (default 0.5)", key="tune_beta"),
+    Param("stack_length", 10, int, "frames per stack (default 10)"),
+    Param("w_grid", None, _grid, "widths: start:stop:step or comma list (seconds)"),
+    Param("t_grid", None, _grid, "thresholds: start:stop:step or comma list"),
+    Param("min_precision", 0.80, float, "alarm precision floor (default 0.80)"),
+    Param("max_drop", 10.0, float,
+          "max alarm sensitivity drop vs identity baseline, percentage points (default 10)"),
+    Param("offset_cutoff", 5.0, float, "offset histogram cutoff in frames (default 5)"),
+    Param("duration_cutoff", 10.0, float, "duration histogram cutoff in frames (default 10)"),
+    Param("videos", 10, int, "number of videos (default 10)"),
+    Param("fps", 30.0, float, "frame rate (default 30)"),
+    Param("frames", 900, int, "frames per video (default 900)"),
+    Param("fall_rate", 1.0, float, "falls per video (default 1)"),
+    Param("fall_duration_mean", 32, int),
+    Param("fall_duration_spread", 8, int),
+    Param("near_fp_rate", 0.0, float, "near-fall false pulses per video (default 0)"),
+    Param("far_fp_rate", 0.0, float, "isolated false pulses per video (default 0)"),
+    Param("fp_duration_mean", 5, int),
+    Param("fp_duration_spread", 3, int),
+    Param("score_noise", 0.0, float, "uniform score jitter amplitude, < 0.5 (default 0)"),
+    Param("videos_per_group", 1, int, "videos sharing one parent group (default 1)"),
+    Param("seed", 0, int, "corpus seed (default 0)"),
+    Param("database_id", "synth", help="database id (default 'synth')"),
+    Param("k", 5, int, "fold count (default 5)"),
+    Param("seed", 0, int, "shuffle seed (default 0)", key="fold_seed"),
+)}
+
+_CORPUS = "config out annotations predictions"
+_FILTER = "w_seconds w_frames t_pred"
+COMMANDS = {  # subcommand -> (help, PARAMS keys in --help order)
+    "evaluate": ("score predictions against annotations",
+                 f"{_CORPUS} {_FILTER} counts_only beta stack_length"),
+    "sweep": ("metric surface over the (W, T_pred) grid",
+              f"{_CORPUS} w_grid t_grid beta stack_length"),
+    "tune": ("pick (W, T_pred) under precision/sensitivity constraints",
+             f"{_CORPUS} w_grid t_grid tune_beta min_precision max_drop stack_length"),
+    "offsets": ("duration/offset records of false alarms",
+                f"{_CORPUS} {_FILTER} offset_cutoff duration_cutoff stack_length"),
+    "synth": ("generate a synthetic corpus with a ground-truth ledger",
+              "config out videos fps frames fall_rate fall_duration_mean fall_duration_spread "
+              "near_fp_rate far_fp_rate fp_duration_mean fp_duration_spread score_noise "
+              "videos_per_group seed database_id stack_length"),
+    "folds": ("group-safe cross-validation folds", "config out annotations k fold_seed"),
+}
+
+# Resolved parameters kept out of manifest.json: the command and file paths.
+_NOT_HASHED = ("command", "out", "annotations", "predictions", "counts_only")
+# SynthSpec fields whose parameter has another name.
+_SYNTH_FIELDS = {"videos": "video_count", "frames": "frames_per_video",
+                 "near_fp_rate": "near_fall_fp_rate"}
 
 
-@dataclass(frozen=True)
-class OffsetsConfig:
-    annotations: str | None = None
-    predictions: str | None = None
-    w_seconds: float | None = None
-    w_frames: int | None = None
-    t_pred: float = 0.5
-    offset_cutoff: float = 5.0
-    duration_cutoff: float = 10.0
-    stack_length: int = 10
-    out: str | None = None
+def _file_value(param: Param, value: Any, path: str) -> Any:
+    """A config-file value checked against ``param``'s type, converted as its flag would be."""
+    if value is None and param.default is None:
+        return None
+    def number(v: Any) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    numbers = isinstance(value, list) and all(map(number, value))
+    expected, valid, convert = {  # declared type -> (description, check, conversion)
+        int: ("an integer", number(value) and isinstance(value, int), int),
+        float: ("a number", number(value), float),
+        list: ("a non-empty list of numbers", numbers and bool(value),
+               lambda v: [float(x) for x in v]),
+        _grid: ("a string or a list of numbers", isinstance(value, str) or numbers, None),
+        str: ("a string", isinstance(value, str), None),
+    }[list if param.action == "append" else param.type]
+    if not valid:
+        raise CorpusFormatError(
+            f"config key {param.name!r} must be {expected}, got {json.dumps(value)}", path=path
+        )
+    return convert(value) if convert else value
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    videos: int = 10
-    fps: float = 30.0
-    frames: int = 900
-    fall_rate: float = 1.0
-    fall_duration_mean: int = 32
-    fall_duration_spread: int = 8
-    near_fp_rate: float = 0.0
-    far_fp_rate: float = 0.0
-    fp_duration_mean: int = 5
-    fp_duration_spread: int = 3
-    score_noise: float = 0.0
-    videos_per_group: int = 1
-    seed: int = 0
-    database_id: str = "synth"
-    stack_length: int = 10
-    out: str | None = None
+def _read_json(path: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"invalid JSON ({exc.msg})", path=path, line=exc.lineno)
 
 
-@dataclass(frozen=True)
-class FoldsConfig:
-    annotations: str | None = None
-    k: int = 5
-    seed: int = 0
-    out: str | None = None
-
-
-def _resolve_config(cls, args: argparse.Namespace):
-    """Merge defaults <- config file <- explicit CLI flags into ``cls``."""
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge defaults <- config file <- explicit CLI flags for ``args.command``."""
+    params = [PARAMS[key] for key in COMMANDS[args.command][1].split() if key != "config"]
     file_cfg: dict[str, Any] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"invalid JSON ({exc.msg})", path=config_path, line=exc.lineno)
+    if args.config:
+        file_cfg = _read_json(args.config)
         if not isinstance(file_cfg, dict):
-            raise CorpusFormatError("config must be a JSON object", path=config_path)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(file_cfg) - known)
+            raise CorpusFormatError("config must be a JSON object", path=args.config)
+        unknown = sorted(set(file_cfg) - {p.name for p in params})
         if unknown:
-            raise CorpusFormatError(f"unknown config keys {unknown}", path=config_path)
-    values: dict[str, Any] = {}
-    for f in fields(cls):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
-        elif f.name in file_cfg:
-            values[f.name] = file_cfg[f.name]
-    return cls(**values)
+            raise CorpusFormatError(f"unknown config keys {unknown}", path=args.config)
+        file_cfg = {p.name: _file_value(p, file_cfg[p.name], args.config)
+                    for p in params if p.name in file_cfg}
+    values = {p.name: p.default for p in params} | file_cfg
+    values |= {k: v for k, v in vars(args).items() if k in values and v is not None}
+    return argparse.Namespace(command=args.command, **values)
 
 
-def _parameters(cfg) -> dict[str, Any]:
-    """Manifest view of a config: semantic knobs only, no output paths."""
-    out = dataclasses.asdict(cfg)
-    out.pop("out", None)
-    for key in ("annotations", "predictions", "counts_only"):
-        out.pop(key, None)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+def _parameters(cfg: argparse.Namespace) -> dict[str, Any]:
+    """Manifest view of a config: semantic knobs only, no command or paths."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(cfg).items() if k not in _NOT_HASHED}
 
 
 def parse_grid(spec: Any) -> list[float]:
@@ -186,24 +213,32 @@ def parse_grid(spec: Any) -> list[float]:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _load_corpus(annotations_path: str | None, predictions_path: str | None) -> Corpus:
+def _load_corpus(cfg: argparse.Namespace) -> Corpus:
     """Pair predictions with annotations, grouped by database.
 
-    A prediction for an unannotated video is an error; an annotated video
-    without predictions is skipped with a warning; an empty pairing is an
-    error.
+    A prediction for an unannotated video, or one whose stacks leave the
+    video's frames, is an error; an annotated video without predictions is
+    skipped with a warning; an empty pairing is an error.
     """
-    if not annotations_path or not predictions_path:
+    if not cfg.annotations or not cfg.predictions:
         raise CorpusFormatError("both --annotations and --predictions are required")
-    annotations = load_annotations(annotations_path)
-    streams = load_predictions(predictions_path)
+    annotations = load_annotations(cfg.annotations)
+    streams = load_predictions(cfg.predictions)
     by_video = {a.video_id: a for a in annotations}
     stream_map: dict[str, PredictionStream] = {}
     for stream in streams:
-        if stream.video_id not in by_video:
+        annotation = by_video.get(stream.video_id)
+        if annotation is None:
             raise CorpusFormatError(
                 f"predictions reference unknown video {stream.video_id!r}",
-                path=predictions_path,
+                path=cfg.predictions,
+            )
+        lo, hi = cfg.stack_length - 1, annotation.frame_count
+        if not lo <= stream.anchor_frames[0] <= stream.anchor_frames[-1] < hi:
+            raise CorpusFormatError(
+                f"anchors of video {stream.video_id!r} must lie in [{lo}, {hi}) "
+                f"for stacks of {cfg.stack_length} frames",
+                path=cfg.predictions,
             )
         stream_map[stream.video_id] = stream
     corpus: Corpus = {}
@@ -223,12 +258,11 @@ def _load_corpus(annotations_path: str | None, predictions_path: str | None) -> 
     return corpus
 
 
-def _filter_config(w_seconds: float | None, w_frames: int | None, t_pred: float) -> FilterConfig:
-    if w_seconds is not None and w_frames is not None:
+def _filter_config(cfg: argparse.Namespace) -> FilterConfig:
+    if cfg.w_seconds is not None and cfg.w_frames is not None:
         raise ValueError("give at most one of --w-seconds / --w-frames")
-    if w_seconds is None and w_frames is None:
-        w_frames = 1
-    return FilterConfig(t_pred=t_pred, width_seconds=w_seconds, width_frames=w_frames)
+    w_frames = 1 if cfg.w_seconds is None and cfg.w_frames is None else cfg.w_frames
+    return FilterConfig(t_pred=cfg.t_pred, width_seconds=cfg.w_seconds, width_frames=w_frames)
 
 
 def _sha256(path: Path) -> str:
@@ -247,37 +281,37 @@ def write_manifest(out_dir: Path, command: str, parameters: Mapping[str, Any],
     never paths, output locations or times, so reruns on identical inputs
     hash identically.
     """
-    digests = {}
-    for role, path in inputs.items():
-        if path is None:
-            continue
-        p = Path(path)
-        digests[role] = {"path": str(p), "sha256": _sha256(p)}
+    digests = {role: {"path": str(Path(path)), "sha256": _sha256(Path(path))}
+               for role, path in inputs.items() if path is not None}
     hashed = {
         "command": command,
-        "parameters": dict(sorted(parameters.items())),
-        "inputs": {role: entry["sha256"] for role, entry in sorted(digests.items())},
+        "parameters": dict(parameters),
+        "inputs": {role: entry["sha256"] for role, entry in digests.items()},
     }
     config_hash = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
-    manifest = {
-        "command": command,
-        "parameters": dict(sorted(parameters.items())),
-        "inputs": digests,
-        "config_hash": config_hash,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    manifest = {**hashed, "inputs": digests, "config_hash": config_hash}
+    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _out_dir(path_text: str | None) -> Path | None:
-    if not path_text:
-        return None
-    out = Path(path_text)
+def _json_text(payload: Any) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(cfg: argparse.Namespace, artifacts: Mapping[str, str]) -> None:
+    """Write ``artifacts`` (file name -> text) and manifest.json into ``cfg.out``.
+
+    The manifest records the command's input files: the counts file when
+    there is one, else whichever of annotations and predictions it takes.
+    """
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in artifacts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    inputs = ({"counts": cfg.counts_only} if getattr(cfg, "counts_only", None) else
+              {role: getattr(cfg, role, None) for role in ("annotations", "predictions")})
+    write_manifest(out, cfg.command, _parameters(cfg), inputs)
 
 
 def format_report_table(rows: Sequence[tuple[str, MetricReport]], betas: Sequence[float]) -> str:
@@ -305,22 +339,17 @@ def format_report_table(rows: Sequence[tuple[str, MetricReport]], betas: Sequenc
     return "\n".join(lines) + "\n"
 
 
-def _report_rows_json(rows: Sequence[tuple[str, MetricReport]]) -> dict:
-    return {name: report.to_json_dict() for name, report in rows}
-
-
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_evaluate(cfg: EvaluateConfig) -> int:
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
     betas = tuple(cfg.beta)
     if cfg.counts_only:
         rows = _counts_only_rows(cfg.counts_only, betas)
         filter_json = None
-        inputs: dict[str, str | None] = {"counts": cfg.counts_only}
     else:
-        corpus = _load_corpus(cfg.annotations, cfg.predictions)
-        filter_cfg = _filter_config(cfg.w_seconds, cfg.w_frames, cfg.t_pred)
+        corpus = _load_corpus(cfg)
+        filter_cfg = _filter_config(cfg)
         stack_cfg = StackConfig(stack_length=cfg.stack_length)
         rows = []
         for database_id, videos in corpus.items():
@@ -328,28 +357,18 @@ def cmd_evaluate(cfg: EvaluateConfig) -> int:
                 (evaluate_video(s, a, filter_cfg, stack_cfg) for s, a in videos), betas
             )
             rows.append((database_id, report))
-        filter_json = {
-            "t_pred": filter_cfg.t_pred,
-            "width_seconds": filter_cfg.width_seconds,
-            "width_frames": filter_cfg.width_frames,
-        }
-        inputs = {"annotations": cfg.annotations, "predictions": cfg.predictions}
+        filter_json = dataclasses.asdict(filter_cfg)
     macro = macro_average([report for _, report in rows])
     table = format_report_table(list(rows) + [("Avg.", macro)], betas)
     sys.stdout.write(table)
-    out = _out_dir(cfg.out)
-    if out is not None:
+    if cfg.out:
         report_json = {
             "filter": filter_json,
             "betas": list(betas),
-            "databases": _report_rows_json(rows),
+            "databases": {name: report.to_json_dict() for name, report in rows},
             "macro": macro.to_json_dict(),
         }
-        (out / "report.json").write_text(
-            json.dumps(report_json, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (out / "report.txt").write_text(table, encoding="utf-8")
-        write_manifest(out, "evaluate", _parameters(cfg), inputs)
+        _write_outputs(cfg, {"report.json": _json_text(report_json), "report.txt": table})
     return 0
 
 
@@ -360,11 +379,7 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
     F_beta is computed from p_a/se_a rounded to 3 decimals, matching numbers
     quoted from a table printed at 0.1 percentage-point precision.
     """
-    path = Path(path_text)
-    try:
-        records = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"invalid JSON ({exc.msg})", path=path_text, line=exc.lineno)
+    records = _read_json(path_text)
     if not isinstance(records, list) or not records:
         raise CorpusFormatError("counts file must be a non-empty JSON list", path=path_text)
     rows: list[tuple[str, MetricReport]] = []
@@ -385,18 +400,16 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
 
 
 def _fmt_float(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
-def cmd_sweep(cfg: SweepConfig) -> int:
-    corpus = _load_corpus(cfg.annotations, cfg.predictions)
-    w_values = parse_grid(cfg.w_grid) if cfg.w_grid is not None else default_w_values()
-    t_values = parse_grid(cfg.t_grid) if cfg.t_grid is not None else default_t_values()
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    corpus = _load_corpus(cfg)
+    # the manifest records the grids the sweep ran
+    cfg.w_grid = parse_grid(cfg.w_grid) if cfg.w_grid is not None else default_w_values()
+    cfg.t_grid = parse_grid(cfg.t_grid) if cfg.t_grid is not None else default_t_values()
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
-    grid = sweep(corpus, w_values, t_values, tuple(cfg.beta), stack_cfg)
-    out = _out_dir(cfg.out)
+    grid = sweep(corpus, cfg.w_grid, cfg.t_grid, tuple(cfg.beta), stack_cfg)
     lines = [SWEEP_HEADER]
     for db, beta, w, t, fb, p_a, se_a, tp_a, fp_a, fn_a in grid.csv_rows():
         lines.append(
@@ -404,27 +417,19 @@ def cmd_sweep(cfg: SweepConfig) -> int:
             f"{_fmt_float(se_a)},{tp_a},{fp_a},{fn_a}"
         )
     text = "\n".join(lines) + "\n"
-    if out is not None:
-        (out / "sweep.csv").write_text(text, encoding="utf-8")
-        write_manifest(
-            out,
-            "sweep",
-            {**_parameters(cfg), "w_grid": w_values, "t_grid": t_values},
-            {"annotations": cfg.annotations, "predictions": cfg.predictions},
-        )
+    if cfg.out:
+        _write_outputs(cfg, {"sweep.csv": text})
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_tune(cfg: TuneConfig) -> int:
-    corpus = _load_corpus(cfg.annotations, cfg.predictions)
-    w_values = parse_grid(cfg.w_grid) if cfg.w_grid is not None else None
-    t_values = parse_grid(cfg.t_grid) if cfg.t_grid is not None else None
+def cmd_tune(cfg: argparse.Namespace) -> int:
+    corpus = _load_corpus(cfg)
     result = tune(
         corpus,
-        w_values=w_values,
-        t_values=t_values,
+        w_values=parse_grid(cfg.w_grid) if cfg.w_grid is not None else None,
+        t_values=parse_grid(cfg.t_grid) if cfg.t_grid is not None else None,
         beta=cfg.beta,
         min_alarm_precision=cfg.min_precision,
         max_sensitivity_drop_points=cfg.max_drop,
@@ -440,81 +445,40 @@ def cmd_tune(cfg: TuneConfig) -> int:
         else:
             sys.stdout.write(f"{database_id}: infeasible ({opt.reason})\n")
     sys.stdout.write(f"final: W={result.w_final:g} s, T_pred={result.t_final:g}\n")
-    out = _out_dir(cfg.out)
-    if out is not None:
-        (out / "tuning.json").write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        write_manifest(
-            out,
-            "tune",
-            _parameters(cfg),
-            {"annotations": cfg.annotations, "predictions": cfg.predictions},
-        )
+    if cfg.out:
+        _write_outputs(cfg, {"tuning.json": _json_text(result.to_json_dict())})
     return 0
 
 
-def cmd_offsets(cfg: OffsetsConfig) -> int:
-    corpus = _load_corpus(cfg.annotations, cfg.predictions)
-    filter_cfg = _filter_config(cfg.w_seconds, cfg.w_frames, cfg.t_pred)
+def cmd_offsets(cfg: argparse.Namespace) -> int:
+    corpus = _load_corpus(cfg)
+    filter_cfg = _filter_config(cfg)
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
-    evaluations: list[VideoEvaluation] = []
-    for videos in corpus.values():
-        for stream, annotation in videos:
-            evaluations.append(evaluate_video(stream, annotation, filter_cfg, stack_cfg))
+    evaluations = [evaluate_video(stream, annotation, filter_cfg, stack_cfg)
+                   for videos in corpus.values() for stream, annotation in videos]
     records = [record for ev in evaluations for record in ev.fp_offsets]
     summary = offset_histogram(records, cfg.offset_cutoff, cfg.duration_cutoff)
     lines = ["video_id,duration_frames,offset_frames"]
     for ev in evaluations:
         for record in ev.fp_offsets:
             lines.append(f"{ev.video_id},{record.duration_frames},{record.offset_frames:g}")
-    csv_text = "\n".join(lines) + "\n"
-    summary_json = {
-        "count": summary.count,
-        "offset_below_fraction": summary.offset_below_fraction,
-        "duration_below_fraction": summary.duration_below_fraction,
-        "offset_cutoff_frames": summary.offset_cutoff_frames,
-        "duration_cutoff_frames": summary.duration_cutoff_frames,
-    }
+    summary_json = dataclasses.asdict(summary)
     sys.stdout.write(json.dumps(summary_json, sort_keys=True) + "\n")
-    out = _out_dir(cfg.out)
-    if out is not None:
-        (out / "offsets.csv").write_text(csv_text, encoding="utf-8")
-        (out / "offsets_summary.json").write_text(
-            json.dumps(summary_json, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        write_manifest(
-            out,
-            "offsets",
-            _parameters(cfg),
-            {"annotations": cfg.annotations, "predictions": cfg.predictions},
-        )
+    if cfg.out:
+        _write_outputs(cfg, {"offsets.csv": "\n".join(lines) + "\n",
+                             "offsets_summary.json": _json_text(summary_json)})
     return 0
 
 
-def cmd_synth(cfg: SynthConfig) -> int:
-    out = _out_dir(cfg.out)
-    if out is None:
+def cmd_synth(cfg: argparse.Namespace) -> int:
+    if not cfg.out:
         raise ValueError("synth requires --out")
-    spec = SynthSpec(
-        video_count=cfg.videos,
-        fps=cfg.fps,
-        frames_per_video=cfg.frames,
-        fall_rate=cfg.fall_rate,
-        fall_duration_mean=cfg.fall_duration_mean,
-        fall_duration_spread=cfg.fall_duration_spread,
-        near_fall_fp_rate=cfg.near_fp_rate,
-        far_fp_rate=cfg.far_fp_rate,
-        fp_duration_mean=cfg.fp_duration_mean,
-        fp_duration_spread=cfg.fp_duration_spread,
-        score_noise=cfg.score_noise,
-        videos_per_group=cfg.videos_per_group,
-        seed=cfg.seed,
-        database_id=cfg.database_id,
-        stack=StackConfig(stack_length=cfg.stack_length),
-    )
-    corpus = generate(spec)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    knobs = _parameters(cfg)
+    stack = StackConfig(stack_length=knobs.pop("stack_length"))
+    corpus = generate(SynthSpec(**{_SYNTH_FIELDS.get(k, k): v for k, v in knobs.items()},
+                                stack=stack))
     save_annotations(corpus.annotations, out / "annotations.jsonl")
     save_predictions(corpus.streams, out / "predictions.csv")
     ledger = {
@@ -522,10 +486,7 @@ def cmd_synth(cfg: SynthConfig) -> int:
         "false_pulse_count": corpus.fp_count(),
         "videos": corpus.ledger_json(),
     }
-    (out / "ledger.json").write_text(
-        json.dumps(ledger, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_manifest(out, "synth", _parameters(cfg), {})
+    _write_outputs(cfg, {"ledger.json": _json_text(ledger)})
     sys.stdout.write(
         f"generated {len(corpus.annotations)} videos, {ledger['fall_count']} falls, "
         f"{ledger['false_pulse_count']} false pulses\n"
@@ -533,7 +494,7 @@ def cmd_synth(cfg: SynthConfig) -> int:
     return 0
 
 
-def cmd_folds(cfg: FoldsConfig) -> int:
+def cmd_folds(cfg: argparse.Namespace) -> int:
     if not cfg.annotations:
         raise CorpusFormatError("--annotations is required")
     annotations = load_annotations(cfg.annotations)
@@ -541,16 +502,13 @@ def cmd_folds(cfg: FoldsConfig) -> int:
         raise CorpusFormatError("annotation file is empty", path=cfg.annotations)
     groups = {a.video_id: a.group_id for a in annotations}
     assignment = assign_folds(groups, k=cfg.k, seed=cfg.seed)
-    payload = {
+    text = _json_text({
         "k": assignment.k,
         "seed": assignment.seed,
         "folds": {video: fold for video, fold in sorted(assignment.folds.items())},
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = _out_dir(cfg.out)
-    if out is not None:
-        (out / "folds.json").write_text(text, encoding="utf-8")
-        write_manifest(out, "folds", _parameters(cfg), {"annotations": cfg.annotations})
+    })
+    if cfg.out:
+        _write_outputs(cfg, {"folds.json": text})
     else:
         sys.stdout.write(text)
     return 0
@@ -568,107 +526,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, corpus: bool = True) -> None:
-    parser.add_argument("--config", help="JSON file of parameter defaults")
-    parser.add_argument("--out", help="output directory")
-    if corpus:
-        parser.add_argument("--annotations", help="annotation JSONL file")
-        parser.add_argument("--predictions", help="prediction CSV file")
-
-
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--w-seconds", type=float, dest="w_seconds", help="filter width in seconds")
-    parser.add_argument("--w-frames", type=int, dest="w_frames", help="filter width in frames")
-    parser.add_argument("--t-pred", type=float, dest="t_pred", help="decision threshold (default 0.5)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The parser generated from ``COMMANDS`` and ``PARAMS``; every flag defaults to None."""
     parser = _Parser(prog="alarm-pipeline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("evaluate", help="score predictions against annotations")
-    _add_common(p)
-    _add_filter_flags(p)
-    p.add_argument("--counts-only", dest="counts_only", metavar="COUNTS_JSON",
-                   help="render metrics from a JSON list of per-database alarm counts")
-    p.add_argument("--beta", type=float, action="append",
-                   help="F-score beta; repeatable (default 0.5 and 2)")
-    p.add_argument("--stack-length", type=int, dest="stack_length", help="frames per stack (default 10)")
-    p.set_defaults(cls=EvaluateConfig, func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="metric surface over the (W, T_pred) grid")
-    _add_common(p)
-    p.add_argument("--w-grid", dest="w_grid", help="widths: start:stop:step or comma list (seconds)")
-    p.add_argument("--t-grid", dest="t_grid", help="thresholds: start:stop:step or comma list")
-    p.add_argument("--beta", type=float, action="append",
-                   help="F-score beta; repeatable (default 0.5 and 2)")
-    p.add_argument("--stack-length", type=int, dest="stack_length", help="frames per stack (default 10)")
-    p.set_defaults(cls=SweepConfig, func=cmd_sweep)
-
-    p = sub.add_parser("tune", help="pick (W, T_pred) under precision/sensitivity constraints")
-    _add_common(p)
-    p.add_argument("--w-grid", dest="w_grid", help="widths: start:stop:step or comma list (seconds)")
-    p.add_argument("--t-grid", dest="t_grid", help="thresholds: start:stop:step or comma list")
-    p.add_argument("--beta", type=float, help="objective F-score beta (default 0.5)")
-    p.add_argument("--min-precision", type=float, dest="min_precision",
-                   help="alarm precision floor (default 0.80)")
-    p.add_argument("--max-drop", type=float, dest="max_drop",
-                   help="max alarm sensitivity drop vs identity baseline, percentage points (default 10)")
-    p.add_argument("--stack-length", type=int, dest="stack_length", help="frames per stack (default 10)")
-    p.set_defaults(cls=TuneConfig, func=cmd_tune)
-
-    p = sub.add_parser("offsets", help="duration/offset records of false alarms")
-    _add_common(p)
-    _add_filter_flags(p)
-    p.add_argument("--offset-cutoff", type=float, dest="offset_cutoff",
-                   help="offset histogram cutoff in frames (default 5)")
-    p.add_argument("--duration-cutoff", type=float, dest="duration_cutoff",
-                   help="duration histogram cutoff in frames (default 10)")
-    p.add_argument("--stack-length", type=int, dest="stack_length", help="frames per stack (default 10)")
-    p.set_defaults(cls=OffsetsConfig, func=cmd_offsets)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with a ground-truth ledger")
-    _add_common(p, corpus=False)
-    p.add_argument("--videos", type=int, help="number of videos (default 10)")
-    p.add_argument("--fps", type=float, help="frame rate (default 30)")
-    p.add_argument("--frames", type=int, help="frames per video (default 900)")
-    p.add_argument("--fall-rate", type=float, dest="fall_rate", help="falls per video (default 1)")
-    p.add_argument("--fall-duration-mean", type=int, dest="fall_duration_mean")
-    p.add_argument("--fall-duration-spread", type=int, dest="fall_duration_spread")
-    p.add_argument("--near-fp-rate", type=float, dest="near_fp_rate",
-                   help="near-fall false pulses per video (default 0)")
-    p.add_argument("--far-fp-rate", type=float, dest="far_fp_rate",
-                   help="isolated false pulses per video (default 0)")
-    p.add_argument("--fp-duration-mean", type=int, dest="fp_duration_mean")
-    p.add_argument("--fp-duration-spread", type=int, dest="fp_duration_spread")
-    p.add_argument("--score-noise", type=float, dest="score_noise",
-                   help="uniform score jitter amplitude, < 0.5 (default 0)")
-    p.add_argument("--videos-per-group", type=int, dest="videos_per_group",
-                   help="videos sharing one parent group (default 1)")
-    p.add_argument("--seed", type=int, help="corpus seed (default 0)")
-    p.add_argument("--database-id", dest="database_id", help="database id (default 'synth')")
-    p.add_argument("--stack-length", type=int, dest="stack_length", help="frames per stack (default 10)")
-    p.set_defaults(cls=SynthConfig, func=cmd_synth)
-
-    p = sub.add_parser("folds", help="group-safe cross-validation folds")
-    _add_common(p, corpus=False)
-    p.add_argument("--annotations", help="annotation JSONL file")
-    p.add_argument("--k", type=int, help="fold count (default 5)")
-    p.add_argument("--seed", type=int, help="shuffle seed (default 0)")
-    p.set_defaults(cls=FoldsConfig, func=cmd_folds)
-
+    for command, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for param in (PARAMS[key] for key in keys.split()):
+            p.add_argument("--" + param.name.replace("_", "-"), type=param.type, help=param.help,
+                           action=param.action, metavar=param.metavar)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _resolve_config(args.cls, args)
-        return args.func(cfg)
+        # looked up at call time, so a wrapper bound to the module name is the one run
+        command = globals()[f"cmd_{args.command}"]
+        return command(_resolve_config(args))
     except (InfeasibleError, GenerationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -236,12 +236,22 @@ _ANNOTATION_KEYS = ("video_id", "database_id", "fps", "frame_count", "fall_inter
 _PREDICTION_HEADER = ["video_id", "anchor_frame", "score"]
 
 
+def _read_text(path: Path, newline: str | None) -> io.StringIO:
+    """The file decoded as UTF-8, read like ``path.open(newline=newline)``."""
+    data = path.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"invalid UTF-8 ({exc.reason})", path=str(path), line=line)
+
+
 def load_annotations(path: str | Path) -> list[VideoAnnotation]:
     """Read an annotation JSONL file, validating every record."""
     path = Path(path)
     annotations: list[VideoAnnotation] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
+    with _read_text(path, newline=None) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -364,7 +374,7 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
     order: list[str] = []
     anchors: dict[str, list[int]] = {}
     scores: dict[str, list[float]] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with _read_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -388,6 +398,12 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
             except ValueError:
                 raise CorpusFormatError(
                     f"bad anchor/score {anchor_text!r},{score_text!r} for video {video_id!r}",
+                    path=str(path),
+                    line=line_no,
+                )
+            if not -(2**63) <= anchor < 2**63:  # the int64 range of PredictionStream
+                raise CorpusFormatError(
+                    f"anchor {anchor} does not fit in 64 bits for video {video_id!r}",
                     path=str(path),
                     line=line_no,
                 )
@@ -437,7 +453,8 @@ def save_predictions(streams: Iterable[PredictionStream], path: str | Path) -> N
 
 
 def _csv_field(value: str) -> str:
-    """``value`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of several fields."""
+    """``value`` as one field of a CSV row of several, quoted where csv needs it."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
-    return buffer.getvalue()[:-2]
+    # csv.writer quotes the characters of its line terminator; "\n" alone would leave "\r" bare
+    csv.writer(buffer, lineterminator="\r\n").writerow([value, ""])
+    return buffer.getvalue()[:-3]

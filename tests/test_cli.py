@@ -153,6 +153,31 @@ def test_evaluate_missing_inputs():
                  "--predictions", "nope.csv"]) == 1
 
 
+def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
+    ann, pred = corpus_files
+    video = pred.read_text().splitlines()[1].split(",")[0]  # 900 frames, stacks of 10
+    header = b"video_id,anchor_frame,score\n"
+    cases = [  # (annotations, prediction rows, message on stderr)
+        (ann.read_bytes(), f"{video},99999999999999999999,0.5\n".encode(),
+         "pred.csv:2: anchor 99999999999999999999 does not fit in 64 bits"),
+        (ann.read_bytes(), f"{video},9,0.5\n\xff,10,0.5\n".encode("latin-1"),
+         "pred.csv:3: invalid UTF-8"),
+        (b"\n\xff\n", f"{video},9,0.5\n".encode(), "ann.jsonl:2: invalid UTF-8"),
+        (ann.read_bytes(), f"{video},0,0.5\n{video},1,0.5\n".encode(),
+         f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
+        (ann.read_bytes(), f"{video},899,0.5\n{video},5000,0.5\n".encode(),
+         f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
+    ]
+    for annotations, rows, message in cases:
+        (tmp_path / "ann.jsonl").write_bytes(annotations)
+        (tmp_path / "pred.csv").write_bytes(header + rows)
+        capsys.readouterr()
+        assert main(["evaluate", "--annotations", str(tmp_path / "ann.jsonl"),
+                     "--predictions", str(tmp_path / "pred.csv")]) == 1, message
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
 # -- config files ------------------------------------------------------------------
 
 
@@ -177,12 +202,43 @@ def test_config_file_supplies_defaults(tmp_path, corpus_files, capsys):
     assert r2["filter"]["width_seconds"] == 0.3
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, corpus_files, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"w_second": 0.3}))
     assert main(["evaluate", "--config", str(cfg)]) == 1
     cfg.write_text("not json")
     assert main(["evaluate", "--config", str(cfg)]) == 1
+
+    # file values must have the type of their flag
+    ann, pred = corpus_files
+    data = {"annotations": str(ann), "predictions": str(pred)}
+    cases = [
+        ("evaluate", {**data, "stack_length": 10.0}, "'stack_length' must be an integer, got 10.0"),
+        ("evaluate", {**data, "stack_length": "10"}, "'stack_length' must be an integer"),
+        ("evaluate", {**data, "stack_length": True}, "'stack_length' must be an integer"),
+        ("evaluate", {**data, "beta": 0.5}, "'beta' must be a non-empty list of numbers"),
+        ("sweep", {**data, "beta": []}, "'beta' must be a non-empty list of numbers"),
+        ("evaluate", {**data, "w_frames": 2.5}, "'w_frames' must be an integer"),
+        ("evaluate", {**data, "t_pred": None}, "'t_pred' must be a number, got null"),
+        ("synth", {"videos": 2.5, "out": str(tmp_path / "s")}, "'videos' must be an integer"),
+        ("tune", {**data, "w_grid": {"start": 0.1}}, "'w_grid' must be a string or a list"),
+        ("folds", {"annotations": 3}, "'annotations' must be a string"),
+    ]
+    for command, values, message in cases:
+        cfg.write_text(json.dumps(values))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1, values
+        assert f"{cfg}: config key {message}" in capsys.readouterr().err, values
+
+    # a file integer for a float key is recorded as the flag would record it
+    hashes = []
+    for name, args in (("flag", ["--w-seconds", "1"]), ("file", ["--config", str(cfg)])):
+        cfg.write_text(json.dumps({"w_seconds": 1}))
+        out = tmp_path / name
+        assert main(["evaluate", "--annotations", str(ann), "--predictions", str(pred),
+                     *args, "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 # -- sweep -------------------------------------------------------------------------

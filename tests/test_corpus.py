@@ -240,14 +240,20 @@ def stream_bits(streams):
 
 
 def reference_csv(streams):
-    """Bytes of the row-by-row ``csv.writer`` layout that save_predictions keeps."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["video_id", "anchor_frame", "score"])
-    for stream in streams:
-        for anchor, score in zip(stream.anchor_frames, stream.scores):
-            writer.writerow([stream.video_id, int(anchor), repr(float(score))])
-    return buffer.getvalue().encode("utf-8")
+    """Bytes of the row-by-row ``csv.writer`` layout that save_predictions keeps.
+
+    Fields are quoted as a writer ending lines in ``\\r\\n`` quotes them (so
+    an id with a ``\\r`` is quoted); rows end in ``\\n``.
+    """
+    rows = [["video_id", "anchor_frame", "score"]]
+    rows += [[stream.video_id, int(anchor), repr(float(score))]
+             for stream in streams for anchor, score in zip(stream.anchor_frames, stream.scores)]
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def test_prediction_loader_errors(tmp_path):
@@ -264,19 +270,22 @@ def test_prediction_loader_errors(tmp_path):
         (HEADER + "v,9.0,0.5\n", "bad anchor/score '9.0','0.5'", 2),
         (HEADER + "v,9,0.5\nv,10,1-2\n", "bad anchor/score '10','1-2'", 3),
         (HEADER + "v,9,0.5,1\n", "expected 3 columns, got 4", 2),
-        (HEADER + "a\rb,9,0.5\n", "expected 3 columns, got 1", 2),  # csv ends a row at \r
+        (HEADER + "v,9,0.5\nv,99999999999999999999,0.5\n", "does not fit in 64 bits", 3),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        (HEADER + "v,9,0.5\n\udcff,9,0.5\n", r"invalid UTF-8 \(invalid start byte\)", 3),
     ]
     for text, message, line in cases:
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert _load_canonical_predictions(path.read_bytes()) is None, text
         with pytest.raises(CorpusFormatError, match=message) as err:
             load_predictions(path)
         assert err.value.line == line, text
 
-    path.write_bytes(HEADER.encode() + b"\xff,9,0.5\n")
-    assert _load_canonical_predictions(path.read_bytes()) is None
-    with pytest.raises(UnicodeDecodeError):
-        load_predictions(path)
+    # an id with a \r is quoted, so the package reads back its own file
+    save_predictions([PredictionStream("a\rb", [9], [0.5])], path)
+    assert path.read_bytes() == HEADER.encode() + b'"a\rb",9,0.5\n'
+    assert stream_bits(load_predictions(path)) == stream_bits(
+        [PredictionStream("a\rb", [9], [0.5])])
 
 
 def test_prediction_loader_allows_interleaved_videos(tmp_path):
@@ -311,7 +320,7 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
 @st.composite
 def prediction_streams(draw):
     """Streams with ids that may need CSV quoting and boundary scores."""
-    ids = draw(st.lists(st.text(alphabet="ab Z9#é中,\"\x00\x0b\u2028", max_size=5), max_size=4, unique=True))
+    ids = draw(st.lists(st.text(alphabet="ab Z9#é中,\"\r\x00\x0b\u2028", max_size=5), max_size=4, unique=True))
     streams = []
     for video_id in ids:
         steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=30))
@@ -332,7 +341,7 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams):
     rows = _load_prediction_rows(path)
     assert stream_bits(rows) == stream_bits(streams)
     bulk = _load_canonical_predictions(path.read_bytes())
-    quoted = any(set(s.video_id) & set(',"') for s in streams)
+    quoted = any(set(s.video_id) & set(',"\r') for s in streams)
     assert (bulk is None) == quoted
     if bulk is not None:
         assert stream_bits(bulk) == stream_bits(rows)
@@ -355,6 +364,7 @@ def test_save_predictions_matches_csv_writer(tmp_path):
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
     assert path.read_bytes() == reference_csv(streams)
+    assert b'\n"cr\rid",0,0.0\n' in path.read_bytes()
 
 
 # -- fold assignment ----------------------------------------------------------
