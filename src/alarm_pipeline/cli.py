@@ -217,8 +217,9 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
     """Pair predictions with annotations, grouped by database.
 
     A prediction for an unannotated video, or one whose stacks leave the
-    video's frames, is an error; an annotated video without predictions is
-    skipped with a warning; an empty pairing is an error.
+    video's frames or whose anchors skip a frame, is an error; an annotated
+    video without predictions is skipped with a warning; an empty pairing is
+    an error.
     """
     if not cfg.annotations or not cfg.predictions:
         raise CorpusFormatError("both --annotations and --predictions are required")
@@ -233,11 +234,19 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
                 f"predictions reference unknown video {stream.video_id!r}",
                 path=cfg.predictions,
             )
+        anchors = stream.anchor_frames
         lo, hi = cfg.stack_length - 1, annotation.frame_count
-        if not lo <= stream.anchor_frames[0] <= stream.anchor_frames[-1] < hi:
+        if not lo <= anchors[0] <= anchors[-1] < hi:
             raise CorpusFormatError(
                 f"anchors of video {stream.video_id!r} must lie in [{lo}, {hi}) "
                 f"for stacks of {cfg.stack_length} frames",
+                path=cfg.predictions,
+            )
+        if anchors[-1] - anchors[0] != anchors.size - 1:  # increasing, so there is a gap
+            gap = int((anchors[1:] - anchors[:-1] != 1).argmax())
+            raise CorpusFormatError(
+                f"anchors of video {stream.video_id!r} must advance by 1, "
+                f"but anchor {anchors[gap]} is followed by {anchors[gap + 1]}",
                 path=cfg.predictions,
             )
         stream_map[stream.video_id] = stream
@@ -389,9 +398,14 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
         missing = [k for k in ("database_id", "tp_a", "fp_a", "fn_a") if k not in record]
         if missing:
             raise CorpusFormatError(f"counts entry {i} missing keys {missing}", path=path_text)
-        counts = AlarmCounts(
-            tp_a=int(record["tp_a"]), fp_a=int(record["fp_a"]), fn_a=int(record["fn_a"])
-        )
+        for key in ("tp_a", "fp_a", "fn_a"):
+            value = record[key]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CorpusFormatError(
+                    f"counts entry {i} key {key!r} must be an integer, got {json.dumps(value)}",
+                    path=path_text,
+                )
+        counts = AlarmCounts(tp_a=record["tp_a"], fp_a=record["fp_a"], fn_a=record["fn_a"])
         report = MetricReport.from_counts(
             None, counts, betas, fbeta_input_decimals=COUNTS_FBETA_DECIMALS
         )

@@ -91,12 +91,35 @@ def width_to_frames(width_seconds: float, fps: float) -> int:
     return max(1, int(math.floor(width_seconds * fps + 0.5 + 1e-9)))
 
 
-def gate_filter(scores: Sequence[float] | np.ndarray, width_frames: int) -> np.ndarray:
+def segment_cumsum(scores: np.ndarray, starts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Running sums that restart at every segment start, laid end to end.
+
+    ``starts`` are the indices where the segments of ``scores`` begin, the
+    first being 0. Each segment gets its own ``np.cumsum``, so its sums are
+    bit-for-bit those of the segment taken alone.
+    """
+    x = np.asarray(scores, dtype=np.float64)
+    bounds = np.append(starts, x.size)
+    return np.concatenate([np.cumsum(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def gate_filter(
+    scores: Sequence[float] | np.ndarray,
+    width_frames: int,
+    starts: Sequence[int] | np.ndarray | None = None,
+    cumulative: np.ndarray | None = None,
+) -> np.ndarray:
     """Trailing moving average over the last ``width_frames`` samples.
 
     Output element i is the mean of inputs over [i - width + 1, i] clipped to
     the stream start, so prefix windows average fewer elements and the output
     has the same length as the input. Width 1 is the identity.
+
+    With ``starts`` (as in :func:`segment_cumsum`), ``scores`` is several
+    streams laid end to end and windows are clipped to the start of their own
+    stream instead; the output equals the streams' separate outputs, bit for
+    bit. ``cumulative`` is the :func:`segment_cumsum` of the same scores and
+    starts, passed in when many widths filter one stream.
     """
     if width_frames < 1:
         raise ValueError(f"width_frames must be >= 1, got {width_frames}")
@@ -105,12 +128,30 @@ def gate_filter(scores: Sequence[float] | np.ndarray, width_frames: int) -> np.n
         raise ValueError("scores must be 1-D")
     if x.size == 0 or width_frames == 1:
         return x.copy()
-    cumulative = np.cumsum(x)
-    w = min(width_frames, x.size)
+    w = width_frames
+    # Position j < w of a stream averages its first j + 1 samples; ``at``
+    # lists those positions.
+    if starts is None:
+        if cumulative is None:
+            cumulative = np.cumsum(x)
+        j = at = np.arange(min(w, x.size))
+    else:
+        starts = np.asarray(starts, dtype=np.int64)
+        if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
+            raise ValueError("starts must be 1-D and begin with 0")
+        lengths = np.diff(starts, append=x.size)
+        if np.any(lengths < 0):
+            raise ValueError("starts must not decrease or pass the end of scores")
+        if cumulative is None:
+            cumulative = segment_cumsum(x, starts)
+        prefix = np.minimum(lengths, w)
+        offsets = np.cumsum(prefix) - prefix
+        j = np.arange(offsets[-1] + prefix[-1]) - np.repeat(offsets, prefix)
+        at = np.repeat(starts, prefix) + j
     out = np.empty_like(x)
-    out[:w] = cumulative[:w] / np.arange(1, w + 1)
     if x.size > w:
         out[w:] = (cumulative[w:] - cumulative[:-w]) / w
+    out[at] = cumulative[at] / (j + 1)
     return out
 
 

@@ -1,5 +1,11 @@
 """Conjoint (W, T_pred) grid search under alarm-precision and sensitivity
 constraints, with per-database optima averaged into one deployable setting.
+
+The sweep and the sensitivity baseline count a database per chunk of whole
+videos of one fps: the chunk's streams are laid end to end, and one
+:func:`decision_counts` call per width counts every threshold of the chunk.
+Separator slots, shifted frame numbers and per-video running sums keep each
+video's counts exactly what it would give alone.
 """
 
 from __future__ import annotations
@@ -7,19 +13,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
 from .errors import InfeasibleError
-from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
+from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport, alarm_sensitivity
 from .temporal import (
-    combine,
     decision_counts,
-    evaluate_video,
     gate_filter,
     identity_filter,
+    segment_cumsum,
     width_to_frames,
 )
 
@@ -99,25 +104,92 @@ class SweepGrid:
                                ac.tp_a, ac.fp_a, ac.fn_a)
 
 
-def _video_cells(
-    stream: PredictionStream,
-    annotation: VideoAnnotation,
-    w_values: Sequence[float],
+# Largest thresholds x stacks of one chunk: decision_counts holds a few
+# boolean arrays of that many elements per call.
+CHUNK_CELLS = 1 << 20
+
+
+def _chunks(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]], threshold_count: int
+):
+    """Runs of whole videos of one fps, as (fps, videos), each of at most
+    ``CHUNK_CELLS`` thresholds x stacks; a longer video is a chunk by itself.
+    A video's stacks include the separator slot that :func:`_chunk_counts`
+    appends to it."""
+    by_fps: dict[float, list[tuple[PredictionStream, VideoAnnotation]]] = {}
+    for stream, annotation in videos:
+        by_fps.setdefault(annotation.fps, []).append((stream, annotation))
+    for fps, group in by_fps.items():
+        chunk: list[tuple[PredictionStream, VideoAnnotation]] = []
+        cells = 0
+        for stream, annotation in group:
+            size = (len(stream) + 1) * threshold_count
+            if chunk and cells + size > CHUNK_CELLS:
+                yield fps, chunk
+                chunk, cells = [], 0
+            chunk.append((stream, annotation))
+            cells += size
+        yield fps, chunk
+
+
+def _chunk_counts(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]],
+    widths: Sequence[int],
     t_values: Sequence[float],
     stack_cfg: StackConfig,
 ) -> np.ndarray:
-    """Per-cell counts for one video, (nW, nT, 7) as in :func:`decision_counts`."""
-    truth_fall, truth_transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
-    eligible = ~truth_transition
-    widths = [width_to_frames(w, annotation.fps) for w in w_values]
-    by_width = {
-        width: decision_counts(
-            gate_filter(stream.scores, width), t_values, truth_fall, eligible,
-            stream.anchor_frames, annotation.fall_intervals, stack_cfg.stack_length,
+    """Summed (nW, nT, 7) counts, as in :func:`decision_counts`, of videos
+    filtered at each of ``widths`` frames, with one kernel call per width.
+
+    The videos' streams are laid end to end, each followed by one separator
+    slot that is never Fall (filtered score +inf) and neither a fall nor an
+    eligible stack, so no alarm run joins two videos. Anchors and fall
+    intervals are shifted by a base that grows by ``frame_count +
+    stack_length`` per video, so no run's span reaches another video's falls.
+    Each video keeps its own running sum, so the filtered values are those of
+    :func:`gate_filter` on the video alone.
+    """
+    sizes = np.array([len(stream) + 1 for stream, _ in videos], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    scores = np.zeros(ends[-1])
+    anchors = np.empty(ends[-1], dtype=np.int64)
+    truth_fall = np.zeros(ends[-1], dtype=bool)
+    eligible = np.zeros(ends[-1], dtype=bool)
+    falls = []
+    base = 0
+    for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
+        fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
+        scores[start:end - 1] = stream.scores
+        anchors[start:end - 1] = stream.anchor_frames + base
+        anchors[end - 1] = base + annotation.frame_count
+        truth_fall[start:end - 1] = fall
+        eligible[start:end - 1] = ~transition
+        falls.extend((s + base, e + base) for s, e in annotation.fall_intervals)
+        base += annotation.frame_count + stack_cfg.stack_length
+    cumulative = segment_cumsum(scores, starts) if max(widths) > 1 else None
+    by_width = {}
+    for width in dict.fromkeys(widths):
+        filtered = gate_filter(scores, width, starts, cumulative)
+        filtered[ends - 1] = np.inf
+        by_width[width] = decision_counts(
+            filtered, t_values, truth_fall, eligible, anchors, falls, stack_cfg.stack_length
         )
-        for width in dict.fromkeys(widths)
-    }
     return np.stack([by_width[width] for width in widths])
+
+
+def _database_counts(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]],
+    widths_at: Callable[[float], list[int]],
+    t_values: Sequence[float],
+    stack_cfg: StackConfig,
+) -> np.ndarray:
+    """Summed (nW, nT, 7) counts of one database, counted per chunk of whole
+    videos; ``widths_at(fps)`` gives the filter widths in frames at that fps."""
+    return sum(
+        _chunk_counts(chunk, widths_at(fps), t_values, stack_cfg)
+        for fps, chunk in _chunks(videos, len(t_values))
+    )
 
 
 def sweep(
@@ -129,8 +201,9 @@ def sweep(
 ) -> SweepGrid:
     """Populate the full (W, T_pred) grid for every database.
 
-    Per-video counts are summed in corpus order. Empty databases are skipped
-    with a warning.
+    A database's counts are summed over chunks of whole videos, one kernel
+    call per chunk and width; they equal the sum of its videos' counts.
+    Empty databases are skipped with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
@@ -143,7 +216,9 @@ def sweep(
             warnings.warn(f"database {db!r} has no videos; skipped")
             continue
         databases.append(db)
-        total = sum(_video_cells(s, a, w_values, t_values, stack_cfg) for s, a in videos)
+        total = _database_counts(
+            videos, lambda fps: [width_to_frames(w, fps) for w in w_values], t_values, stack_cfg
+        )
         for wi, w in enumerate(w_values):
             for ti, t in enumerate(t_values):
                 counts = total[wi, ti].tolist()
@@ -162,15 +237,18 @@ def sweep(
 def baseline_sensitivities(
     corpus: Corpus, stack_cfg: StackConfig = StackConfig(), t_pred: float = 0.5
 ) -> dict[str, float | None]:
-    """Per-database alarm sensitivity at the identity filter (W = 1 frame)."""
+    """Per-database alarm sensitivity at the identity filter (W = 1 frame),
+    counted per chunk of whole videos as in :func:`sweep`."""
     cfg = identity_filter(t_pred)
     out: dict[str, float | None] = {}
     for db, videos in corpus.items():
         if not videos:
             out[db] = None
             continue
-        report = combine(evaluate_video(s, a, cfg, stack_cfg) for s, a in videos)
-        out[db] = report.se_a
+        counts = _database_counts(
+            videos, lambda fps: [cfg.resolve_width_frames(fps)], [cfg.t_pred], stack_cfg
+        )
+        out[db] = alarm_sensitivity(AlarmCounts(*counts[0, 0, 4:].tolist()))
     return out
 
 

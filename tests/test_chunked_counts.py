@@ -1,0 +1,166 @@
+"""Differential tests for counting a database per chunk of whole videos.
+
+The reference is the per-video path the chunked one replaces: one
+``decision_counts(gate_filter(...))`` per video and width, summed. Scores are
+quantized to a 0.05 step and thresholds sit on the same step, so filtered
+values land exactly on T and the strict ``<`` is exercised.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from alarm_pipeline import tuning
+from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from alarm_pipeline.synth import SynthSpec, generate
+from alarm_pipeline.temporal import (
+    combine,
+    decision_counts,
+    evaluate_video,
+    gate_filter,
+    identity_filter,
+    segment_cumsum,
+    width_to_frames,
+)
+
+STEPS = 20  # scores and thresholds are multiples of 1/STEPS
+# 1 frame at both rates, then widths up to longer than any drawn video.
+W_SECONDS = [0.02, 0.1, 0.2, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def video(draw, index, stack_length):
+    """One (stream, annotation): 0 to 30 stacks, falls possibly on the first
+    and last frames, scores biased towards the extremes so Fall runs reach a
+    video's last stack."""
+    count = draw(st.sampled_from([0, 1, 1, 2, 5, 12, 30]))
+    first = stack_length - 1 + draw(st.integers(0, 3))
+    frame_count = first + max(count, 1) + draw(st.integers(0, 3))
+    ks = draw(st.lists(st.one_of(st.sampled_from([0, STEPS]), st.integers(0, STEPS)),
+                       min_size=count, max_size=count))
+    edges = set()
+    if draw(st.booleans()):
+        edges.add(0)
+    for _ in range(draw(st.integers(0, 4))):
+        edges.add(draw(st.integers(0, frame_count - 1)))
+    if draw(st.booleans()):
+        edges.add(frame_count - 1)
+    cuts = sorted(edges)  # fall intervals pair up consecutive cut frames
+    falls = [(s, e) for s, e in zip(cuts[::2], cuts[1::2])]
+    if len(cuts) % 2:
+        falls.append((cuts[-1], cuts[-1]))
+    falls = [(s, e) for i, (s, e) in enumerate(falls) if i == 0 or s > falls[i - 1][1]]
+    fps = draw(st.sampled_from([25.0, 30.0]))
+    vid = f"v{index}"
+    stream = PredictionStream(vid, np.arange(first, first + count), np.array(ks) / STEPS)
+    return stream, VideoAnnotation(vid, "db", fps, frame_count, tuple(falls))
+
+
+@st.composite
+def databases(draw):
+    stack_length = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    return [draw(video(i, stack_length)) for i in range(n)], StackConfig(stack_length)
+
+
+def widths_at(fps):
+    return [width_to_frames(w, fps) for w in W_SECONDS]
+
+
+def per_video_counts(videos, t_values, stack_cfg):
+    """The reference: per-video kernel calls, summed."""
+    total = 0
+    for stream, annotation in videos:
+        fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
+        total = total + np.stack([
+            decision_counts(gate_filter(stream.scores, width), t_values, fall, ~transition,
+                            stream.anchor_frames, annotation.fall_intervals,
+                            stack_cfg.stack_length)
+            for width in widths_at(annotation.fps)
+        ])
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), ks=st.lists(st.integers(1, STEPS - 1), min_size=1, max_size=5),
+       cap=st.sampled_from([1, 10, 40, 150, 1 << 20]))
+def test_chunked_counts_match_per_video_counts(db, ks, cap):
+    videos, stack_cfg = db
+    t_values = [k / STEPS for k in ks]
+    calls = []
+
+    def recording(filtered, *args):
+        calls.append(filtered.copy())
+        return decision_counts(filtered, *args)
+
+    with mock.patch.object(tuning, "CHUNK_CELLS", cap), \
+            mock.patch.object(tuning, "decision_counts", recording):
+        got = tuning._database_counts(videos, widths_at, t_values, stack_cfg)
+        chunks = list(tuning._chunks(videos, len(t_values)))
+    assert np.array_equal(got, per_video_counts(videos, t_values, stack_cfg))
+
+    # Every video sits in exactly one chunk of its own fps, in corpus order
+    # within that fps; a chunk exceeds the cap only when it is one video.
+    assert sorted(s.video_id for _, chunk in chunks for s, _ in chunk) == \
+        sorted(s.video_id for s, _ in videos)
+    for fps, chunk in chunks:
+        assert all(a.fps == fps for _, a in chunk)
+        cells = sum(len(s) + 1 for s, _ in chunk) * len(t_values)
+        assert cells <= cap or len(chunk) == 1
+
+    # One kernel call per chunk and distinct width, on the videos' own
+    # gate_filter outputs laid end to end, each followed by +inf.
+    expected = [
+        np.concatenate([np.append(gate_filter(s.scores, width), np.inf) for s, _ in chunk])
+        for fps, chunk in chunks for width in dict.fromkeys(widths_at(fps))
+    ]
+    assert len(calls) == len(expected)
+    for filtered, want in zip(calls, expected):
+        assert np.array_equal(filtered, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+       width=st.integers(1, 50), data=st.data())
+def test_segmented_gate_filter_is_per_segment_gate_filter(lengths, width, data):
+    segments = [np.array(data.draw(st.lists(st.integers(0, STEPS), min_size=n, max_size=n)))
+                / STEPS for n in lengths]
+    scores = np.concatenate(segments)
+    starts = np.cumsum(lengths) - lengths
+    want = np.concatenate([gate_filter(s, width) for s in segments])
+    assert np.array_equal(gate_filter(scores, width, starts), want)
+    assert np.array_equal(gate_filter(scores, width, starts, segment_cumsum(scores, starts)),
+                          want)
+
+
+def test_segmented_gate_filter_rejects_bad_starts():
+    for starts in ([], [1], [0, 3, 2], [0, 5], [[0]]):
+        with pytest.raises(ValueError):
+            gate_filter(np.zeros(4), 2, starts)
+
+
+@pytest.mark.parametrize("cap", [1 << 20, 2_000])
+def test_tune_baseline_is_identity_filter_sensitivity(cap):
+    rng = np.random.default_rng(5)
+    corpus = {}
+    for db, fps, frames, seed in (("a", 25.0, 300, 1), ("a", 30.0, 900, 2),
+                                  ("b", 30.0, 450, 3), ("b", 25.0, 1200, 4)):
+        spec = SynthSpec(video_count=3, fps=fps, frames_per_video=frames, seed=seed,
+                         near_fall_fp_rate=1.0, far_fp_rate=1.0, database_id=db)
+        for i, (stream, annotation) in enumerate(generate(spec).pairs()):
+            # Noise, and a model that sees no fall in every third video.
+            noisy = np.clip(stream.scores + rng.normal(0.0, 0.3, len(stream)), 0.0, 1.0)
+            if i % 3 == 0:
+                noisy = np.maximum(noisy, 0.6)
+            corpus.setdefault(db, []).append(
+                (PredictionStream(stream.video_id, stream.anchor_frames, noisy), annotation))
+    with mock.patch.object(tuning, "CHUNK_CELLS", cap):
+        result = tuning.tune(corpus, w_values=[0.2], t_values=[0.5], min_alarm_precision=0.0,
+                             max_sensitivity_drop_points=math.inf)
+    for db, videos in corpus.items():
+        direct = combine(evaluate_video(s, a, identity_filter(0.5)) for s, a in videos).se_a
+        assert 0.0 < direct < 1.0
+        assert result.constraints.baseline_se_a[db] == direct

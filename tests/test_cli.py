@@ -113,12 +113,21 @@ def test_evaluate_counts_only(tmp_path, capsys):
     assert report["databases"]["URFD"]["sp"] is None
 
 
-def test_evaluate_counts_only_rejects_bad_schema(tmp_path):
+def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps([{"database_id": "x", "tp_a": 1}]))
     assert main(["evaluate", "--counts-only", str(counts)]) == 1
     counts.write_text("[]")
     assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    good = {"database_id": "x", "tp_a": 2, "fp_a": 1, "fn_a": 3}
+    for key, value in (("tp_a", 2.7), ("fp_a", True), ("fn_a", "3")):
+        counts.write_text(json.dumps([good, {**good, key: value}]))
+        capsys.readouterr()
+        assert main(["evaluate", "--counts-only", str(counts)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {counts}: counts entry 1 key {key!r} must be "
+                                f"an integer, got {json.dumps(value)}\n")
 
 
 def test_evaluate_pairing_policy(tmp_path, corpus_files):
@@ -167,6 +176,9 @@ def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
          f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
         (ann.read_bytes(), f"{video},899,0.5\n{video},5000,0.5\n".encode(),
          f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
+        (ann.read_bytes(), f"{video},20,0\n{video},21,0\n{video},150,0\n".encode(),
+         f"pred.csv: anchors of video {video!r} must advance by 1, "
+         "but anchor 21 is followed by 150"),
     ]
     for annotations, rows, message in cases:
         (tmp_path / "ann.jsonl").write_bytes(annotations)
