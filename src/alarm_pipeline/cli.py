@@ -38,9 +38,7 @@ from .errors import CorpusFormatError, GenerationError, InfeasibleError, Pipelin
 from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, macro_average
 from .synth import SynthSpec, generate
 from .temporal import FilterConfig, combine, evaluate_video, offset_histogram
-from .tuning import default_t_values, default_w_values, sweep, tune
-
-Corpus = dict[str, list[tuple[PredictionStream, VideoAnnotation]]]
+from .tuning import Corpus, default_t_values, default_w_values, sweep, tune
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
@@ -217,9 +215,9 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
     """Pair predictions with annotations, grouped by database.
 
     A prediction for an unannotated video, or one whose stacks leave the
-    video's frames or whose anchors skip a frame, is an error; an annotated
-    video without predictions is skipped with a warning; an empty pairing is
-    an error.
+    video's frames, is an error (the loader rejects anchors that skip a
+    frame); an annotated video without predictions is skipped with a warning;
+    an empty pairing is an error.
     """
     if not cfg.annotations or not cfg.predictions:
         raise CorpusFormatError("both --annotations and --predictions are required")
@@ -242,15 +240,8 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
                 f"for stacks of {cfg.stack_length} frames",
                 path=cfg.predictions,
             )
-        if anchors[-1] - anchors[0] != anchors.size - 1:  # increasing, so there is a gap
-            gap = int((anchors[1:] - anchors[:-1] != 1).argmax())
-            raise CorpusFormatError(
-                f"anchors of video {stream.video_id!r} must advance by 1, "
-                f"but anchor {anchors[gap]} is followed by {anchors[gap + 1]}",
-                path=cfg.predictions,
-            )
         stream_map[stream.video_id] = stream
-    corpus: Corpus = {}
+    corpus: dict[str, list[tuple[PredictionStream, VideoAnnotation]]] = {}
     skipped = [a.video_id for a in annotations if a.video_id not in stream_map]
     if skipped:
         shown = ", ".join(skipped[:SKIPPED_IDS_SHOWN])
@@ -398,18 +389,19 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
         missing = [k for k in ("database_id", "tp_a", "fp_a", "fn_a") if k not in record]
         if missing:
             raise CorpusFormatError(f"counts entry {i} missing keys {missing}", path=path_text)
-        for key in ("tp_a", "fp_a", "fn_a"):
+        for key, kind, expected in (("database_id", str, "a string"), ("tp_a", int, "an integer"),
+                                    ("fp_a", int, "an integer"), ("fn_a", int, "an integer")):
             value = record[key]
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, kind) or isinstance(value, bool):
                 raise CorpusFormatError(
-                    f"counts entry {i} key {key!r} must be an integer, got {json.dumps(value)}",
+                    f"counts entry {i} key {key!r} must be {expected}, got {json.dumps(value)}",
                     path=path_text,
                 )
         counts = AlarmCounts(tp_a=record["tp_a"], fp_a=record["fp_a"], fn_a=record["fn_a"])
         report = MetricReport.from_counts(
             None, counts, betas, fbeta_input_decimals=COUNTS_FBETA_DECIMALS
         )
-        rows.append((str(record["database_id"]), report))
+        rows.append((record["database_id"], report))
     return rows
 
 

@@ -14,21 +14,12 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CorpusFormatError, InfeasibleError
-
-
-class StackLabel(Enum):
-    """Ground-truth class of one stack, derived from fall intervals."""
-
-    FALL = "fall"
-    NO_FALL = "no_fall"
-    TRANSITION = "transition"
 
 
 @dataclass(frozen=True)
@@ -40,10 +31,6 @@ class StackConfig:
     def __post_init__(self) -> None:
         if self.stack_length < 1:
             raise ValueError(f"stack_length must be >= 1, got {self.stack_length}")
-
-    def span(self, anchor_frame: int) -> tuple[int, int]:
-        """Inclusive frame span covered by the stack anchored at ``anchor_frame``."""
-        return anchor_frame - (self.stack_length - 1), anchor_frame
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,7 @@ class VideoAnnotation:
 
 @dataclass
 class PredictionStream:
-    """Ordered per-stack No-Fall scores for one video, keyed by anchor frame."""
+    """Per-stack No-Fall scores for one video, keyed by anchor frames advancing by 1."""
 
     video_id: str
     anchor_frames: np.ndarray
@@ -102,8 +89,13 @@ class PredictionStream:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.anchor_frames.shape != self.scores.shape or self.anchor_frames.ndim != 1:
             raise ValueError("anchor_frames and scores must be 1-D and the same length")
-        if self.anchor_frames.size > 1 and not np.all(np.diff(self.anchor_frames) > 0):
-            raise ValueError(f"anchor frames must be strictly increasing in {self.video_id!r}")
+        skips = np.diff(self.anchor_frames) != 1
+        if skips.any():
+            gap = int(skips.argmax())
+            raise ValueError(
+                f"anchors of video {self.video_id!r} must advance by 1, but anchor "
+                f"{self.anchor_frames[gap]} is followed by {self.anchor_frames[gap + 1]}"
+            )
         if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails both
             raise ValueError(f"scores must lie in [0, 1] in {self.video_id!r}")
 
@@ -119,9 +111,6 @@ class FoldAssignment:
     seed: int
     folds: Mapping[str, int]
 
-    def videos_in(self, fold: int) -> list[str]:
-        return sorted(v for v, f in self.folds.items() if f == fold)
-
 
 def _covered_spans(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Sorted disjoint fall intervals with each run of touching ones merged."""
@@ -134,39 +123,16 @@ def _covered_spans(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]
     return spans
 
 
-def label_stack(
-    annotation: VideoAnnotation, anchor_frame: int, config: StackConfig = StackConfig()
-) -> StackLabel:
-    """Classify one stack against the fall intervals.
-
-    FALL if every frame of the stack's span is a fall frame, NO_FALL if none
-    is, TRANSITION if the span straddles a boundary. Touching intervals
-    (``start == previous end + 1``) cover one unbroken span, so a stack
-    across their junction is FALL.
-    """
-    lo, hi = config.span(anchor_frame)
-    if lo < 0 or hi >= annotation.frame_count:
-        raise IndexError(
-            f"stack span [{lo}, {hi}] outside frames [0, {annotation.frame_count}) "
-            f"of {annotation.video_id!r}"
-        )
-    for start, end in _covered_spans(annotation.fall_intervals):
-        if start <= lo and hi <= end:
-            return StackLabel.FALL
-        if lo <= end and hi >= start:
-            return StackLabel.TRANSITION
-    return StackLabel.NO_FALL
-
-
 def stack_label_masks(
     annotation: VideoAnnotation,
     anchor_frames: np.ndarray,
     config: StackConfig = StackConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`label_stack` over many anchors.
+    """``(fall, transition)`` masks of the stacks at ``anchor_frames``.
 
-    Returns ``(fall, transition)`` boolean masks; anchors where both are False
-    are NO_FALL. Raises IndexError if any span leaves the frame range.
+    A stack, span ``[anchor - (L - 1), anchor]``, is FALL if all its frames
+    are fall frames (touching intervals cover one unbroken span), NO_FALL if
+    none is, TRANSITION otherwise. Raises IndexError if a span leaves the frames.
     """
     anchors = np.asarray(anchor_frames, dtype=np.int64)
     lo = anchors - (config.stack_length - 1)
@@ -183,24 +149,6 @@ def stack_label_masks(
         fall |= (lo >= start) & (anchors <= end)
         touches |= (lo <= end) & (anchors >= start)
     return fall, touches & ~fall
-
-
-def stack_labels(
-    annotation: VideoAnnotation,
-    anchor_frames: np.ndarray,
-    config: StackConfig = StackConfig(),
-) -> list[StackLabel]:
-    """Per-anchor labels as a list, for callers that want the enum values."""
-    fall, transition = stack_label_masks(annotation, anchor_frames, config)
-    out = []
-    for is_fall, is_trans in zip(fall, transition):
-        if is_fall:
-            out.append(StackLabel.FALL)
-        elif is_trans:
-            out.append(StackLabel.TRANSITION)
-        else:
-            out.append(StackLabel.NO_FALL)
-    return out
 
 
 def assign_folds(groups: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldAssignment:
@@ -232,7 +180,10 @@ def assign_folds(groups: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldAs
 # Both writers emit a canonical byte layout so save -> load -> save is a
 # fixed point (useful for golden files and reproducibility checks).
 
-_ANNOTATION_KEYS = ("video_id", "database_id", "fps", "frame_count", "fall_intervals", "group_id")
+# JSON type of each annotation value besides fall_intervals; group_id may be absent.
+_ANNOTATION_TYPES = {"video_id": str, "database_id": str, "fps": float, "frame_count": int,
+                     "group_id": str}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
 _PREDICTION_HEADER = ["video_id", "anchor_frame", "score"]
 
 
@@ -244,6 +195,21 @@ def _read_text(path: Path, newline: str | None) -> io.StringIO:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"invalid UTF-8 ({exc.reason})", path=str(path), line=line)
+
+
+def _annotation_type_error(record: dict) -> str | None:
+    """What is wrong with the JSON types of ``record``, if anything; a boolean is no number."""
+    def valid(value, kind) -> bool:
+        return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+    for key, kind in _ANNOTATION_TYPES.items():
+        if key in record and not valid(record[key], kind):
+            return f"key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(record[key])}"
+    intervals = record["fall_intervals"]
+    for pair in intervals if isinstance(intervals, list) else [intervals]:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(valid(b, int) for b in pair)):
+            return ("key 'fall_intervals' must be a list of [start, end] integer pairs, "
+                    f"got {json.dumps(pair)}")
+    return None
 
 
 def load_annotations(path: str | Path) -> list[VideoAnnotation]:
@@ -264,14 +230,17 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
             missing = [k for k in ("video_id", "database_id", "fps", "frame_count", "fall_intervals") if k not in record]
             if missing:
                 raise CorpusFormatError(f"missing keys {missing}", path=str(path), line=line_no)
+            problem = _annotation_type_error(record)
+            if problem:
+                raise CorpusFormatError(problem, path=str(path), line=line_no)
             try:
                 annotation = VideoAnnotation(
-                    video_id=str(record["video_id"]),
-                    database_id=str(record["database_id"]),
+                    video_id=record["video_id"],
+                    database_id=record["database_id"],
                     fps=float(record["fps"]),
-                    frame_count=int(record["frame_count"]),
-                    fall_intervals=tuple((int(s), int(e)) for s, e in record["fall_intervals"]),
-                    group_id=str(record.get("group_id", "") or ""),
+                    frame_count=record["frame_count"],
+                    fall_intervals=record["fall_intervals"],
+                    group_id=record.get("group_id", ""),
                 )
             except (TypeError, ValueError) as exc:
                 raise CorpusFormatError(
@@ -421,10 +390,10 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
                 )
             anchors[video_id].append(anchor)
             scores[video_id].append(score)
-    return [
-        PredictionStream(video_id=v, anchor_frames=np.array(anchors[v]), scores=np.array(scores[v]))
-        for v in order
-    ]
+    try:
+        return [PredictionStream(v, np.array(anchors[v]), np.array(scores[v])) for v in order]
+    except ValueError as exc:  # an anchor gap: rows are in range and increasing
+        raise CorpusFormatError(str(exc), path=str(path))
 
 
 # Rows formatted into one string by save_predictions; bounds its memory.

@@ -24,6 +24,8 @@ NEAR_FP = "near_fp"
 FAR_FP = "far_fp"
 
 _MAX_ATTEMPTS = 500
+NEAR_FP_OFFSETS = (2, 4)  # least and most frames from a near dip's span to its fall
+FAR_FP_MIN_OFFSET = 20  # least frames from a far dip's span to any fall
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,12 @@ class SynthSpec:
 
     Rates are per video; the fractional part is resolved by a coin flip, so
     rate 1.5 means one or two events. Durations are uniform integers in
-    [mean - spread, mean + spread]. ``min_separation_frames`` keeps planted
-    regions apart (near dips are exempt from it against their paired fall,
-    that distance is the point). ``score_noise`` below 0.5 keeps thresholding
-    at T = 0.5 exact, so the ledger stays authoritative.
+    [mean - spread, mean + spread]. Dip offsets are fixed: 2 to 4 frames from
+    a fall for near dips, 20 or more for far ones (``NEAR_FP_OFFSETS``,
+    ``FAR_FP_MIN_OFFSET``). ``min_separation_frames`` keeps planted regions
+    apart (near dips are exempt from it against their paired fall, that
+    distance is the point). ``score_noise`` below 0.5 keeps thresholding at
+    T = 0.5 exact, so the ledger stays authoritative.
     """
 
     video_count: int
@@ -75,9 +79,6 @@ class SynthSpec:
     far_fp_rate: float = 0.0
     fp_duration_mean: int = 5
     fp_duration_spread: int = 3
-    near_fp_min_offset: int = 2
-    near_fp_max_offset: int = 4
-    far_fp_min_offset: int = 20
     min_separation_frames: int = 12
     score_noise: float = 0.0
     videos_per_group: int = 1
@@ -99,10 +100,6 @@ class SynthSpec:
         ):
             if mean - spread < 1:
                 raise ValueError("duration mean - spread must be >= 1")
-        if not (2 <= self.near_fp_min_offset <= self.near_fp_max_offset):
-            raise ValueError("need 2 <= near_fp_min_offset <= near_fp_max_offset")
-        if self.far_fp_min_offset <= self.near_fp_max_offset:
-            raise ValueError("far_fp_min_offset must exceed near_fp_max_offset")
         if self.min_separation_frames < 2:
             raise ValueError("min_separation_frames must be >= 2 to keep runs distinct")
         if not (0.0 <= self.score_noise < 0.5):
@@ -199,7 +196,7 @@ def _generate_video(spec: SynthSpec, index: int) -> tuple[VideoAnnotation, Predi
             raise GenerationError(f"{video_id}: near dip requested but the video has no falls")
         for _ in range(_MAX_ATTEMPTS):
             s, e = falls[int(rng.integers(0, len(falls)))]
-            g = int(rng.integers(spec.near_fp_min_offset, spec.near_fp_max_offset, endpoint=True))
+            g = int(rng.integers(*NEAR_FP_OFFSETS, endpoint=True))
             duration = _duration(rng, spec.fp_duration_mean, spec.fp_duration_spread)
             if rng.random() < 0.5:
                 v = s - g
@@ -229,7 +226,7 @@ def _generate_video(spec: SynthSpec, index: int) -> tuple[VideoAnnotation, Predi
             if not _separated(u, v, regions, gap):
                 continue
             offset = _span_offset(u, v, falls, length)
-            if offset is None or offset < spec.far_fp_min_offset:
+            if offset is None or offset < FAR_FP_MIN_OFFSET:
                 continue
             return u, v, offset
         raise GenerationError(f"{video_id}: could not place a far dip after {_MAX_ATTEMPTS} tries")

@@ -317,7 +317,6 @@ class VideoEvaluation:
     alarm_counts: AlarmCounts
     alarms: list[AlarmEvent]
     fp_offsets: list[FpOffsetRecord]
-    width_frames: int
 
 
 def evaluate_video(
@@ -355,7 +354,6 @@ def evaluate_video(
         alarm_counts=AlarmCounts(*counts[4:]),
         alarms=events,
         fp_offsets=fp_records,
-        width_frames=width,
     )
 
 

@@ -86,12 +86,6 @@ class SweepGrid:
     databases: list[str]
     cells: dict[tuple[str, float, float], MetricReport]
 
-    def report(self, database_id: str, w: float, t: float) -> MetricReport:
-        return self.cells[(database_id, w, t)]
-
-    def f_beta(self, database_id: str, w: float, t: float, beta: float) -> float | None:
-        return self.cells[(database_id, w, t)].f_beta[beta]
-
     def csv_rows(self):
         """Rows (database_id, beta, W, T, f_beta, p_a, se_a, TP_a, FP_a, FN_a)."""
         for db in self.databases:
@@ -235,11 +229,11 @@ def sweep(
 
 
 def baseline_sensitivities(
-    corpus: Corpus, stack_cfg: StackConfig = StackConfig(), t_pred: float = 0.5
+    corpus: Corpus, stack_cfg: StackConfig = StackConfig()
 ) -> dict[str, float | None]:
-    """Per-database alarm sensitivity at the identity filter (W = 1 frame),
-    counted per chunk of whole videos as in :func:`sweep`."""
-    cfg = identity_filter(t_pred)
+    """Per-database alarm sensitivity at the identity filter (W = 1 frame,
+    T = 0.5), counted per chunk of whole videos as in :func:`sweep`."""
+    cfg = identity_filter()
     out: dict[str, float | None] = {}
     for db, videos in corpus.items():
         if not videos:
@@ -295,12 +289,10 @@ def snap_to_grid(value: float, grid_values: Sequence[float]) -> float:
 
 
 def average_optima(
-    optima: Mapping[str, OptimumResult] | Sequence[OptimumResult],
-    t_values: Sequence[float],
+    optima: Mapping[str, OptimumResult], t_values: Sequence[float]
 ) -> tuple[float, float]:
     """Mean W and mean T over feasible databases, T snapped to the grid."""
-    results = list(optima.values()) if isinstance(optima, Mapping) else list(optima)
-    feasible = [r for r in results if r.feasible]
+    feasible = [r for r in optima.values() if r.feasible]
     if not feasible:
         raise InfeasibleError("no database has a feasible (W, T_pred) cell")
     w_final = sum(r.w_seconds for r in feasible) / len(feasible)
@@ -354,17 +346,14 @@ def tune(
     min_alarm_precision: float = 0.80,
     max_sensitivity_drop_points: float = 10.0,
     stack_cfg: StackConfig = StackConfig(),
-    betas: Sequence[float] = DEFAULT_BETAS,
 ) -> TuningResult:
     """Full tuning pass: baseline, sweep, constrained argmax, averaging.
 
     ``beta`` selects which F curve the argmax maximizes (0.5 by default:
-    false alarms wake the staff, so precision weighs more).
+    false alarms wake the staff, so precision weighs more); the sweep
+    computes that curve only.
     """
-    betas = tuple(betas)
-    if beta not in betas:
-        betas = betas + (beta,)
-    grid = sweep(corpus, w_values, t_values, betas, stack_cfg)
+    grid = sweep(corpus, w_values, t_values, (beta,), stack_cfg)
     constraints = TuningConstraints(
         min_alarm_precision=min_alarm_precision,
         max_sensitivity_drop_points=max_sensitivity_drop_points,

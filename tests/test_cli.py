@@ -128,6 +128,12 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"error: {counts}: counts entry 1 key {key!r} must be "
                                 f"an integer, got {json.dumps(value)}\n")
+    # a null id once printed a row named None
+    counts.write_text(json.dumps([{**good, "database_id": None}]))
+    capsys.readouterr()
+    assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {counts}: counts entry 0 key 'database_id' must be a string, got null\n")
 
 
 def test_evaluate_pairing_policy(tmp_path, corpus_files):
@@ -174,8 +180,11 @@ def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
         (b"\n\xff\n", f"{video},9,0.5\n".encode(), "ann.jsonl:2: invalid UTF-8"),
         (ann.read_bytes(), f"{video},0,0.5\n{video},1,0.5\n".encode(),
          f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
-        (ann.read_bytes(), f"{video},899,0.5\n{video},5000,0.5\n".encode(),
+        (ann.read_bytes(), f"{video},899,0.5\n{video},900,0.5\n".encode(),
          f"pred.csv: anchors of video {video!r} must lie in [9, 900)"),
+        (json.dumps({"video_id": 7, "database_id": "db", "fps": True, "frame_count": 900.7,
+                     "fall_intervals": [[100.9, "130"]]}).encode(), b"7,9,0.5\n",
+         "ann.jsonl:1: key 'video_id' must be a string, got 7"),
         (ann.read_bytes(), f"{video},20,0\n{video},21,0\n{video},150,0\n".encode(),
          f"pred.csv: anchors of video {video!r} must advance by 1, "
          "but anchor 21 is followed by 150"),

@@ -12,16 +12,13 @@ from alarm_pipeline.corpus import (
     _load_prediction_rows,
     PredictionStream,
     StackConfig,
-    StackLabel,
     VideoAnnotation,
     assign_folds,
-    label_stack,
     load_annotations,
     load_predictions,
     save_annotations,
     save_predictions,
     stack_label_masks,
-    stack_labels,
 )
 from alarm_pipeline.errors import CorpusFormatError, InfeasibleError
 
@@ -37,10 +34,19 @@ def make_annotation(intervals=((100, 130),), frame_count=300, **kwargs):
 # -- stack geometry and labeling ----------------------------------------------
 
 
+def label(ann, anchor, cfg):
+    """'fall' / 'no_fall' / 'transition' of one stack, from stack_label_masks."""
+    fall, transition = stack_label_masks(ann, np.array([anchor]), cfg)
+    return "fall" if fall[0] else "transition" if transition[0] else "no_fall"
+
+
 def test_stack_span_is_trailing_window():
+    # the stack at anchor 120 covers exactly frames [111, 120]
     cfg = StackConfig(stack_length=10)
-    assert cfg.span(120) == (111, 120)
-    assert cfg.span(9) == (0, 9)
+    ann = make_annotation([(111, 120)])
+    assert [label(ann, a, cfg) for a in (119, 120, 121)] == ["transition", "fall", "transition"]
+    ann = make_annotation([(0, 9)])
+    assert label(ann, 9, cfg) == "fall"
 
 
 def test_stack_config_validation():
@@ -52,38 +58,41 @@ def test_label_stack_examples():
     ann = make_annotation()
     cfg = StackConfig(stack_length=10)
     # span [111, 120] fully inside [100, 130]
-    assert label_stack(ann, 120, cfg) is StackLabel.FALL
+    assert label(ann, 120, cfg) == "fall"
     # span [41, 50] disjoint from the fall
-    assert label_stack(ann, 50, cfg) is StackLabel.NO_FALL
+    assert label(ann, 50, cfg) == "no_fall"
     # span [96, 105] straddles the start boundary
-    assert label_stack(ann, 105, cfg) is StackLabel.TRANSITION
+    assert label(ann, 105, cfg) == "transition"
 
 
 def test_label_stack_boundaries():
     ann = make_annotation()
     cfg = StackConfig(stack_length=10)
-    assert label_stack(ann, 109, cfg) is StackLabel.FALL       # span [100, 109]
-    assert label_stack(ann, 108, cfg) is StackLabel.TRANSITION  # span [99, 108]
-    assert label_stack(ann, 130, cfg) is StackLabel.FALL       # span [121, 130]
-    assert label_stack(ann, 131, cfg) is StackLabel.TRANSITION  # span [122, 131]
-    assert label_stack(ann, 99, cfg) is StackLabel.NO_FALL     # span [90, 99]
-    assert label_stack(ann, 139, cfg) is StackLabel.TRANSITION  # span [130, 139]
-    assert label_stack(ann, 140, cfg) is StackLabel.NO_FALL    # span [131, 140]
+    assert label(ann, 109, cfg) == "fall"        # span [100, 109]
+    assert label(ann, 108, cfg) == "transition"  # span [99, 108]
+    assert label(ann, 130, cfg) == "fall"        # span [121, 130]
+    assert label(ann, 131, cfg) == "transition"  # span [122, 131]
+    assert label(ann, 99, cfg) == "no_fall"      # span [90, 99]
+    assert label(ann, 139, cfg) == "transition"  # span [130, 139]
+    assert label(ann, 140, cfg) == "no_fall"     # span [131, 140]
 
 
 def test_label_stack_out_of_range():
     ann = make_annotation()
     cfg = StackConfig(stack_length=10)
-    with pytest.raises(IndexError):
-        label_stack(ann, 8, cfg)  # span would start at -1
-    with pytest.raises(IndexError):
-        label_stack(ann, 300, cfg)
+    with pytest.raises(IndexError, match="anchor 8 leaves frames"):
+        label(ann, 8, cfg)  # span would start at -1
+    with pytest.raises(IndexError, match="anchor 300 leaves frames"):
+        label(ann, 300, cfg)
+    with pytest.raises(IndexError, match="anchor 300 leaves frames"):
+        stack_label_masks(ann, np.array([9, 299, 300]), cfg)  # the whole call fails
 
 
 def test_label_stack_matches_naive_oracle():
     rng = np.random.default_rng(11)
     cfg = StackConfig(stack_length=10)
-    for _ in range(500):
+    corpora = []
+    for _ in range(500):  # up to two falls, which may touch
         frame_count = int(rng.integers(20, 120))
         intervals = []
         cursor = 0
@@ -94,32 +103,18 @@ def test_label_stack_matches_naive_oracle():
                 break
             intervals.append((start, end))
             cursor = end + 1
+        corpora.append((frame_count, intervals))
+    for _ in range(100):  # one fall, clipped to the last frame
+        frame_count = int(rng.integers(30, 100))
+        start = int(rng.integers(0, frame_count - 5))
+        corpora.append((frame_count, [(start, min(frame_count - 1, start + int(rng.integers(0, 25))))]))
+    for frame_count, intervals in corpora:
         ann = make_annotation(intervals, frame_count=frame_count)
         anchors = np.arange(9, frame_count)
         fall, transition = stack_label_masks(ann, anchors, cfg)
         for anchor, f, t in zip(anchors, fall, transition):
-            got = label_stack(ann, int(anchor), cfg)
             want = naive_label(ann.fall_intervals, int(anchor), 10)
-            assert got.value == want, (ann.fall_intervals, anchor)
             assert (f, t) == (want == "fall", want == "transition"), (ann.fall_intervals, anchor)
-
-
-def test_stack_label_masks_agree_with_label_stack():
-    rng = np.random.default_rng(5)
-    cfg = StackConfig(stack_length=10)
-    for _ in range(100):
-        frame_count = int(rng.integers(30, 100))
-        start = int(rng.integers(0, frame_count - 5))
-        end = min(frame_count - 1, start + int(rng.integers(0, 25)))
-        ann = make_annotation([(start, end)], frame_count=frame_count)
-        anchors = np.arange(9, frame_count)
-        fall, transition = stack_label_masks(ann, anchors, cfg)
-        listed = stack_labels(ann, anchors, cfg)
-        for anchor, f, t, lab in zip(anchors, fall, transition, listed):
-            single = label_stack(ann, int(anchor), cfg)
-            assert lab is single
-            assert f == (single is StackLabel.FALL)
-            assert t == (single is StackLabel.TRANSITION)
 
 
 def test_stack_label_masks_out_of_range():
@@ -159,7 +154,7 @@ def test_annotation_group_defaults_to_video_id():
 
 
 def test_prediction_stream_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="anchor 1 is followed by 1"):
         PredictionStream("v", np.array([1, 1]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         PredictionStream("v", np.array([1, 2]), np.array([0.5, 1.5]))
@@ -206,6 +201,36 @@ def test_annotation_loader_reports_line_numbers(tmp_path):
     path.write_text('{"video_id": "a"}\n')
     with pytest.raises(CorpusFormatError, match="missing keys"):
         load_annotations(path)
+
+    record = {"video_id": "a", "database_id": "d", "fps": 30, "frame_count": 900,
+              "fall_intervals": [[100, 130]]}
+    cases = [  # (changed keys, message) of a value of the wrong JSON type
+        # every value was coerced once: id '7', fps 1.0, 900 frames, fall (100, 130)
+        ({"video_id": 7, "database_id": "db", "fps": True, "frame_count": 900.7,
+          "fall_intervals": [[100.9, "130"]]}, "key 'video_id' must be a string, got 7"),
+        ({"database_id": None}, "key 'database_id' must be a string, got null"),
+        ({"group_id": 3}, "key 'group_id' must be a string, got 3"),
+        ({"fps": True}, "key 'fps' must be a number, got true"),
+        ({"fps": "30"}, 'key \'fps\' must be a number, got "30"'),
+        ({"frame_count": 900.7}, "key 'frame_count' must be an integer, got 900.7"),
+        ({"frame_count": 900.0}, "key 'frame_count' must be an integer, got 900.0"),
+        ({"frame_count": False}, "key 'frame_count' must be an integer, got false"),
+        ({"fall_intervals": [[100.9, "130"]]}, r'got \[100.9, "130"\]'),
+        ({"fall_intervals": [[100, 130], [140, True]]}, r"got \[140, true\]"),
+        ({"fall_intervals": [[100, 120, 130]]}, r"got \[100, 120, 130\]"),
+        ({"fall_intervals": {"100": 130}}, "key 'fall_intervals' must be a list of "
+                                           r'\[start, end\] integer pairs, got {"100": 130}'),
+    ]
+    for change, message in cases:
+        bad = {**record, "video_id": "b", **change}
+        path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(CorpusFormatError, match=message) as err:
+            load_annotations(path)
+        assert (err.value.path, err.value.line) == (str(path), 2), change
+    path.write_text(json.dumps(record) + "\n")
+    (ann,) = load_annotations(path)
+    assert (ann.fps, ann.frame_count, ann.fall_intervals, ann.group_id) == (30.0, 900, ((100, 130),), "a")
+    assert isinstance(ann.fps, float)
 
 
 def test_prediction_round_trip_is_fixed_point(tmp_path):
@@ -288,6 +313,22 @@ def test_prediction_loader_errors(tmp_path):
         [PredictionStream("a\rb", [9], [0.5])])
 
 
+def test_prediction_stream_rejects_anchor_gaps(tmp_path):
+    # a gap would let one alarm run span frames that have no stack
+    with pytest.raises(ValueError, match="anchors of video 'v' must advance by 1, "
+                                         "but anchor 20 is followed by 150"):
+        PredictionStream("v", [20, 150], [0.0, 0.0])
+    with pytest.raises(ValueError, match="anchor 11 is followed by 13"):
+        PredictionStream("v", [10, 11, 13, 14], [0.5] * 4)
+    path = tmp_path / "pred.csv"
+    for text in (HEADER + "v,20,0\nv,21,0\nv,150,0\n",  # canonical, read in bulk
+                 HEADER + "v,20,0\nw,9,0\nv,21,0\nv,150,0\n"):  # interleaved
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match="anchor 21 is followed by 150") as err:
+            load_predictions(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+
+
 def test_prediction_loader_allows_interleaved_videos(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_text(
@@ -323,10 +364,9 @@ def prediction_streams(draw):
     ids = draw(st.lists(st.text(alphabet="ab Z9#é中,\"\r\x00\x0b\u2028", max_size=5), max_size=4, unique=True))
     streams = []
     for video_id in ids:
-        steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=30))
-        anchors = draw(st.integers(0, 20)) + np.cumsum(steps)
         scores = draw(st.lists(st.sampled_from(TRICKY_SCORES) | st.floats(0.0, 1.0),
-                               min_size=len(steps), max_size=len(steps)))
+                               min_size=1, max_size=30))
+        anchors = draw(st.integers(1, 21)) + np.arange(len(scores))
         streams.append(PredictionStream(video_id, anchors, scores))
     return streams
 
@@ -354,7 +394,7 @@ def test_save_predictions_matches_csv_writer(tmp_path):
     long_scores[::7] = np.resize(TRICKY_SCORES, long_scores[::7].size)
     streams = [
         PredictionStream("a,b", np.arange(9, 9 + len(TRICKY_SCORES)), TRICKY_SCORES),
-        PredictionStream('say "hi"', [3, 7], [0.5, 0.25]),
+        PredictionStream('say "hi"', [3, 4], [0.5, 0.25]),
         PredictionStream("two\nlines", [0], [1.0]),
         PredictionStream("cr\rid", [0], [0.0]),
         PredictionStream("", [4], [0.1]),
@@ -382,7 +422,7 @@ def test_folds_never_split_groups():
 def test_folds_balanced_by_group_count():
     groups = {f"v{i}": f"g{i}" for i in range(17)}
     assignment = assign_folds(groups, k=5, seed=0)
-    sizes = [len(assignment.videos_in(f)) for f in range(5)]
+    sizes = [list(assignment.folds.values()).count(f) for f in range(5)]
     assert sum(sizes) == 17
     assert max(sizes) - min(sizes) <= 1
 

@@ -28,10 +28,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, score_noise=0.5)
     with pytest.raises(ValueError):
-        SynthSpec(video_count=1, near_fp_min_offset=1)
-    with pytest.raises(ValueError):
-        SynthSpec(video_count=1, far_fp_min_offset=3)
-    with pytest.raises(ValueError):
         SynthSpec(video_count=1, min_separation_frames=1)
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, seed=-1)

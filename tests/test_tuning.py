@@ -202,27 +202,27 @@ def test_argmax_skips_undefined_f():
 
 
 def test_average_optima_example():
-    optima = [
-        OptimumResult("a", True, w_seconds=0.8, t_pred=0.4),
-        OptimumResult("b", True, w_seconds=0.9, t_pred=0.3),
-        OptimumResult("c", True, w_seconds=0.91, t_pred=0.5),
-    ]
+    optima = {
+        "a": OptimumResult("a", True, w_seconds=0.8, t_pred=0.4),
+        "b": OptimumResult("b", True, w_seconds=0.9, t_pred=0.3),
+        "c": OptimumResult("c", True, w_seconds=0.91, t_pred=0.5),
+    }
     w, t = average_optima(optima, default_t_values())
     assert w == pytest.approx(0.87)
     assert t == 0.4  # mean 0.4 exactly on the grid
 
 
 def test_average_optima_snaps_t_and_skips_infeasible():
-    optima = [
-        OptimumResult("a", True, w_seconds=0.5, t_pred=0.4),
-        OptimumResult("b", True, w_seconds=0.7, t_pred=0.5),
-        OptimumResult("c", False, reason="nope"),
-    ]
+    optima = {
+        "a": OptimumResult("a", True, w_seconds=0.5, t_pred=0.4),
+        "b": OptimumResult("b", True, w_seconds=0.7, t_pred=0.5),
+        "c": OptimumResult("c", False, reason="nope"),
+    }
     w, t = average_optima(optima, default_t_values())
     assert w == pytest.approx(0.6)
     assert t == 0.4  # mean 0.45 snapped down
     with pytest.raises(InfeasibleError):
-        average_optima([OptimumResult("a", False)], default_t_values())
+        average_optima({"a": OptimumResult("a", False)}, default_t_values())
 
 
 # -- end to end -----------------------------------------------------------------------
