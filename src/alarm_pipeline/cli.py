@@ -37,8 +37,8 @@ from .corpus import (
 from .errors import CorpusFormatError, GenerationError, InfeasibleError, PipelineError
 from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, macro_average
 from .synth import SynthSpec, generate
-from .temporal import FilterConfig, combine, evaluate_video, offset_histogram
-from .tuning import Corpus, default_t_values, default_w_values, sweep, tune
+from .temporal import FilterConfig, evaluate_video, offset_histogram
+from .tuning import Corpus, default_t_values, default_w_values, filter_counts, sweep, tune
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
@@ -351,12 +351,11 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
         corpus = _load_corpus(cfg)
         filter_cfg = _filter_config(cfg)
         stack_cfg = StackConfig(stack_length=cfg.stack_length)
-        rows = []
-        for database_id, videos in corpus.items():
-            report = combine(
-                (evaluate_video(s, a, filter_cfg, stack_cfg) for s, a in videos), betas
-            )
-            rows.append((database_id, report))
+        rows = [
+            (database_id,
+             MetricReport.from_counts(*filter_counts(videos, filter_cfg, stack_cfg), betas))
+            for database_id, videos in corpus.items()
+        ]
         filter_json = dataclasses.asdict(filter_cfg)
     macro = macro_average([report for _, report in rows])
     table = format_report_table(list(rows) + [("Avg.", macro)], betas)

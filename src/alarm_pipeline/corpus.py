@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ class VideoAnnotation:
     def __post_init__(self) -> None:
         if not self.video_id:
             raise ValueError("video_id must be non-empty")
-        if not (self.fps > 0):
-            raise ValueError(f"fps must be > 0, got {self.fps}")
+        if not (0 < self.fps < math.inf):
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
         intervals = tuple((int(s), int(e)) for s, e in self.fall_intervals)

@@ -5,6 +5,14 @@ at T_pred (a filtered No-Fall score strictly below T_pred labels the stack
 Fall), and maximal runs of Fall stacks become alarm events. Alarms are then
 matched against ground-truth fall intervals to produce alarm-level counts and
 an offset record for every false alarm.
+
+:func:`decision_counts` gives the same counts for a whole batch of thresholds
+at once. It ranks each filtered score against the sorted thresholds (how
+many it is strictly below) and reads every count at every threshold from
+bincounts of those ranks, as a ROC curve is read from sorted scores: stack
+counts by class, detected falls from the largest rank over the stacks that
+overlap each fall, and false alarms from the runs inside segments that
+overlap no fall. Its memory grows with the stream, not with the thresholds.
 """
 
 from __future__ import annotations
@@ -224,6 +232,108 @@ def match_alarms(
     return counts, events, fp_records
 
 
+class DecisionLayout:
+    """The width-independent half of :func:`decision_counts`.
+
+    It holds what the counts of one stream need besides its filtered scores:
+    the thresholds in ascending order, the stacks of each class, the range of
+    stacks whose span overlaps each fall, and the "cold" segments, maximal
+    index ranges that overlap no fall range and hold no edge across which a
+    run would reach a fall in an anchor gap. Index sets are kept as the few
+    stacks or edges outside each class, as most stacks are eligible
+    negatives and cold. A caller that filters one stream at many widths
+    builds the layout once and calls :meth:`counts` per width.
+    """
+
+    def __init__(
+        self,
+        t_values: Sequence[float] | np.ndarray,
+        truth_fall: np.ndarray,
+        eligible: np.ndarray,
+        anchors: np.ndarray,
+        fall_intervals: Sequence[tuple[int, int]],
+        stack_length: int,
+    ) -> None:
+        t = np.asarray(t_values, dtype=np.float64)
+        n = len(anchors)
+        self.order = np.argsort(t, kind="stable")
+        self.sorted_t = t[self.order]
+        self.rank_dtype = np.min_scalar_type(t.size)
+        self.size = n
+        self.truth = np.flatnonzero(truth_fall)
+        self.negative_count = np.count_nonzero(eligible & ~truth_fall)
+        self.not_negative = np.flatnonzero(truth_fall | ~eligible)
+
+        # A stack's span [anchor - (L-1), anchor] overlaps fall (s, e) when
+        # its anchor lies in [s, e + L - 1]: stacks lo .. hi. When lo = hi + 1
+        # the fall lies in an anchor gap, and a run overlaps it only by
+        # holding both stacks hi and lo.
+        falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
+        self.fall_count = falls.shape[0]
+        lo = anchors.searchsorted(falls[:, 0], side="left")
+        hi = anchors.searchsorted(falls[:, 1] + (stack_length - 1), side="right") - 1
+        inside = lo <= hi
+        self.fall_ranges = np.column_stack((lo[inside], hi[inside] + 1)).ravel()
+        self.gap_edges = hi[~inside & (hi >= 0) & (lo < n)]
+
+        depth = (np.bincount(lo[inside], minlength=n + 1)
+                 - np.bincount(hi[inside] + 1, minlength=n + 1))
+        cold = np.cumsum(depth[:n]) == 0
+        joined = cold[:-1] & cold[1:]  # edge i joins stacks i and i + 1 in one segment
+        joined[self.gap_edges] = False
+        first = np.flatnonzero(cold & ~np.concatenate(([False], joined)))
+        last = np.flatnonzero(cold & ~np.concatenate((joined, [False])))
+        self.hot = np.flatnonzero(~cold)
+        self.unjoined = np.flatnonzero(~joined)
+        self.leaving = np.concatenate((first[first > 0] - 1, last[last < n - 1]))
+        closed = (first > 0) & (last < n - 1)
+        self.closed_ranges = np.column_stack((first[closed] - 1, last[closed] + 2)).ravel()
+
+    def counts(self, filtered: np.ndarray) -> np.ndarray:
+        """Rows ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` of ``filtered``, one per
+        threshold in the order given.
+
+        Rank ``r[i]`` counts the thresholds that ``filtered[i]`` is strictly
+        below, so stack i is Fall at sorted threshold j exactly when
+        ``r[i] >= nT - j``. Every count at j is then a count of keys at least
+        ``nT - j``: a stack's rank, the smaller rank of an edge's two stacks
+        (both Fall), or a range's smallest or largest rank.
+        """
+        nt = self.sorted_t.size
+        r = np.zeros(self.size, dtype=self.rank_dtype)
+        below = np.empty(self.size, dtype=bool)
+        for t in self.sorted_t:
+            r += np.less(filtered, t, out=below)
+        edge = np.minimum(r[:-1], r[1:])
+        padded = np.append(r, r.dtype.type(0))  # reduceat may start at index n
+
+        # A fall is detected when any stack of its range is Fall, or, in an
+        # anchor gap, both stacks beside it. A false alarm is a run inside a
+        # cold segment: the segment's Fall stacks less its Fall edges, less
+        # the runs that leave it at either end, plus one when a single run
+        # leaves at both ends (the segment and its two neighbours all Fall).
+        keys = [
+            r[self.truth],
+            r,
+            r[self.not_negative],
+            np.concatenate((np.maximum.reduceat(padded, self.fall_ranges)[::2],
+                            edge[self.gap_edges])),
+            edge,
+            np.concatenate((edge[self.unjoined],
+                            np.minimum.reduceat(padded, self.closed_ranges)[::2])),
+            np.concatenate((r[self.hot], edge[self.leaving])),
+        ]
+        hist = np.stack([np.bincount(k, minlength=nt + 1) for k in keys])
+        tp, fall, not_negative, tp_a, edges, added, removed = hist[:, ::-1].cumsum(1)[:, :nt]
+        fp = fall - not_negative
+        out = np.empty((nt, 7), dtype=np.int64)
+        out[self.order] = np.column_stack((
+            tp, self.negative_count - fp, fp, self.truth.size - tp,
+            tp_a, fall - edges + added - removed, self.fall_count - tp_a,
+        ))
+        return out
+
+
 def decision_counts(
     filtered: np.ndarray,
     t_values: Sequence[float] | np.ndarray,
@@ -238,45 +348,16 @@ def decision_counts(
     Row i holds ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` for ``t_values[i]``,
     exactly as :func:`threshold_labels`, :func:`extract_alarms` and
     :func:`match_alarms` would give them. ``tp``/``fn`` count ``truth_fall``
-    stacks, ``tn``/``fp`` count eligible non-fall stacks. ``fall_intervals``
-    must be sorted and disjoint, as :class:`VideoAnnotation` guarantees.
+    stacks, ``tn``/``fp`` count eligible non-fall stacks. ``anchors`` must
+    increase; ``fall_intervals`` must be sorted and disjoint, as
+    :class:`VideoAnnotation` guarantees. Each filtered score is ranked
+    against the sorted thresholds once, by the strict ``<`` comparison, and
+    every count is read from bincounts of those ranks (see
+    :class:`DecisionLayout`), so memory is O(stacks) for any number of
+    thresholds.
     """
-    t = np.asarray(t_values, dtype=np.float64)
-    fall = filtered < t[:, None]
-    negative = eligible & ~truth_fall
-    out = np.empty((t.size, 7), dtype=np.int64)
-    out[:, 0] = (fall & truth_fall).sum(1)
-    out[:, 2] = (fall & negative).sum(1)
-    out[:, 3] = np.count_nonzero(truth_fall) - out[:, 0]
-    out[:, 1] = np.count_nonzero(negative) - out[:, 2]
-
-    # Alarm runs: a run starts where a row's Fall label rises and ends where
-    # it drops; both scans visit runs in the same (threshold, anchor) order.
-    rises = fall.copy()
-    rises[:, 1:] &= ~fall[:, :-1]
-    drops = fall.copy()
-    drops[:, :-1] &= ~fall[:, 1:]
-    row, first = np.divmod(np.flatnonzero(rises), filtered.size)
-    last = np.flatnonzero(drops) % filtered.size
-
-    # A run's span [anchor[first] - (L-1), anchor[last]] overlaps exactly the
-    # falls i0 .. i1-1: the first fall ending at or after the span start up to
-    # the last fall starting at or before the span end.
-    falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
-    i0 = falls[:, 1].searchsorted(anchors[first] - (stack_length - 1), side="left")
-    i1 = falls[:, 0].searchsorted(anchors[last], side="right")
-    hit = i0 < i1
-    out[:, 5] = np.bincount(row[~hit], minlength=t.size)
-
-    # Mark each hit run's fall range [i0, i1) per threshold as +1/-1 edges;
-    # a fall is detected at a threshold where the running edge sum is positive.
-    width = falls.shape[0] + 1
-    edges = np.bincount(row[hit] * width + i0[hit], minlength=t.size * width)
-    edges -= np.bincount(row[hit] * width + i1[hit], minlength=t.size * width)
-    detected = edges.reshape(t.size, width).cumsum(1)[:, :-1] > 0
-    out[:, 4] = detected.sum(1)
-    out[:, 6] = falls.shape[0] - out[:, 4]
-    return out
+    layout = DecisionLayout(t_values, truth_fall, eligible, anchors, fall_intervals, stack_length)
+    return layout.counts(filtered)
 
 
 @dataclass(frozen=True)
@@ -330,28 +411,31 @@ def evaluate_video(
     Stack-level confusion compares the post-filter, post-threshold stack
     decisions against the derived stack labels; Transition-labeled stacks are
     excluded from those counts but their scores still flow through the alarm
-    path. The counts come from :func:`decision_counts`; the alarm events and
-    false-alarm offsets from :func:`extract_alarms` and :func:`match_alarms`.
+    path. The alarm counts, events and false-alarm offsets come from
+    :func:`extract_alarms` and :func:`match_alarms`; corpus-wide counts are
+    cheaper through ``tuning.filter_counts``.
     """
     if stream.video_id != annotation.video_id:
         raise ValueError(
             f"stream {stream.video_id!r} does not match annotation {annotation.video_id!r}"
         )
     width = cfg.resolve_width_frames(annotation.fps)
-    filtered = gate_filter(stream.scores, width)
+    fall = threshold_labels(gate_filter(stream.scores, width), cfg.t_pred)
     truth_fall, truth_transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
-    counts = decision_counts(
-        filtered, [cfg.t_pred], truth_fall, ~truth_transition, stream.anchor_frames,
-        annotation.fall_intervals, stack_cfg.stack_length,
-    )[0].tolist()
-    runs = extract_alarms(threshold_labels(filtered, cfg.t_pred), stream.anchor_frames)
-    _, events, fp_records = match_alarms(
+    negative = ~truth_fall & ~truth_transition
+    tp = int(np.count_nonzero(fall & truth_fall))
+    fp = int(np.count_nonzero(fall & negative))
+    runs = extract_alarms(fall, stream.anchor_frames)
+    alarm_counts, events, fp_records = match_alarms(
         runs, annotation.fall_intervals, stack_cfg.stack_length, stream.video_id
     )
     return VideoEvaluation(
         video_id=stream.video_id,
-        stack_counts=ConfusionCounts(*counts[:4]),
-        alarm_counts=AlarmCounts(*counts[4:]),
+        stack_counts=ConfusionCounts(
+            tp=tp, tn=int(np.count_nonzero(negative)) - fp, fp=fp,
+            fn=int(np.count_nonzero(truth_fall)) - tp,
+        ),
+        alarm_counts=alarm_counts,
         alarms=events,
         fp_offsets=fp_records,
     )

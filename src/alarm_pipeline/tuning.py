@@ -1,11 +1,14 @@
 """Conjoint (W, T_pred) grid search under alarm-precision and sensitivity
 constraints, with per-database optima averaged into one deployable setting.
 
-The sweep and the sensitivity baseline count a database per chunk of whole
-videos of one fps: the chunk's streams are laid end to end, and one
-:func:`decision_counts` call per width counts every threshold of the chunk.
-Separator slots, shifted frame numbers and per-video running sums keep each
-video's counts exactly what it would give alone.
+The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
+all count a database per chunk of whole videos of one fps: the chunk's
+streams are laid end to end, its :class:`DecisionLayout` is built once, and
+one rank pass per width counts every threshold of the chunk. Separator
+slots, shifted frame numbers and per-video running sums keep each video's
+counts exactly what it would give alone. A chunk holds at most
+``CHUNK_STACKS`` stacks, since the kernel's memory grows with stacks and not
+with thresholds.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_
 from .errors import InfeasibleError
 from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport, alarm_sensitivity
 from .temporal import (
-    decision_counts,
+    DecisionLayout,
+    FilterConfig,
     gate_filter,
     identity_filter,
     segment_cumsum,
@@ -98,31 +102,29 @@ class SweepGrid:
                                ac.tp_a, ac.fp_a, ac.fn_a)
 
 
-# Largest thresholds x stacks of one chunk: decision_counts holds a few
-# boolean arrays of that many elements per call.
-CHUNK_CELLS = 1 << 20
+# Largest stack count of one chunk: the kernel holds a few arrays of that
+# many elements per width, whatever the number of thresholds.
+CHUNK_STACKS = 1 << 16
 
 
-def _chunks(
-    videos: Sequence[tuple[PredictionStream, VideoAnnotation]], threshold_count: int
-):
+def _chunks(videos: Sequence[tuple[PredictionStream, VideoAnnotation]]):
     """Runs of whole videos of one fps, as (fps, videos), each of at most
-    ``CHUNK_CELLS`` thresholds x stacks; a longer video is a chunk by itself.
-    A video's stacks include the separator slot that :func:`_chunk_counts`
-    appends to it."""
+    ``CHUNK_STACKS`` stacks; a longer video is a chunk by itself. A video's
+    stacks include the separator slot that :func:`_chunk_counts` appends to
+    it."""
     by_fps: dict[float, list[tuple[PredictionStream, VideoAnnotation]]] = {}
     for stream, annotation in videos:
         by_fps.setdefault(annotation.fps, []).append((stream, annotation))
     for fps, group in by_fps.items():
         chunk: list[tuple[PredictionStream, VideoAnnotation]] = []
-        cells = 0
+        stacks = 0
         for stream, annotation in group:
-            size = (len(stream) + 1) * threshold_count
-            if chunk and cells + size > CHUNK_CELLS:
+            size = len(stream) + 1
+            if chunk and stacks + size > CHUNK_STACKS:
                 yield fps, chunk
-                chunk, cells = [], 0
+                chunk, stacks = [], 0
             chunk.append((stream, annotation))
-            cells += size
+            stacks += size
         yield fps, chunk
 
 
@@ -133,7 +135,8 @@ def _chunk_counts(
     stack_cfg: StackConfig,
 ) -> np.ndarray:
     """Summed (nW, nT, 7) counts, as in :func:`decision_counts`, of videos
-    filtered at each of ``widths`` frames, with one kernel call per width.
+    filtered at each of ``widths`` frames: one :class:`DecisionLayout` for
+    the chunk, one rank pass per width.
 
     The videos' streams are laid end to end, each followed by one separator
     slot that is never Fall (filtered score +inf) and neither a fall nor an
@@ -161,14 +164,13 @@ def _chunk_counts(
         eligible[start:end - 1] = ~transition
         falls.extend((s + base, e + base) for s, e in annotation.fall_intervals)
         base += annotation.frame_count + stack_cfg.stack_length
+    layout = DecisionLayout(t_values, truth_fall, eligible, anchors, falls, stack_cfg.stack_length)
     cumulative = segment_cumsum(scores, starts) if max(widths) > 1 else None
     by_width = {}
     for width in dict.fromkeys(widths):
         filtered = gate_filter(scores, width, starts, cumulative)
         filtered[ends - 1] = np.inf
-        by_width[width] = decision_counts(
-            filtered, t_values, truth_fall, eligible, anchors, falls, stack_cfg.stack_length
-        )
+        by_width[width] = layout.counts(filtered)
     return np.stack([by_width[width] for width in widths])
 
 
@@ -182,8 +184,22 @@ def _database_counts(
     videos; ``widths_at(fps)`` gives the filter widths in frames at that fps."""
     return sum(
         _chunk_counts(chunk, widths_at(fps), t_values, stack_cfg)
-        for fps, chunk in _chunks(videos, len(t_values))
+        for fps, chunk in _chunks(videos)
     )
+
+
+def filter_counts(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]],
+    cfg: FilterConfig,
+    stack_cfg: StackConfig = StackConfig(),
+) -> tuple[ConfusionCounts, AlarmCounts]:
+    """Stack and alarm counts of videos under one filter, summed over the
+    videos and counted per chunk as in :func:`sweep`. They equal the counts
+    of :func:`combine` over :func:`evaluate_video` of each video."""
+    counts = _database_counts(
+        videos, lambda fps: [cfg.resolve_width_frames(fps)], [cfg.t_pred], stack_cfg
+    )[0, 0].tolist()
+    return ConfusionCounts(*counts[:4]), AlarmCounts(*counts[4:])
 
 
 def sweep(
@@ -195,8 +211,8 @@ def sweep(
 ) -> SweepGrid:
     """Populate the full (W, T_pred) grid for every database.
 
-    A database's counts are summed over chunks of whole videos, one kernel
-    call per chunk and width; they equal the sum of its videos' counts.
+    A database's counts are summed over chunks of whole videos, one rank
+    pass per chunk and width; they equal the sum of its videos' counts.
     Empty databases are skipped with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
@@ -233,17 +249,11 @@ def baseline_sensitivities(
 ) -> dict[str, float | None]:
     """Per-database alarm sensitivity at the identity filter (W = 1 frame,
     T = 0.5), counted per chunk of whole videos as in :func:`sweep`."""
-    cfg = identity_filter()
-    out: dict[str, float | None] = {}
-    for db, videos in corpus.items():
-        if not videos:
-            out[db] = None
-            continue
-        counts = _database_counts(
-            videos, lambda fps: [cfg.resolve_width_frames(fps)], [cfg.t_pred], stack_cfg
-        )
-        out[db] = alarm_sensitivity(AlarmCounts(*counts[0, 0, 4:].tolist()))
-    return out
+    return {
+        db: alarm_sensitivity(filter_counts(videos, identity_filter(), stack_cfg)[1])
+        if videos else None
+        for db, videos in corpus.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from alarm_pipeline import tuning
 from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
 from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import (
+    DecisionLayout,
+    FilterConfig,
     combine,
     decision_counts,
     evaluate_video,
@@ -90,16 +92,22 @@ def per_video_counts(videos, t_values, stack_cfg):
 def test_chunked_counts_match_per_video_counts(db, ks, cap):
     videos, stack_cfg = db
     t_values = [k / STEPS for k in ks]
-    calls = []
+    layouts = []
 
-    def recording(filtered, *args):
-        calls.append(filtered.copy())
-        return decision_counts(filtered, *args)
+    class Recording(DecisionLayout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = []
+            layouts.append(self)
 
-    with mock.patch.object(tuning, "CHUNK_CELLS", cap), \
-            mock.patch.object(tuning, "decision_counts", recording):
+        def counts(self, filtered):
+            self.calls.append(filtered.copy())
+            return super().counts(filtered)
+
+    with mock.patch.object(tuning, "CHUNK_STACKS", cap), \
+            mock.patch.object(tuning, "DecisionLayout", Recording):
         got = tuning._database_counts(videos, widths_at, t_values, stack_cfg)
-        chunks = list(tuning._chunks(videos, len(t_values)))
+        chunks = list(tuning._chunks(videos))
     assert np.array_equal(got, per_video_counts(videos, t_values, stack_cfg))
 
     # Every video sits in exactly one chunk of its own fps, in corpus order
@@ -108,18 +116,34 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
         sorted(s.video_id for s, _ in videos)
     for fps, chunk in chunks:
         assert all(a.fps == fps for _, a in chunk)
-        cells = sum(len(s) + 1 for s, _ in chunk) * len(t_values)
-        assert cells <= cap or len(chunk) == 1
+        stacks = sum(len(s) + 1 for s, _ in chunk)
+        assert stacks <= cap or len(chunk) == 1
 
-    # One kernel call per chunk and distinct width, on the videos' own
-    # gate_filter outputs laid end to end, each followed by +inf.
-    expected = [
-        np.concatenate([np.append(gate_filter(s.scores, width), np.inf) for s, _ in chunk])
-        for fps, chunk in chunks for width in dict.fromkeys(widths_at(fps))
-    ]
-    assert len(calls) == len(expected)
-    for filtered, want in zip(calls, expected):
-        assert np.array_equal(filtered, want)
+    # One layout per chunk, and one rank pass per distinct width on the
+    # videos' own gate_filter outputs laid end to end, each followed by +inf.
+    assert len(layouts) == len(chunks)
+    for layout, (fps, chunk) in zip(layouts, chunks):
+        expected = [
+            np.concatenate([np.append(gate_filter(s.scores, width), np.inf) for s, _ in chunk])
+            for width in dict.fromkeys(widths_at(fps))
+        ]
+        assert len(layout.calls) == len(expected)
+        for filtered, want in zip(layout.calls, expected):
+            assert np.array_equal(filtered, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), w=st.sampled_from(W_SECONDS), k=st.integers(1, STEPS - 1),
+       cap=st.sampled_from([1, 40, 1 << 20]))
+def test_filter_counts_match_evaluate_video(db, w, k, cap):
+    """``evaluate``'s per-database counts: the chunked path at one (W, T)
+    equals combining the per-video evaluations, on videos of mixed fps."""
+    videos, stack_cfg = db
+    cfg = FilterConfig(t_pred=k / STEPS, width_seconds=w)
+    with mock.patch.object(tuning, "CHUNK_STACKS", cap):
+        stack, alarm = tuning.filter_counts(videos, cfg, stack_cfg)
+    want = combine(evaluate_video(s, a, cfg, stack_cfg) for s, a in videos)
+    assert (stack, alarm) == (want.stack_counts, want.alarm_counts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,7 +181,7 @@ def test_tune_baseline_is_identity_filter_sensitivity(cap):
                 noisy = np.maximum(noisy, 0.6)
             corpus.setdefault(db, []).append(
                 (PredictionStream(stream.video_id, stream.anchor_frames, noisy), annotation))
-    with mock.patch.object(tuning, "CHUNK_CELLS", cap):
+    with mock.patch.object(tuning, "CHUNK_STACKS", cap):
         result = tuning.tune(corpus, w_values=[0.2], t_values=[0.5], min_alarm_precision=0.0,
                              max_sensitivity_drop_points=math.inf)
     for db, videos in corpus.items():

@@ -185,6 +185,9 @@ def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
         (json.dumps({"video_id": 7, "database_id": "db", "fps": True, "frame_count": 900.7,
                      "fall_intervals": [[100.9, "130"]]}).encode(), b"7,9,0.5\n",
          "ann.jsonl:1: key 'video_id' must be a string, got 7"),
+        (json.dumps({"video_id": video, "database_id": "db", "fps": 30, "frame_count": 900,
+                     "fall_intervals": []}).replace('"fps": 30', '"fps": 1e400').encode(),
+         f"{video},9,0.5\n".encode(), f"ann.jsonl:1: record {video!r}: fps must be finite"),
         (ann.read_bytes(), f"{video},20,0\n{video},21,0\n{video},150,0\n".encode(),
          f"pred.csv: anchors of video {video!r} must advance by 1, "
          "but anchor 21 is followed by 150"),

@@ -227,6 +227,12 @@ def test_annotation_loader_reports_line_numbers(tmp_path):
         with pytest.raises(CorpusFormatError, match=message) as err:
             load_annotations(path)
         assert (err.value.path, err.value.line) == (str(path), 2), change
+    for fps in ("Infinity", "1e400"):  # json reads both as inf
+        bad = json.dumps({**record, "video_id": "b"}).replace('"fps": 30', f'"fps": {fps}')
+        path.write_text(json.dumps(record) + "\n" + bad + "\n")
+        with pytest.raises(CorpusFormatError, match="fps must be finite and > 0, got inf") as err:
+            load_annotations(path)
+        assert (err.value.path, err.value.line) == (str(path), 2), fps
     path.write_text(json.dumps(record) + "\n")
     (ann,) = load_annotations(path)
     assert (ann.fps, ann.frame_count, ann.fall_intervals, ann.group_id) == (30.0, 900, ((100, 130),), "a")

@@ -4,15 +4,20 @@ Scores are quantized to a 0.05 step and thresholds sit on the same step, so
 filtered values land exactly on T and the strict ``<`` is exercised. Streams
 may be empty and videos may have no falls. The kernel sees anchors with gaps,
 as the chunk layout of the sweep jumps anchors at every separator slot; a
-PredictionStream's anchors advance by 1.
+PredictionStream's anchors advance by 1. The rank tests add what only the
+rank construction can get wrong: unsorted and repeated thresholds, more
+thresholds than a uint8 rank holds, +inf scores, and falls outside every
+stack's span or inside an anchor gap.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
 from alarm_pipeline.metrics import ConfusionCounts
 from alarm_pipeline.temporal import (
+    DecisionLayout,
     FilterConfig,
     decision_counts,
     evaluate_video,
@@ -94,3 +99,92 @@ def test_evaluate_video_agrees_with_match_alarms(video, width, k):
         fp=int(np.sum(labels & negative)),
         fn=int(np.sum(~labels & truth_fall)),
     )
+
+
+@st.composite
+def ranked_streams(draw):
+    """(filtered, anchors, falls, stack_length) with filtered scores drawn
+    directly, +inf among them, anchors with gaps wide enough to hold a fall,
+    and falls anywhere in the video: before the first stack's span, inside an
+    anchor gap, after the last anchor, or one fall over the whole video."""
+    stack_length = draw(st.integers(1, 4))
+    first = stack_length - 1 + draw(st.integers(0, 12))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 6, 12]), max_size=40))
+    anchors = [first + sum(steps[:i]) for i in range(len(steps) + draw(st.integers(0, 1)))]
+    frame_count = (anchors[-1] if anchors else first) + 1 + draw(st.integers(0, 12))
+    filtered = draw(st.lists(st.one_of(st.integers(0, STEPS).map(lambda k: k / STEPS),
+                                       st.just(np.inf)),
+                             min_size=len(anchors), max_size=len(anchors)))
+    if draw(st.booleans()):
+        falls = [(0, frame_count - 1)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(0, frame_count - 1), max_size=10)))
+        falls = [(s, e) for s, e in zip(cuts[::2], cuts[1::2])]
+    return filtered, anchors, falls, stack_length
+
+
+def assert_matches_naive(filtered, anchors, falls, stack_length, t_values):
+    """decision_counts equals the naive pipeline, run at width 1 on the
+    filtered scores, row by row in the order of ``t_values``."""
+    truth = np.array([naive_label(falls, a, stack_length) for a in anchors], dtype=object)
+    got = decision_counts(np.asarray(filtered, dtype=np.float64), t_values, truth == "fall",
+                          truth != "transition", np.asarray(anchors, dtype=np.int64), falls,
+                          stack_length)
+    assert got.shape == (len(t_values), 7)
+    want = {}
+    for t in set(t_values):
+        confusion, _, alarm_counts, _ = naive_pipeline(filtered, anchors, falls, stack_length,
+                                                       1, t)
+        want[t] = confusion + alarm_counts
+    assert [tuple(row) for row in got.tolist()] == [want[t] for t in t_values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=ranked_streams(), ks=st.lists(st.integers(1, STEPS - 1), min_size=1, max_size=8),
+       repeats=st.sampled_from([1, 2, 60]), data=st.data())
+def test_rank_kernel_matches_naive_pipeline(stream, ks, repeats, data):
+    # Unsorted, repeated, and (at 60 repeats of 5 or more) over 255 thresholds.
+    t_values = data.draw(st.permutations([k / STEPS for k in ks] * repeats))
+    assert_matches_naive(*stream, t_values)
+
+
+SHUFFLED_T = [0.5, 0.1, 0.9, 0.5, 0.3, 0.7, 0.1]
+RANK_CASES = {  # name -> (filtered, anchors, falls, stack_length, t_values)
+    "empty stream": ([], [], [(3, 5)], 2, SHUFFLED_T),
+    "every stack overlaps a fall": ([0.0, 0.6, 0.2, 0.2, 0.9, 0.0], list(range(4, 10)),
+                                    [(2, 12)], 3, SHUFFLED_T),
+    "falls before the first anchor and after the last": (
+        [0.2, 0.0, 0.6, 0.0], [10, 11, 12, 13], [(0, 4), (15, 17)], 3, SHUFFLED_T),
+    "fall inside an anchor gap": (
+        [0.0, 0.2, 0.4, 0.0, 0.6, 0.2], [2, 3, 4, 12, 13, 20], [(6, 8), (15, 16)], 2,
+        SHUFFLED_T),
+    "single-stack fall range": ([0.2, 0.0, 0.4, 0.0, 0.2], list(range(5)), [(2, 2)], 1,
+                                SHUFFLED_T),
+    "+inf filtered values": ([0.0, np.inf, 0.0, 0.2, np.inf, np.inf], list(range(3, 9)),
+                             [(4, 5)], 2, SHUFFLED_T),
+    "300 thresholds": ([0.1, 0.35, 0.6, 0.0, 0.95], list(range(5)), [(1, 2)], 1,
+                       [k / 20 for k in range(1, 20)] * 15 + [0.5] * 15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_rank_kernel_cases(case):
+    filtered, anchors, falls, stack_length, t_values = RANK_CASES[case]
+    assert_matches_naive(filtered, anchors, falls, stack_length, t_values)
+    # Each case reaches the part of the layout it is named after.
+    n = len(anchors)
+    truth = np.array([naive_label(falls, a, stack_length) for a in anchors], dtype=object)
+    layout = DecisionLayout(t_values, truth == "fall", truth != "transition",
+                            np.asarray(anchors, dtype=np.int64), falls, stack_length)
+    ranges = layout.fall_ranges.reshape(-1, 2)
+    reached = {
+        "empty stream": n == 0,
+        "every stack overlaps a fall": n > 0 and layout.hot.size == n,
+        "falls before the first anchor and after the last":
+            ranges.size == 0 and layout.gap_edges.size == 0 and layout.fall_count == 2,
+        "fall inside an anchor gap": layout.gap_edges.tolist() == [2, 4],
+        "single-stack fall range": (ranges[:, 1] - ranges[:, 0]).tolist() == [1],
+        "+inf filtered values": np.isinf(filtered).any(),
+        "300 thresholds": len(t_values) == 300 and layout.rank_dtype == np.uint16,
+    }[case]
+    assert reached
