@@ -195,6 +195,8 @@ def parse_grid(spec: Any) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid {spec!r} must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid {spec!r} has non-finite values")
         if step <= 0 or stop < start:
             raise ValueError(f"grid {spec!r} must have step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

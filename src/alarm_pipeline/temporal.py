@@ -12,7 +12,10 @@ many it is strictly below) and reads every count at every threshold from
 bincounts of those ranks, as a ROC curve is read from sorted scores: stack
 counts by class, detected falls from the largest rank over the stacks that
 overlap each fall, and false alarms from the runs inside segments that
-overlap no fall. Its memory grows with the stream, not with the thresholds.
+overlap no fall. A stack at or above the largest threshold has rank 0 and is
+Fall at no threshold, so ranking and binning touch only the stacks below the
+largest threshold; as falls are rare, those are few. Its memory grows with
+the stream, not with the thresholds.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class FilterConfig:
             raise ValueError(f"t_pred must lie in (0, 1), got {self.t_pred}")
         if (self.width_seconds is None) == (self.width_frames is None):
             raise ValueError("set exactly one of width_seconds / width_frames")
-        if self.width_seconds is not None and not (self.width_seconds > 0):
-            raise ValueError(f"width_seconds must be > 0, got {self.width_seconds}")
+        if self.width_seconds is not None and not (0 < self.width_seconds < math.inf):
+            raise ValueError(f"width_seconds must be finite and > 0, got {self.width_seconds}")
         if self.width_frames is not None and self.width_frames < 1:
             raise ValueError(f"width_frames must be >= 1, got {self.width_frames}")
 
@@ -92,8 +95,8 @@ def width_to_frames(width_seconds: float, fps: float) -> int:
     A 1e-9 nudge keeps products like 0.15 * 30 (stored as 4.4999...) from
     rounding the wrong way.
     """
-    if not (width_seconds > 0):
-        raise ValueError(f"width_seconds must be > 0, got {width_seconds}")
+    if not (0 < width_seconds < math.inf):
+        raise ValueError(f"width_seconds must be finite and > 0, got {width_seconds}")
     if not (fps > 0):
         raise ValueError(f"fps must be > 0, got {fps}")
     return max(1, int(math.floor(width_seconds * fps + 0.5 + 1e-9)))
@@ -121,7 +124,8 @@ def gate_filter(
 
     Output element i is the mean of inputs over [i - width + 1, i] clipped to
     the stream start, so prefix windows average fewer elements and the output
-    has the same length as the input. Width 1 is the identity.
+    has the same length as the input. Width 1 is the identity, and any width
+    of at least the stream's length gives the same output as that length.
 
     With ``starts`` (as in :func:`segment_cumsum`), ``scores`` is several
     streams laid end to end and windows are clipped to the start of their own
@@ -136,7 +140,9 @@ def gate_filter(
         raise ValueError("scores must be 1-D")
     if x.size == 0 or width_frames == 1:
         return x.copy()
-    w = width_frames
+    # A window longer than the stream is a prefix mean all the same; the
+    # clamp keeps widths past 64 bits out of the array arithmetic.
+    w = min(width_frames, x.size)
     # Position j < w of a stream averages its first j + 1 samples; ``at``
     # lists those positions.
     if starts is None:
@@ -297,31 +303,45 @@ class DecisionLayout:
         below, so stack i is Fall at sorted threshold j exactly when
         ``r[i] >= nT - j``. Every count at j is then a count of keys at least
         ``nT - j``: a stack's rank, the smaller rank of an edge's two stacks
-        (both Fall), or a range's smallest or largest rank.
+        (both Fall), or a range's smallest or largest rank. Keys of 0 count
+        at no threshold, so only the stacks below the largest threshold are
+        ranked, the rest keep rank 0, and the keys over all stacks and all
+        edges are binned from those stacks and the edges they begin alone.
         """
         nt = self.sorted_t.size
-        r = np.zeros(self.size, dtype=self.rank_dtype)
-        below = np.empty(self.size, dtype=bool)
-        for t in self.sorted_t:
-            r += np.less(filtered, t, out=below)
-        edge = np.minimum(r[:-1], r[1:])
-        padded = np.append(r, r.dtype.type(0))  # reduceat may start at index n
+        # Candidates are the stacks below the largest threshold, so their
+        # rank starts at 1; every other stack keeps rank 0.
+        cand = np.flatnonzero(filtered < self.sorted_t[-1])
+        scores = filtered[cand]
+        rc = np.ones(cand.size, dtype=self.rank_dtype)
+        below = np.empty(cand.size, dtype=bool)
+        for t in self.sorted_t[:-1]:
+            rc += np.less(scores, t, out=below)
+        # Slot n holds rank 0 for reduceat, which may start at index n, and
+        # for the edge of a last stack that is a candidate.
+        padded = np.zeros(self.size + 1, dtype=self.rank_dtype)
+        padded[cand] = rc
+
+        def edge(i: np.ndarray) -> np.ndarray:
+            return np.minimum(padded[i], padded[i + 1])
 
         # A fall is detected when any stack of its range is Fall, or, in an
         # anchor gap, both stacks beside it. A false alarm is a run inside a
         # cold segment: the segment's Fall stacks less its Fall edges, less
         # the runs that leave it at either end, plus one when a single run
         # leaves at both ends (the segment and its two neighbours all Fall).
+        # Bin 0 is never read, so the two keys over all stacks and all edges
+        # need only the candidates and the edges that a candidate begins.
         keys = [
-            r[self.truth],
-            r,
-            r[self.not_negative],
+            padded[self.truth],
+            rc,
+            padded[self.not_negative],
             np.concatenate((np.maximum.reduceat(padded, self.fall_ranges)[::2],
-                            edge[self.gap_edges])),
-            edge,
-            np.concatenate((edge[self.unjoined],
+                            edge(self.gap_edges))),
+            np.minimum(rc, padded[cand + 1]),
+            np.concatenate((edge(self.unjoined),
                             np.minimum.reduceat(padded, self.closed_ranges)[::2])),
-            np.concatenate((r[self.hot], edge[self.leaving])),
+            np.concatenate((padded[self.hot], edge(self.leaving))),
         ]
         hist = np.stack([np.bincount(k, minlength=nt + 1) for k in keys])
         tp, fall, not_negative, tp_a, edges, added, removed = hist[:, ::-1].cumsum(1)[:, :nt]

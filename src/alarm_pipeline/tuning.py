@@ -213,12 +213,16 @@ def sweep(
 
     A database's counts are summed over chunks of whole videos, one rank
     pass per chunk and width; they equal the sum of its videos' counts.
+    Every threshold must lie in (0, 1), as :class:`FilterConfig` requires.
     Empty databases are skipped with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
     if not w_values or not t_values:
         raise ValueError("w_values and t_values must be non-empty")
+    for t in t_values:
+        if not (0.0 < t < 1.0):
+            raise ValueError(f"t_pred must lie in (0, 1), got {t}")
     cells: dict[tuple[str, float, float], MetricReport] = {}
     databases: list[str] = []
     for db, videos in corpus.items():

@@ -38,6 +38,9 @@ def test_parse_grid_forms():
         parse_grid("")
     with pytest.raises(ValueError):
         parse_grid("1:2")
+    for spec in ("0.1:inf:0.1", "nan:1:0.1", "0.1:1:inf", "-inf:1:0.1", "0.1,1e400"):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_grid(spec)
 
 
 # -- synth ----------------------------------------------------------------------
@@ -200,6 +203,44 @@ def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
                      "--predictions", str(tmp_path / "pred.csv")]) == 1, message
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys):
+    ann, pred = corpus_files
+    data = ["--annotations", str(ann), "--predictions", str(pred)]
+    cases = [  # (arguments, message on stderr)
+        (["evaluate", "--w-seconds", "inf", "--t-pred", "0.4"],
+         "width_seconds must be finite and > 0, got inf"),
+        (["offsets", "--w-seconds", "1e400", "--t-pred", "0.4"],
+         "width_seconds must be finite and > 0, got inf"),
+        (["sweep", "--w-grid", "0.1:inf:0.1"], "grid '0.1:inf:0.1' has non-finite values"),
+        (["tune", "--t-grid", "0.5,1.5"], "t_pred must lie in (0, 1), got 1.5"),
+        (["sweep", "--t-grid", "0,1,5,-1"], "t_pred must lie in (0, 1), got 0.0"),
+    ]
+    for args, message in cases:
+        capsys.readouterr()
+        assert main([*args, *data, "--out", str(tmp_path / "out")]) == 1, args
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_widths_give_whole_video_width(tmp_path, corpus_files, capsys):
+    # Videos of 900 frames hold 891 stacks of 10, so any wider filter gives
+    # the output of 891 frames.
+    ann, pred = corpus_files
+    data = ["--annotations", str(ann), "--predictions", str(pred)]
+    assert main(["evaluate", *data, "--w-frames", "891", "--t-pred", "0.4"]) == 0
+    want = capsys.readouterr().out
+    for width in (["--w-seconds", "1e300"], ["--w-frames", "99999999999999999999"]):
+        assert main(["evaluate", *data, *width, "--t-pred", "0.4"]) == 0
+        assert capsys.readouterr().out == want
+    rows = {}
+    for grid in ("29.7", "1e300:1e300:1"):
+        assert main(["sweep", *data, "--w-grid", grid, "--t-grid", "0.4,0.6"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows[grid] = [line.split(",")[:2] + line.split(",")[3:] for line in lines]
+    assert rows["29.7"] == rows["1e300:1e300:1"] and len(rows["29.7"]) == 4
 
 
 # -- config files ------------------------------------------------------------------

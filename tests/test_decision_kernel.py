@@ -7,7 +7,10 @@ as the chunk layout of the sweep jumps anchors at every separator slot; a
 PredictionStream's anchors advance by 1. The rank tests add what only the
 rank construction can get wrong: unsorted and repeated thresholds, more
 thresholds than a uint8 rank holds, +inf scores, and falls outside every
-stack's span or inside an anchor gap.
+stack's span or inside an anchor gap. As the kernel ranks only the stacks
+below the largest threshold, they also cover streams with none or only such
+stacks, a last stack whose edge reads past the stream, and both stacks beside
+an anchor-gap fall.
 """
 
 import numpy as np
@@ -145,7 +148,14 @@ def assert_matches_naive(filtered, anchors, falls, stack_length, t_values):
 def test_rank_kernel_matches_naive_pipeline(stream, ks, repeats, data):
     # Unsorted, repeated, and (at 60 repeats of 5 or more) over 255 thresholds.
     t_values = data.draw(st.permutations([k / STEPS for k in ks] * repeats))
-    assert_matches_naive(*stream, t_values)
+    # Lift most scores to at least the largest threshold, as most stacks of a
+    # real stream score, so few stacks are ranked.
+    filtered, anchors, falls, stack_length = stream
+    lift = data.draw(st.lists(st.sampled_from([False, True, True, True]),
+                              min_size=len(filtered), max_size=len(filtered)))
+    top = max(t_values)
+    filtered = [max(f, top) if up else f for f, up in zip(filtered, lift)]
+    assert_matches_naive(filtered, anchors, falls, stack_length, t_values)
 
 
 SHUFFLED_T = [0.5, 0.1, 0.9, 0.5, 0.3, 0.7, 0.1]
@@ -164,6 +174,15 @@ RANK_CASES = {  # name -> (filtered, anchors, falls, stack_length, t_values)
                              [(4, 5)], 2, SHUFFLED_T),
     "300 thresholds": ([0.1, 0.35, 0.6, 0.0, 0.95], list(range(5)), [(1, 2)], 1,
                        [k / 20 for k in range(1, 20)] * 15 + [0.5] * 15),
+    "no stack below the largest threshold": ([0.9, 1.0, np.inf, 0.95], list(range(4)),
+                                             [(1, 2)], 1, SHUFFLED_T),
+    "all +inf stream": ([np.inf] * 4, list(range(2, 6)), [(3, 3)], 2, SHUFFLED_T),
+    "every stack below the smallest threshold": ([0.0, 0.05, 0.0, 0.05, 0.0], list(range(4, 9)),
+                                                 [(5, 6)], 2, SHUFFLED_T),
+    "only the last stack a candidate": ([0.9, 1.0, 0.95, 0.2], list(range(4)), [(2, 3)], 1,
+                                        SHUFFLED_T),
+    "a candidate on each side of an anchor-gap fall": (
+        [1.0, 0.95, 0.2, 0.4, 1.0], [2, 3, 4, 12, 13], [(6, 8)], 2, SHUFFLED_T),
 }
 
 
@@ -177,6 +196,7 @@ def test_rank_kernel_cases(case):
     layout = DecisionLayout(t_values, truth == "fall", truth != "transition",
                             np.asarray(anchors, dtype=np.int64), falls, stack_length)
     ranges = layout.fall_ranges.reshape(-1, 2)
+    candidates = np.flatnonzero(np.asarray(filtered) < max(t_values)).tolist()
     reached = {
         "empty stream": n == 0,
         "every stack overlaps a fall": n > 0 and layout.hot.size == n,
@@ -186,5 +206,12 @@ def test_rank_kernel_cases(case):
         "single-stack fall range": (ranges[:, 1] - ranges[:, 0]).tolist() == [1],
         "+inf filtered values": np.isinf(filtered).any(),
         "300 thresholds": len(t_values) == 300 and layout.rank_dtype == np.uint16,
+        "no stack below the largest threshold": n > 0 and candidates == [],
+        "all +inf stream": n > 0 and np.isinf(filtered).all(),
+        "every stack below the smallest threshold":
+            n > 0 and max(filtered) < min(t_values) and layout.fall_count == 1,
+        "only the last stack a candidate": candidates == [n - 1],
+        "a candidate on each side of an anchor-gap fall":
+            layout.gap_edges.tolist() == [2] and candidates == [2, 3],
     }[case]
     assert reached

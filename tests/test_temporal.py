@@ -39,6 +39,9 @@ def test_filter_config_requires_exactly_one_width():
         FilterConfig(t_pred=0.5, width_frames=0)
     with pytest.raises(ValueError):
         FilterConfig(t_pred=0.5, width_seconds=0.0)
+    for width in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="width_seconds must be finite"):
+            FilterConfig(t_pred=0.5, width_seconds=width)
 
 
 def test_filter_config_resolves_width():
@@ -60,6 +63,9 @@ def test_width_to_frames_rounds_half_up():
         width_to_frames(0.0, 30.0)
     with pytest.raises(ValueError):
         width_to_frames(0.5, 0.0)
+    with pytest.raises(ValueError, match="width_seconds must be finite"):
+        width_to_frames(math.inf, 30.0)
+    assert width_to_frames(1e300, 30.0) == int(3e301)
 
 
 def test_width_to_frames_monotone_in_width():
@@ -96,6 +102,19 @@ def test_gate_filter_edge_shapes():
     assert big.tolist() == pytest.approx([1.0, 0.5, 2 / 3])
     with pytest.raises(ValueError):
         gate_filter([0.5], 0)
+
+
+def test_gate_filter_clamps_huge_widths():
+    # Every window at least as long as the stream is a prefix mean, so any
+    # such width gives the prefix means, even one past 64 bits.
+    x = np.random.default_rng(5).random(30)
+    starts = [0, 7, 7, 19]
+    want = np.cumsum(x) / np.arange(1, 31)
+    want_segments = np.concatenate([np.cumsum(x[a:b]) / np.arange(1, b - a + 1)
+                                    for a, b in zip(starts, starts[1:] + [30])])
+    for width in (30, 31, 10**20):
+        assert np.array_equal(gate_filter(x, width), want)
+        assert np.array_equal(gate_filter(x, width, starts), want_segments)
 
 
 def test_gate_filter_matches_naive_mean():

@@ -128,6 +128,15 @@ def test_sweep_rejects_empty_grid():
         sweep(small_corpus(), [], [0.5])
 
 
+def test_sweep_and_tune_reject_thresholds_outside_unit_interval():
+    corpus = small_corpus()
+    for t_values in ([0.0, 0.5], [0.5, 1.0], [1.5], [-1.0], [math.nan]):
+        with pytest.raises(ValueError, match=r"t_pred must lie in \(0, 1\)"):
+            sweep(corpus, [0.1], t_values)
+    with pytest.raises(ValueError, match=r"t_pred must lie in \(0, 1\), got 1.5"):
+        tune(corpus, [0.1], [0.5, 1.5])
+
+
 # -- baselines and argmax ----------------------------------------------------------
 
 
