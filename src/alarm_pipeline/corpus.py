@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,6 +150,22 @@ def stack_label_masks(
         fall |= (lo >= start) & (anchors <= end)
         touches |= (lo <= end) & (anchors >= start)
     return fall, touches & ~fall
+
+
+def fall_stack_ranges(
+    fall_intervals: Sequence[tuple[int, int]],
+    anchor_frames: np.ndarray,
+    stack_length: int,
+) -> np.ndarray:
+    """``(falls, 2)`` half-open ranges ``[lo, hi)`` of the stacks whose span
+    overlaps each fall, as indices into ``anchor_frames``.
+
+    A span ``[anchor - (L - 1), anchor]`` overlaps fall ``(s, e)`` when
+    ``s <= anchor < e + L``; with anchors advancing by 1 those stacks are one
+    index range, empty (``lo == hi``) when no span reaches the fall.
+    """
+    falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
+    return np.asarray(anchor_frames, dtype=np.int64).searchsorted(falls + (0, stack_length))
 
 
 def assign_folds(groups: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldAssignment:

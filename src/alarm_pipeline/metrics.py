@@ -103,8 +103,8 @@ def f_beta(p_a: float, se_a: float, beta: float) -> float | None:
     beta < 1 weighs precision more than sensitivity, beta > 1 the reverse.
     Returns None when both arguments are zero.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    if not (0 < beta < math.inf):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     if not (0.0 <= p_a <= 1.0 and 0.0 <= se_a <= 1.0):
         raise ValueError(f"p_a and se_a must lie in [0, 1], got ({p_a}, {se_a})")
     b2 = beta * beta
@@ -162,7 +162,8 @@ class MetricReport:
         ``fbeta_input_decimals`` rounds p_a/se_a to that many decimal places
         before combining them into F_beta, mirroring arithmetic done by hand
         from a table printed at that precision (3 decimals of the fraction =
-        0.1 percentage point). The reported p_a/se_a stay exact.
+        0.1 percentage point). The reported p_a/se_a stay exact. Every beta
+        must be finite and > 0, whether or not p_a and se_a are defined.
         """
         sp = se = p = None
         if stack_counts is not None:
@@ -175,6 +176,8 @@ class MetricReport:
             se_a = alarm_sensitivity(alarm_counts)
         fb: dict[float, float | None] = {}
         for beta in betas:
+            if not (0 < beta < math.inf):
+                raise ValueError(f"beta must be finite and > 0, got {beta}")
             if p_a is None or se_a is None:
                 fb[beta] = None
             elif fbeta_input_decimals is None:

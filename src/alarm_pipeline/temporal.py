@@ -9,13 +9,20 @@ an offset record for every false alarm.
 :func:`decision_counts` gives the same counts for a whole batch of thresholds
 at once. It ranks each filtered score against the sorted thresholds (how
 many it is strictly below) and reads every count at every threshold from
-bincounts of those ranks, as a ROC curve is read from sorted scores: stack
-counts by class, detected falls from the largest rank over the stacks that
-overlap each fall, and false alarms from the runs inside segments that
-overlap no fall. A stack at or above the largest threshold has rank 0 and is
-Fall at no threshold, so ranking and binning touch only the stacks below the
-largest threshold; as falls are rare, those are few. Its memory grows with
-the stream, not with the thresholds.
+bincounts of those ranks, as a ROC curve is read from sorted scores. Each
+fall is a half-open range of stack indices, the stacks whose span overlaps
+it, and a stack in any such range is "hot". Stack counts come by class;
+detected falls from the largest rank over each fall's range; false alarms
+from the identity
+
+    FP_a = #Fall stacks - #Fall edges - #Fall hot stacks + #joined hot gaps,
+
+all runs less the runs that hold a hot stack, where a hot gap (the closed
+range between consecutive hot stacks) is joined when all of it is Fall. A
+stack at or above the largest threshold has rank 0 and is Fall at no
+threshold, so ranking and binning touch only the stacks below the largest
+threshold; as falls are rare, those are few. Its memory grows with the
+stream, not with the thresholds.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
+                     stack_label_masks)
 from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
 
 
@@ -242,13 +250,13 @@ class DecisionLayout:
     """The width-independent half of :func:`decision_counts`.
 
     It holds what the counts of one stream need besides its filtered scores:
-    the thresholds in ascending order, the stacks of each class, the range of
-    stacks whose span overlaps each fall, and the "cold" segments, maximal
-    index ranges that overlap no fall range and hold no edge across which a
-    run would reach a fall in an anchor gap. Index sets are kept as the few
-    stacks or edges outside each class, as most stacks are eligible
-    negatives and cold. A caller that filters one stream at many widths
-    builds the layout once and calls :meth:`counts` per width.
+    the thresholds in ascending order, the stacks of each class, each fall's
+    half-open range of stack indices (``fall_ranges``, an integer array of
+    ``(lo, hi)`` rows as :func:`fall_stack_ranges` gives) and the "hot"
+    stacks, those in any fall's range. Index sets are kept as the few stacks
+    outside each class, as most stacks are eligible negatives and not hot. A
+    caller that filters one stream at many widths builds the layout once and
+    calls :meth:`counts` per width.
     """
 
     def __init__(
@@ -256,12 +264,10 @@ class DecisionLayout:
         t_values: Sequence[float] | np.ndarray,
         truth_fall: np.ndarray,
         eligible: np.ndarray,
-        anchors: np.ndarray,
-        fall_intervals: Sequence[tuple[int, int]],
-        stack_length: int,
+        fall_ranges: np.ndarray,
     ) -> None:
         t = np.asarray(t_values, dtype=np.float64)
-        n = len(anchors)
+        n = truth_fall.size
         self.order = np.argsort(t, kind="stable")
         self.sorted_t = t[self.order]
         self.rank_dtype = np.min_scalar_type(t.size)
@@ -270,30 +276,17 @@ class DecisionLayout:
         self.negative_count = np.count_nonzero(eligible & ~truth_fall)
         self.not_negative = np.flatnonzero(truth_fall | ~eligible)
 
-        # A stack's span [anchor - (L-1), anchor] overlaps fall (s, e) when
-        # its anchor lies in [s, e + L - 1]: stacks lo .. hi. When lo = hi + 1
-        # the fall lies in an anchor gap, and a run overlaps it only by
-        # holding both stacks hi and lo.
-        falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
-        self.fall_count = falls.shape[0]
-        lo = anchors.searchsorted(falls[:, 0], side="left")
-        hi = anchors.searchsorted(falls[:, 1] + (stack_length - 1), side="right") - 1
-        inside = lo <= hi
-        self.fall_ranges = np.column_stack((lo[inside], hi[inside] + 1)).ravel()
-        self.gap_edges = hi[~inside & (hi >= 0) & (lo < n)]
-
-        depth = (np.bincount(lo[inside], minlength=n + 1)
-                 - np.bincount(hi[inside] + 1, minlength=n + 1))
-        cold = np.cumsum(depth[:n]) == 0
-        joined = cold[:-1] & cold[1:]  # edge i joins stacks i and i + 1 in one segment
-        joined[self.gap_edges] = False
-        first = np.flatnonzero(cold & ~np.concatenate(([False], joined)))
-        last = np.flatnonzero(cold & ~np.concatenate((joined, [False])))
-        self.hot = np.flatnonzero(~cold)
-        self.unjoined = np.flatnonzero(~joined)
-        self.leaving = np.concatenate((first[first > 0] - 1, last[last < n - 1]))
-        closed = (first > 0) & (last < n - 1)
-        self.closed_ranges = np.column_stack((first[closed] - 1, last[closed] + 2)).ravel()
+        lo, hi = fall_ranges.T
+        self.fall_count = lo.size
+        self.fall_ranges = fall_ranges[lo < hi].ravel()
+        depth = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+        self.hot = np.flatnonzero(np.cumsum(depth[:n]))
+        # A hot gap is the closed range between consecutive hot stacks. Most
+        # are the edge between neighbours inside one fall's range; those are
+        # read as edges, since reduceat pays a fixed cost per range.
+        apart = np.diff(self.hot) > 1
+        self.hot_edges = self.hot[:-1][~apart]
+        self.hot_gaps = np.column_stack((self.hot[:-1][apart], self.hot[1:][apart] + 1)).ravel()
 
     def counts(self, filtered: np.ndarray) -> np.ndarray:
         """Rows ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` of ``filtered``, one per
@@ -322,34 +315,30 @@ class DecisionLayout:
         padded = np.zeros(self.size + 1, dtype=self.rank_dtype)
         padded[cand] = rc
 
-        def edge(i: np.ndarray) -> np.ndarray:
-            return np.minimum(padded[i], padded[i + 1])
-
-        # A fall is detected when any stack of its range is Fall, or, in an
-        # anchor gap, both stacks beside it. A false alarm is a run inside a
-        # cold segment: the segment's Fall stacks less its Fall edges, less
-        # the runs that leave it at either end, plus one when a single run
-        # leaves at both ends (the segment and its two neighbours all Fall).
-        # Bin 0 is never read, so the two keys over all stacks and all edges
-        # need only the candidates and the edges that a candidate begins.
+        # A fall is detected when any stack of its range is Fall. Runs are
+        # Fall stacks less Fall edges; a run is a true alarm when it holds a
+        # hot stack, and the runs that do are the Fall hot stacks less the
+        # hot gaps that are all Fall (joined). So false alarms are Fall
+        # stacks - Fall edges - Fall hot stacks + joined hot gaps. Bin 0 is
+        # never read, so the two keys over all stacks and all edges need only
+        # the candidates and the edges that a candidate begins.
         keys = [
             padded[self.truth],
             rc,
             padded[self.not_negative],
-            np.concatenate((np.maximum.reduceat(padded, self.fall_ranges)[::2],
-                            edge(self.gap_edges))),
+            np.maximum.reduceat(padded, self.fall_ranges)[::2],
             np.minimum(rc, padded[cand + 1]),
-            np.concatenate((edge(self.unjoined),
-                            np.minimum.reduceat(padded, self.closed_ranges)[::2])),
-            np.concatenate((padded[self.hot], edge(self.leaving))),
+            np.concatenate((np.minimum(padded[self.hot_edges], padded[self.hot_edges + 1]),
+                            np.minimum.reduceat(padded, self.hot_gaps)[::2])),
+            padded[self.hot],
         ]
         hist = np.stack([np.bincount(k, minlength=nt + 1) for k in keys])
-        tp, fall, not_negative, tp_a, edges, added, removed = hist[:, ::-1].cumsum(1)[:, :nt]
+        tp, fall, not_negative, tp_a, edges, joined, hot = hist[:, ::-1].cumsum(1)[:, :nt]
         fp = fall - not_negative
         out = np.empty((nt, 7), dtype=np.int64)
         out[self.order] = np.column_stack((
             tp, self.negative_count - fp, fp, self.truth.size - tp,
-            tp_a, fall - edges + added - removed, self.fall_count - tp_a,
+            tp_a, fall - edges - hot + joined, self.fall_count - tp_a,
         ))
         return out
 
@@ -369,15 +358,18 @@ def decision_counts(
     exactly as :func:`threshold_labels`, :func:`extract_alarms` and
     :func:`match_alarms` would give them. ``tp``/``fn`` count ``truth_fall``
     stacks, ``tn``/``fp`` count eligible non-fall stacks. ``anchors`` must
-    increase; ``fall_intervals`` must be sorted and disjoint, as
+    advance by 1, as in a :class:`PredictionStream` (ValueError otherwise);
+    ``fall_intervals`` must be sorted and disjoint, as
     :class:`VideoAnnotation` guarantees. Each filtered score is ranked
     against the sorted thresholds once, by the strict ``<`` comparison, and
     every count is read from bincounts of those ranks (see
     :class:`DecisionLayout`), so memory is O(stacks) for any number of
     thresholds.
     """
-    layout = DecisionLayout(t_values, truth_fall, eligible, anchors, fall_intervals, stack_length)
-    return layout.counts(filtered)
+    if np.any(np.diff(anchors) != 1):
+        raise ValueError("anchors must advance by 1")
+    ranges = fall_stack_ranges(fall_intervals, anchors, stack_length)
+    return DecisionLayout(t_values, truth_fall, eligible, ranges).counts(filtered)
 
 
 @dataclass(frozen=True)
@@ -399,8 +391,11 @@ def offset_histogram(
     """Summarize false alarms: how many sit close to a fall, how many are short.
 
     The raw (duration, offset) points stay available on the records themselves
-    for plotting and re-analysis.
+    for plotting and re-analysis. Both cutoffs must be >= 0.
     """
+    for name, cutoff in (("offset", offset_cutoff_frames), ("duration", duration_cutoff_frames)):
+        if not cutoff >= 0:  # NaN fails too
+            raise ValueError(f"{name} cutoff must be >= 0, got {cutoff}")
     n = len(records)
     if n == 0:
         return OffsetSummary(0, None, None, offset_cutoff_frames, duration_cutoff_frames)

@@ -5,22 +5,24 @@ The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
 all count a database per chunk of whole videos of one fps: the chunk's
 streams are laid end to end, its :class:`DecisionLayout` is built once, and
 one rank pass per width counts every threshold of the chunk. Separator
-slots, shifted frame numbers and per-video running sums keep each video's
-counts exactly what it would give alone. A chunk holds at most
-``CHUNK_STACKS`` stacks, since the kernel's memory grows with stacks and not
-with thresholds.
+slots, fall ranges found on each video's own anchors and per-video running
+sums keep each video's counts exactly what it would give alone. A chunk
+holds at most ``CHUNK_STACKS`` stacks, since the kernel's memory grows with
+stacks and not with thresholds.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
+                     stack_label_masks)
 from .errors import InfeasibleError
 from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport, alarm_sensitivity
 from .temporal import (
@@ -64,7 +66,7 @@ class TuningConstraints:
             raise ValueError(
                 f"min_alarm_precision must lie in [0, 1), got {self.min_alarm_precision}"
             )
-        if self.max_sensitivity_drop_points < 0:
+        if not self.max_sensitivity_drop_points >= 0:  # NaN fails too
             raise ValueError("max_sensitivity_drop_points must be >= 0")
 
     def satisfied_by(self, database_id: str, report: MetricReport) -> bool:
@@ -140,31 +142,27 @@ def _chunk_counts(
 
     The videos' streams are laid end to end, each followed by one separator
     slot that is never Fall (filtered score +inf) and neither a fall nor an
-    eligible stack, so no alarm run joins two videos. Anchors and fall
-    intervals are shifted by a base that grows by ``frame_count +
-    stack_length`` per video, so no run's span reaches another video's falls.
-    Each video keeps its own running sum, so the filtered values are those of
-    :func:`gate_filter` on the video alone.
+    eligible stack, so no alarm run joins two videos. Each video's fall
+    ranges are found on its own anchors and offset by its first slot, so
+    they hold only that video's stacks. Each video keeps its own running
+    sum, so the filtered values are those of :func:`gate_filter` on the
+    video alone.
     """
     sizes = np.array([len(stream) + 1 for stream, _ in videos], dtype=np.int64)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     scores = np.zeros(ends[-1])
-    anchors = np.empty(ends[-1], dtype=np.int64)
     truth_fall = np.zeros(ends[-1], dtype=bool)
     eligible = np.zeros(ends[-1], dtype=bool)
-    falls = []
-    base = 0
+    ranges = []
     for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
         fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
         scores[start:end - 1] = stream.scores
-        anchors[start:end - 1] = stream.anchor_frames + base
-        anchors[end - 1] = base + annotation.frame_count
         truth_fall[start:end - 1] = fall
         eligible[start:end - 1] = ~transition
-        falls.extend((s + base, e + base) for s, e in annotation.fall_intervals)
-        base += annotation.frame_count + stack_cfg.stack_length
-    layout = DecisionLayout(t_values, truth_fall, eligible, anchors, falls, stack_cfg.stack_length)
+        ranges.append(start + fall_stack_ranges(annotation.fall_intervals, stream.anchor_frames,
+                                                stack_cfg.stack_length))
+    layout = DecisionLayout(t_values, truth_fall, eligible, np.concatenate(ranges))
     cumulative = segment_cumsum(scores, starts) if max(widths) > 1 else None
     by_width = {}
     for width in dict.fromkeys(widths):
@@ -213,8 +211,9 @@ def sweep(
 
     A database's counts are summed over chunks of whole videos, one rank
     pass per chunk and width; they equal the sum of its videos' counts.
-    Every threshold must lie in (0, 1), as :class:`FilterConfig` requires.
-    Empty databases are skipped with a warning.
+    Every threshold must lie in (0, 1), as :class:`FilterConfig` requires,
+    and no width or threshold may appear twice. Empty databases are skipped
+    with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
@@ -223,6 +222,10 @@ def sweep(
     for t in t_values:
         if not (0.0 < t < 1.0):
             raise ValueError(f"t_pred must lie in (0, 1), got {t}")
+    for name, values in (("w_values", w_values), ("t_values", t_values)):
+        repeated = [value for value, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{name} must not repeat {repeated[0]}")
     cells: dict[tuple[str, float, float], MetricReport] = {}
     databases: list[str] = []
     for db, videos in corpus.items():
@@ -367,12 +370,14 @@ def tune(
     false alarms wake the staff, so precision weighs more); the sweep
     computes that curve only.
     """
-    grid = sweep(corpus, w_values, t_values, (beta,), stack_cfg)
+    # The constraints first: their baseline is one cell per database, so a
+    # bad limit fails before the sweep.
     constraints = TuningConstraints(
         min_alarm_precision=min_alarm_precision,
         max_sensitivity_drop_points=max_sensitivity_drop_points,
         baseline_se_a=baseline_sensitivities(corpus, stack_cfg),
     )
+    grid = sweep(corpus, w_values, t_values, (beta,), stack_cfg)
     optima = per_database_argmax(grid, beta, constraints)
     w_final, t_final = average_optima(optima, grid.t_values)
     return TuningResult(

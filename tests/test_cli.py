@@ -216,6 +216,17 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
         (["sweep", "--w-grid", "0.1:inf:0.1"], "grid '0.1:inf:0.1' has non-finite values"),
         (["tune", "--t-grid", "0.5,1.5"], "t_pred must lie in (0, 1), got 1.5"),
         (["sweep", "--t-grid", "0,1,5,-1"], "t_pred must lie in (0, 1), got 0.0"),
+        (["sweep", "--t-grid", "0.5,0.5", "--w-grid", "0.1"], "t_values must not repeat 0.5"),
+        # parse_grid rounds these eleven values to 10 decimals: all 0.5.
+        (["sweep", "--t-grid", "0.5:0.5000000001:1e-11", "--w-grid", "0.1"],
+         "t_values must not repeat 0.5"),
+        (["tune", "--w-grid", "0.1,0.2,0.1"], "w_values must not repeat 0.1"),
+        (["tune", "--max-drop", "nan"], "max_sensitivity_drop_points must be >= 0"),
+        (["tune", "--beta", "inf"], "beta must be finite and > 0, got inf"),
+        (["evaluate", "--w-seconds", "0.2", "--beta", "nan"],
+         "beta must be finite and > 0, got nan"),
+        (["offsets", "--w-seconds", "0.2", "--offset-cutoff", "nan"],
+         "offset cutoff must be >= 0, got nan"),
     ]
     for args, message in cases:
         capsys.readouterr()

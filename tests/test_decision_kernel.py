@@ -2,22 +2,22 @@
 
 Scores are quantized to a 0.05 step and thresholds sit on the same step, so
 filtered values land exactly on T and the strict ``<`` is exercised. Streams
-may be empty and videos may have no falls. The kernel sees anchors with gaps,
-as the chunk layout of the sweep jumps anchors at every separator slot; a
-PredictionStream's anchors advance by 1. The rank tests add what only the
-rank construction can get wrong: unsorted and repeated thresholds, more
-thresholds than a uint8 rank holds, +inf scores, and falls outside every
-stack's span or inside an anchor gap. As the kernel ranks only the stacks
-below the largest threshold, they also cover streams with none or only such
-stacks, a last stack whose edge reads past the stream, and both stacks beside
-an anchor-gap fall.
+may be empty and videos may have no falls; anchors advance by 1, as in a
+PredictionStream. The rank tests add what only the rank construction can get
+wrong: unsorted and repeated thresholds, more thresholds than a uint8 rank
+holds, +inf scores, falls outside every stack's span, falls whose stack
+ranges overlap, and one run across the cold stacks between two falls. As the
+kernel ranks only the stacks below the largest threshold, they also cover
+streams with none or only such stacks, and a last stack whose edge reads past
+the stream.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from alarm_pipeline.corpus import (PredictionStream, StackConfig, VideoAnnotation,
+                                   fall_stack_ranges, stack_label_masks)
 from alarm_pipeline.metrics import ConfusionCounts
 from alarm_pipeline.temporal import (
     DecisionLayout,
@@ -35,12 +35,11 @@ STEPS = 20  # scores and thresholds are multiples of 1/STEPS
 
 
 @st.composite
-def videos(draw, gaps=True):
+def videos(draw):
     """(scores, anchors, fall_intervals, stack_length, frame_count) of one video."""
     stack_length = draw(st.integers(1, 6))
-    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5] if gaps else [1]), max_size=60))
     first = stack_length - 1 + draw(st.integers(0, 5))
-    anchors = [first + sum(steps[:i]) for i in range(len(steps))]
+    anchors = list(range(first, first + draw(st.integers(0, 60))))
     frame_count = (anchors[-1] if anchors else first) + 1 + draw(st.integers(0, 10))
     scores = [k / STEPS for k in draw(st.lists(st.integers(0, STEPS), min_size=len(anchors),
                                                max_size=len(anchors)))]
@@ -78,7 +77,7 @@ def test_decision_counts_matches_naive_pipeline(video, width, ks):
 
 
 @settings(max_examples=200, deadline=None)
-@given(video=videos(gaps=False), width=st.integers(1, 6), k=st.integers(1, STEPS - 1))
+@given(video=videos(), width=st.integers(1, 6), k=st.integers(1, STEPS - 1))
 def test_evaluate_video_agrees_with_match_alarms(video, width, k):
     scores, anchors, falls, stack_length, frame_count = video
     t = k / STEPS
@@ -107,13 +106,12 @@ def test_evaluate_video_agrees_with_match_alarms(video, width, k):
 @st.composite
 def ranked_streams(draw):
     """(filtered, anchors, falls, stack_length) with filtered scores drawn
-    directly, +inf among them, anchors with gaps wide enough to hold a fall,
-    and falls anywhere in the video: before the first stack's span, inside an
-    anchor gap, after the last anchor, or one fall over the whole video."""
+    directly, +inf among them, and falls anywhere in the video: before the
+    first stack's span, after the last anchor, or one fall over the whole
+    video."""
     stack_length = draw(st.integers(1, 4))
     first = stack_length - 1 + draw(st.integers(0, 12))
-    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 6, 12]), max_size=40))
-    anchors = [first + sum(steps[:i]) for i in range(len(steps) + draw(st.integers(0, 1)))]
+    anchors = list(range(first, first + draw(st.integers(0, 41))))
     frame_count = (anchors[-1] if anchors else first) + 1 + draw(st.integers(0, 12))
     filtered = draw(st.lists(st.one_of(st.integers(0, STEPS).map(lambda k: k / STEPS),
                                        st.just(np.inf)),
@@ -165,9 +163,6 @@ RANK_CASES = {  # name -> (filtered, anchors, falls, stack_length, t_values)
                                     [(2, 12)], 3, SHUFFLED_T),
     "falls before the first anchor and after the last": (
         [0.2, 0.0, 0.6, 0.0], [10, 11, 12, 13], [(0, 4), (15, 17)], 3, SHUFFLED_T),
-    "fall inside an anchor gap": (
-        [0.0, 0.2, 0.4, 0.0, 0.6, 0.2], [2, 3, 4, 12, 13, 20], [(6, 8), (15, 16)], 2,
-        SHUFFLED_T),
     "single-stack fall range": ([0.2, 0.0, 0.4, 0.0, 0.2], list(range(5)), [(2, 2)], 1,
                                 SHUFFLED_T),
     "+inf filtered values": ([0.0, np.inf, 0.0, 0.2, np.inf, np.inf], list(range(3, 9)),
@@ -181,8 +176,14 @@ RANK_CASES = {  # name -> (filtered, anchors, falls, stack_length, t_values)
                                                  [(5, 6)], 2, SHUFFLED_T),
     "only the last stack a candidate": ([0.9, 1.0, 0.95, 0.2], list(range(4)), [(2, 3)], 1,
                                         SHUFFLED_T),
-    "a candidate on each side of an anchor-gap fall": (
-        [1.0, 0.95, 0.2, 0.4, 1.0], [2, 3, 4, 12, 13], [(6, 8)], 2, SHUFFLED_T),
+    "one run across the cold stacks between two falls": (
+        [0.6, 0.0, 0.2, 0.0, 0.2, 0.0, 0.6, 0.0], list(range(8)), [(1, 1), (5, 5)], 1,
+        SHUFFLED_T),
+    "two falls fewer than L frames apart": (
+        [0.6, 0.0, 0.4, 0.2, 0.0, 0.6, 0.0, 0.2, 0.9, 0.0], list(range(2, 12)),
+        [(4, 4), (6, 6)], 3, SHUFFLED_T),
+    "a fall whose range is empty": ([0.9, 0.0, 0.2, 0.6, 0.0, 0.0], list(range(2, 8)),
+                                    [(3, 4), (10, 11)], 2, SHUFFLED_T),
 }
 
 
@@ -194,15 +195,14 @@ def test_rank_kernel_cases(case):
     n = len(anchors)
     truth = np.array([naive_label(falls, a, stack_length) for a in anchors], dtype=object)
     layout = DecisionLayout(t_values, truth == "fall", truth != "transition",
-                            np.asarray(anchors, dtype=np.int64), falls, stack_length)
+                            fall_stack_ranges(falls, anchors, stack_length))
     ranges = layout.fall_ranges.reshape(-1, 2)
     candidates = np.flatnonzero(np.asarray(filtered) < max(t_values)).tolist()
     reached = {
         "empty stream": n == 0,
         "every stack overlaps a fall": n > 0 and layout.hot.size == n,
         "falls before the first anchor and after the last":
-            ranges.size == 0 and layout.gap_edges.size == 0 and layout.fall_count == 2,
-        "fall inside an anchor gap": layout.gap_edges.tolist() == [2, 4],
+            ranges.size == 0 and layout.fall_count == 2,
         "single-stack fall range": (ranges[:, 1] - ranges[:, 0]).tolist() == [1],
         "+inf filtered values": np.isinf(filtered).any(),
         "300 thresholds": len(t_values) == 300 and layout.rank_dtype == np.uint16,
@@ -211,7 +211,18 @@ def test_rank_kernel_cases(case):
         "every stack below the smallest threshold":
             n > 0 and max(filtered) < min(t_values) and layout.fall_count == 1,
         "only the last stack a candidate": candidates == [n - 1],
-        "a candidate on each side of an anchor-gap fall":
-            layout.gap_edges.tolist() == [2] and candidates == [2, 3],
+        # The hot gap between the falls' stacks is one run at some threshold.
+        "one run across the cold stacks between two falls":
+            layout.hot_gaps.tolist() == [1, 6] and max(filtered[1:6]) < max(t_values),
+        "two falls fewer than L frames apart": ranges.tolist() == [[2, 5], [4, 7]],
+        "a fall whose range is empty":
+            ranges.tolist() == [[1, 4]] and layout.fall_count == 2,
     }[case]
     assert reached
+
+
+@pytest.mark.parametrize("anchors", [[2, 3, 5], [2, 3, 3], [4, 3, 2]])
+def test_decision_counts_rejects_anchor_gaps(anchors):
+    with pytest.raises(ValueError, match="anchors must advance by 1"):
+        decision_counts(np.zeros(3), [0.5], np.zeros(3, dtype=bool), np.ones(3, dtype=bool),
+                        np.array(anchors), [(2, 3)], 1)

@@ -94,8 +94,12 @@ def test_f_beta_monotone_in_both_arguments():
 def test_f_beta_edge_cases():
     assert f_beta(0.0, 0.0, 0.5) is None
     assert f_beta(0.0, 0.5, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        f_beta(0.5, 0.5, 0.0)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            f_beta(0.5, 0.5, beta)
+        # Checked whatever the counts, even when no F_beta is defined.
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            MetricReport.from_counts(None, None, (0.5, beta))
     with pytest.raises(ValueError):
         f_beta(1.2, 0.5, 1.0)
 

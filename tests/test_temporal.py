@@ -264,6 +264,13 @@ def test_offset_histogram_empty():
     assert summary.duration_below_fraction is None
 
 
+def test_offset_histogram_rejects_negative_and_nan_cutoffs():
+    for kwargs, message in (({"offset_cutoff_frames": math.nan}, "offset cutoff"),
+                            ({"duration_cutoff_frames": -1}, "duration cutoff")):
+        with pytest.raises(ValueError, match=f"{message} must be >= 0"):
+            offset_histogram([], **kwargs)
+
+
 # -- full per-video evaluation -------------------------------------------------------
 
 

@@ -86,8 +86,9 @@ def test_constraints_can_be_disabled():
     assert c.satisfied_by("db", _report(0.0, None))
     with pytest.raises(ValueError):
         TuningConstraints(min_alarm_precision=1.0)
-    with pytest.raises(ValueError):
-        TuningConstraints(max_sensitivity_drop_points=-1)
+    for bad in (-1, math.nan):
+        with pytest.raises(ValueError, match="max_sensitivity_drop_points must be >= 0"):
+            TuningConstraints(max_sensitivity_drop_points=bad)
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -135,6 +136,17 @@ def test_sweep_and_tune_reject_thresholds_outside_unit_interval():
             sweep(corpus, [0.1], t_values)
     with pytest.raises(ValueError, match=r"t_pred must lie in \(0, 1\), got 1.5"):
         tune(corpus, [0.1], [0.5, 1.5])
+
+
+def test_sweep_and_tune_reject_repeated_grid_values():
+    corpus = small_corpus()
+    with pytest.raises(ValueError, match="w_values must not repeat 0.1"):
+        sweep(corpus, [0.1, 0.2, 0.1], [0.5])
+    with pytest.raises(ValueError, match="t_values must not repeat 0.5"):
+        tune(corpus, [0.1], [0.5, 0.3, 0.5])
+    # Distinct widths that round to one frame count (3 frames at 30 fps) stay legal.
+    grid = sweep(corpus, [0.1, 0.11], [0.5])
+    assert grid.cells[("synth", 0.1, 0.5)] == grid.cells[("synth", 0.11, 0.5)]
 
 
 # -- baselines and argmax ----------------------------------------------------------
