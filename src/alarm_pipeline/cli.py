@@ -290,15 +290,27 @@ def write_manifest(out_dir: Path, command: str, parameters: Mapping[str, Any],
         "parameters": dict(parameters),
         "inputs": {role: entry["sha256"] for role, entry in digests.items()},
     }
-    config_hash = hashlib.sha256(
-        json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    config_hash = hashlib.sha256(_dumps(hashed, separators=(",", ":")).encode("utf-8")).hexdigest()
     manifest = {**hashed, "inputs": digests, "config_hash": config_hash}
     (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
+def _no_limit_as_null(payload: Any) -> Any:
+    """``payload`` with each +inf, an unbounded limit, replaced by None."""
+    if isinstance(payload, dict):
+        return {key: _no_limit_as_null(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_no_limit_as_null(value) for value in payload]
+    return None if payload == math.inf else payload
+
+
+def _dumps(payload: Any, **kwargs: Any) -> str:
+    """Strict JSON (RFC 8259) of ``payload``, keys sorted; an infinite limit is null."""
+    return json.dumps(_no_limit_as_null(payload), sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _json_text(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _dumps(payload, indent=2) + "\n"
 
 
 def _write_outputs(cfg: argparse.Namespace, artifacts: Mapping[str, str]) -> None:
@@ -406,8 +418,8 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
     return rows
 
 
-def _fmt_float(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _fmt_float(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
@@ -470,7 +482,7 @@ def cmd_offsets(cfg: argparse.Namespace) -> int:
         for record in ev.fp_offsets:
             lines.append(f"{ev.video_id},{record.duration_frames},{record.offset_frames:g}")
     summary_json = dataclasses.asdict(summary)
-    sys.stdout.write(json.dumps(summary_json, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(summary_json) + "\n")
     if cfg.out:
         _write_outputs(cfg, {"offsets.csv": "\n".join(lines) + "\n",
                              "offsets_summary.json": _json_text(summary_json)})
@@ -480,12 +492,12 @@ def cmd_offsets(cfg: argparse.Namespace) -> int:
 def cmd_synth(cfg: argparse.Namespace) -> int:
     if not cfg.out:
         raise ValueError("synth requires --out")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     knobs = _parameters(cfg)
     stack = StackConfig(stack_length=knobs.pop("stack_length"))
     corpus = generate(SynthSpec(**{_SYNTH_FIELDS.get(k, k): v for k, v in knobs.items()},
                                 stack=stack))
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_annotations(corpus.annotations, out / "annotations.jsonl")
     save_predictions(corpus.streams, out / "predictions.csv")
     ledger = {

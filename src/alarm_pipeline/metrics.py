@@ -97,14 +97,19 @@ def alarm_sensitivity(a: AlarmCounts) -> float | None:
     return _ratio(a.tp_a, a.tp_a + a.fn_a)
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless ``beta`` is finite and > 0."""
+    if not (0 < beta < math.inf):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+
+
 def f_beta(p_a: float, se_a: float, beta: float) -> float | None:
     """Weighted harmonic combination (1+b^2) * p*s / (b^2*p + s).
 
     beta < 1 weighs precision more than sensitivity, beta > 1 the reverse.
     Returns None when both arguments are zero.
     """
-    if not (0 < beta < math.inf):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_beta(beta)
     if not (0.0 <= p_a <= 1.0 and 0.0 <= se_a <= 1.0):
         raise ValueError(f"p_a and se_a must lie in [0, 1], got ({p_a}, {se_a})")
     b2 = beta * beta
@@ -174,18 +179,14 @@ class MetricReport:
         if alarm_counts is not None:
             p_a = alarm_precision(alarm_counts)
             se_a = alarm_sensitivity(alarm_counts)
-        fb: dict[float, float | None] = {}
         for beta in betas:
-            if not (0 < beta < math.inf):
-                raise ValueError(f"beta must be finite and > 0, got {beta}")
-            if p_a is None or se_a is None:
-                fb[beta] = None
-            elif fbeta_input_decimals is None:
-                fb[beta] = f_beta(p_a, se_a, beta)
-            else:
-                fb[beta] = f_beta(
-                    round(p_a, fbeta_input_decimals), round(se_a, fbeta_input_decimals), beta
-                )
+            check_beta(beta)
+        fb: dict[float, float | None] = dict.fromkeys(betas)
+        if p_a is not None and se_a is not None:
+            inputs = (p_a, se_a)
+            if fbeta_input_decimals is not None:
+                inputs = (round(p_a, fbeta_input_decimals), round(se_a, fbeta_input_decimals))
+            fb = {beta: f_beta(*inputs, beta) for beta in betas}
         return cls(
             sp=sp,
             se=se,

@@ -92,8 +92,8 @@ class SynthSpec:
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         for name in ("fall_rate", "near_fall_fp_rate", "far_fp_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for mean, spread in (
             (self.fall_duration_mean, self.fall_duration_spread),
             (self.fp_duration_mean, self.fp_duration_spread),

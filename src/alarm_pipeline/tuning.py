@@ -1,6 +1,13 @@
 """Conjoint (W, T_pred) grid search under alarm-precision and sensitivity
 constraints, with per-database optima averaged into one deployable setting.
 
+:func:`sweep` keeps the grid as one int64 counts array of shape
+(nDB, nW, nT, 7). :meth:`SweepGrid.alarm_metrics` derives ``F_beta``, ``p_a``
+and ``se_a`` of every cell from it by array operations, NaN where undefined,
+:meth:`TuningConstraints.mask` marks the feasible cells, and
+:func:`per_database_argmax` takes one masked argmax per database, building a
+:class:`MetricReport` only for the cell it picks.
+
 The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
 all count a database per chunk of whole videos of one fps: the chunk's
 streams are laid end to end, its :class:`DecisionLayout` is built once, and
@@ -17,6 +24,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +32,8 @@ import numpy as np
 from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
                      stack_label_masks)
 from .errors import InfeasibleError
-from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport, alarm_sensitivity
+from .metrics import (DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport,
+                      alarm_sensitivity, check_beta)
 from .temporal import (
     DecisionLayout,
     FilterConfig,
@@ -69,39 +78,62 @@ class TuningConstraints:
         if not self.max_sensitivity_drop_points >= 0:  # NaN fails too
             raise ValueError("max_sensitivity_drop_points must be >= 0")
 
-    def satisfied_by(self, database_id: str, report: MetricReport) -> bool:
+    def mask(self, databases: Sequence[str], p_a: np.ndarray, se_a: np.ndarray) -> np.ndarray:
+        """Cells that meet both limits. ``p_a`` and ``se_a`` hold one row per
+        database of ``databases``, NaN where undefined; an undefined value,
+        or a database without a baseline, fails every limit that is on."""
+        ok = np.ones(np.shape(p_a), dtype=bool)
         if self.min_alarm_precision > 0:
-            if report.p_a is None or report.p_a < self.min_alarm_precision:
-                return False
+            ok &= p_a >= self.min_alarm_precision
         if math.isfinite(self.max_sensitivity_drop_points):
-            baseline = self.baseline_se_a.get(database_id)
-            if baseline is None or report.se_a is None:
-                return False
-            if report.se_a < baseline - self.max_sensitivity_drop_points / 100.0:
-                return False
-        return True
+            baseline = np.array([self.baseline_se_a.get(db) for db in databases], dtype=float)
+            floor = baseline - self.max_sensitivity_drop_points / 100.0
+            ok &= se_a >= floor.reshape((-1,) + (1,) * (ok.ndim - 1))
+        return ok
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where the denominator is > 0, else NaN."""
+    return np.divide(numerator, denominator, out=np.full(np.shape(denominator), np.nan),
+                     where=denominator > 0)
 
 
 @dataclass
 class SweepGrid:
-    """F_beta surface over (W, T_pred) per database, with raw counts per cell."""
+    """Counts over (W, T_pred) per database: ``counts[db, w, t]`` holds
+    (TP, TN, FP, FN, TP_a, FP_a, FN_a) of ``databases[db]`` filtered at
+    ``w_values[w]`` and thresholded at ``t_values[t]``."""
 
     w_values: list[float]
     t_values: list[float]
     betas: tuple[float, ...]
     databases: list[str]
-    cells: dict[tuple[str, float, float], MetricReport]
+    counts: np.ndarray
+
+    def alarm_metrics(self, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F_beta, p_a, se_a) of every cell, each of shape (nDB, nW, nT), NaN
+        where undefined. The float operations are those of
+        :func:`~alarm_pipeline.metrics.f_beta`, ``alarm_precision`` and
+        ``alarm_sensitivity``, in the same order, so every value equals
+        theirs bit for bit."""
+        check_beta(beta)
+        tp_a, fp_a, fn_a = np.moveaxis(self.counts[..., 4:], -1, 0)
+        p_a = _ratio(tp_a, tp_a + fp_a)
+        se_a = _ratio(tp_a, tp_a + fn_a)
+        b2 = beta * beta
+        return _ratio((1.0 + b2) * p_a * se_a, b2 * p_a + se_a), p_a, se_a
 
     def csv_rows(self):
-        """Rows (database_id, beta, W, T, f_beta, p_a, se_a, TP_a, FP_a, FN_a)."""
-        for db in self.databases:
-            for beta in self.betas:
-                for w in self.w_values:
-                    for t in self.t_values:
-                        r = self.cells[(db, w, t)]
-                        ac = r.alarm_counts or AlarmCounts()
-                        yield (db, beta, w, t, r.f_beta[beta], r.p_a, r.se_a,
-                               ac.tp_a, ac.fp_a, ac.fn_a)
+        """Rows (database_id, beta, W, T, f_beta, p_a, se_a, TP_a, FP_a, FN_a);
+        an undefined ratio is NaN."""
+        metrics = {beta: [a.tolist() for a in self.alarm_metrics(beta)] for beta in self.betas}
+        alarm = self.counts[..., 4:].tolist()
+        for (d, db), beta, (w, w_value), (t, t_value) in product(
+            enumerate(self.databases), self.betas, enumerate(self.w_values),
+            enumerate(self.t_values),
+        ):
+            f, p_a, se_a = (m[d][w][t] for m in metrics[beta])
+            yield (db, beta, w_value, t_value, f, p_a, se_a, *alarm[d][w][t])
 
 
 # Largest stack count of one chunk: the kernel holds a few arrays of that
@@ -212,8 +244,8 @@ def sweep(
     A database's counts are summed over chunks of whole videos, one rank
     pass per chunk and width; they equal the sum of its videos' counts.
     Every threshold must lie in (0, 1), as :class:`FilterConfig` requires,
-    and no width or threshold may appear twice. Empty databases are skipped
-    with a warning.
+    no width or threshold may appear twice, and every beta must be finite
+    and > 0. Empty databases are skipped with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
@@ -226,29 +258,19 @@ def sweep(
         repeated = [value for value, count in Counter(values).items() if count > 1]
         if repeated:
             raise ValueError(f"{name} must not repeat {repeated[0]}")
-    cells: dict[tuple[str, float, float], MetricReport] = {}
-    databases: list[str] = []
+    for beta in betas:
+        check_beta(beta)
     for db, videos in corpus.items():
         if not videos:
             warnings.warn(f"database {db!r} has no videos; skipped")
-            continue
-        databases.append(db)
-        total = _database_counts(
-            videos, lambda fps: [width_to_frames(w, fps) for w in w_values], t_values, stack_cfg
+    databases = [db for db, videos in corpus.items() if videos]
+    counts = np.zeros((len(databases), len(w_values), len(t_values), 7), dtype=np.int64)
+    for d, db in enumerate(databases):
+        counts[d] = _database_counts(
+            corpus[db], lambda fps: [width_to_frames(w, fps) for w in w_values], t_values,
+            stack_cfg,
         )
-        for wi, w in enumerate(w_values):
-            for ti, t in enumerate(t_values):
-                counts = total[wi, ti].tolist()
-                cells[(db, w, t)] = MetricReport.from_counts(
-                    ConfusionCounts(*counts[:4]), AlarmCounts(*counts[4:]), betas
-                )
-    return SweepGrid(
-        w_values=w_values,
-        t_values=t_values,
-        betas=tuple(betas),
-        databases=databases,
-        cells=cells,
-    )
+    return SweepGrid(w_values, t_values, tuple(betas), databases, counts)
 
 
 def baseline_sensitivities(
@@ -279,24 +301,26 @@ class OptimumResult:
 def per_database_argmax(
     grid: SweepGrid, beta: float, constraints: TuningConstraints
 ) -> dict[str, OptimumResult]:
-    """Best feasible cell per database; ties go to smaller W, then smaller T."""
+    """Best feasible cell per database; ties go to smaller W, then smaller T.
+
+    One masked argmax over the grid sorted by (W, T), whose first maximum is
+    the tie-break. Only the chosen cells get a :class:`MetricReport`.
+    """
+    f, p_a, se_a = grid.alarm_metrics(beta)
+    ok = constraints.mask(grid.databases, p_a, se_a) & ~np.isnan(f)
+    w_order, t_order = np.argsort(grid.w_values), np.argsort(grid.t_values)
+    ranked = np.where(ok, f, -np.inf)[:, w_order[:, None], t_order]
     results: dict[str, OptimumResult] = {}
-    for db in grid.databases:
-        best: OptimumResult | None = None
-        for w in sorted(grid.w_values):
-            for t in sorted(grid.t_values):
-                report = grid.cells[(db, w, t)]
-                value = report.f_beta.get(beta)
-                if value is None or not constraints.satisfied_by(db, report):
-                    continue
-                if best is None or value > best.f_beta:
-                    best = OptimumResult(db, True, w, t, value, report)
-        if best is None:
-            results[db] = OptimumResult(
-                db, False, reason="no grid cell satisfies the constraints"
-            )
-        else:
-            results[db] = best
+    for d, db in enumerate(grid.databases):
+        w, t = np.unravel_index(ranked[d].argmax(), ranked[d].shape)
+        w, t = w_order[w], t_order[t]
+        if not ok[d, w, t]:
+            results[db] = OptimumResult(db, False, reason="no grid cell satisfies the constraints")
+            continue
+        c = grid.counts[d, w, t].tolist()
+        report = MetricReport.from_counts(ConfusionCounts(*c[:4]), AlarmCounts(*c[4:]), grid.betas)
+        results[db] = OptimumResult(db, True, grid.w_values[w], grid.t_values[t],
+                                    float(f[d, w, t]), report)
     return results
 
 
@@ -380,10 +404,4 @@ def tune(
     grid = sweep(corpus, w_values, t_values, (beta,), stack_cfg)
     optima = per_database_argmax(grid, beta, constraints)
     w_final, t_final = average_optima(optima, grid.t_values)
-    return TuningResult(
-        beta=beta,
-        constraints=constraints,
-        per_database=optima,
-        w_final=w_final,
-        t_final=t_final,
-    )
+    return TuningResult(beta, constraints, optima, w_final, t_final)

@@ -227,10 +227,21 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
          "beta must be finite and > 0, got nan"),
         (["offsets", "--w-seconds", "0.2", "--offset-cutoff", "nan"],
          "offset cutoff must be >= 0, got nan"),
+        (["sweep", "--beta", "nan"], "beta must be finite and > 0, got nan"),
+        (["sweep", "--beta", "0.5", "--beta", "0"], "beta must be finite and > 0, got 0.0"),
+        (["synth", "--videos", "1", "--fall-rate", "inf"],
+         "fall_rate must be finite and >= 0, got inf"),
+        (["synth", "--videos", "1", "--fall-rate", "nan"],
+         "fall_rate must be finite and >= 0, got nan"),
+        (["synth", "--videos", "1", "--near-fp-rate", "inf"],
+         "near_fall_fp_rate must be finite and >= 0, got inf"),
+        (["synth", "--videos", "1", "--far-fp-rate", "1e400"],
+         "far_fp_rate must be finite and >= 0, got inf"),
     ]
     for args, message in cases:
         capsys.readouterr()
-        assert main([*args, *data, "--out", str(tmp_path / "out")]) == 1, args
+        inputs = [] if args[0] == "synth" else data
+        assert main([*args, *inputs, "--out", str(tmp_path / "out")]) == 1, args
         err = capsys.readouterr().err
         assert err == f"error: {message}\n", err
     assert not (tmp_path / "out").exists()

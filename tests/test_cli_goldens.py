@@ -125,6 +125,39 @@ def test_cli_matches_goldens(tmp_path):
         assert got == want, " ".join(want["argv"])
 
 
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    cli_outputs(tmp_path)
+    data = [arg if arg.startswith("--") else str(tmp_path / arg) for arg in DATA]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["tune", *data, "--max-drop", "inf", "--out", str(tmp_path / "inf-tune")]) == 0
+        for cutoff in ("--offset-cutoff", "--duration-cutoff"):
+            out = str(tmp_path / f"inf{cutoff}")
+            assert main(["offsets", *data, cutoff, "inf", "--out", out]) == 0
+    # An infinite limit is written as null (no limit).
+    tuning = _strict_json((tmp_path / "inf-tune" / "tuning.json").read_text())
+    assert tuning["constraints"]["max_sensitivity_drop_points"] is None
+    manifest = _strict_json((tmp_path / "inf-tune" / "manifest.json").read_text())
+    assert manifest["parameters"]["max_drop"] is None
+    summary = _strict_json((tmp_path / "inf--offset-cutoff" / "offsets_summary.json").read_text())
+    assert summary["offset_cutoff_frames"] is None and summary["duration_cutoff_frames"] == 10
+    assert [_strict_json(line)["duration_cutoff_frames"] for line in
+            stdout.getvalue().splitlines()[-2:]] == [10, None]
+    files = sorted(tmp_path.rglob("*.json")) + sorted(tmp_path.rglob("*.jsonl"))
+    assert len(files) > 30
+    for path in files:
+        for line in ([path.read_text()] if path.suffix == ".json"
+                     else path.read_text().splitlines()):
+            _strict_json(line)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -23,6 +23,10 @@ def test_spec_validation():
         SynthSpec(video_count=0)
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, fall_rate=-1)
+    for name in ("fall_rate", "near_fall_fp_rate", "far_fp_rate"):
+        for bad in (math.inf, math.nan, -0.5):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {bad}"):
+                SynthSpec(video_count=1, **{name: bad})
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, fall_duration_mean=5, fall_duration_spread=5)
     with pytest.raises(ValueError):
