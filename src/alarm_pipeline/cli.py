@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -243,6 +244,8 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
                 path=cfg.predictions,
             )
         stream_map[stream.video_id] = stream
+    if not stream_map:
+        raise CorpusFormatError("no videos have both annotations and predictions")
     corpus: dict[str, list[tuple[PredictionStream, VideoAnnotation]]] = {}
     skipped = [a.video_id for a in annotations if a.video_id not in stream_map]
     if skipped:
@@ -252,11 +255,8 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
         warnings.warn(f"skipping {len(skipped)} annotated videos without predictions: {shown}")
     for annotation in annotations:
         stream = stream_map.get(annotation.video_id)
-        if stream is None:
-            continue
-        corpus.setdefault(annotation.database_id, []).append((stream, annotation))
-    if not corpus:
-        raise CorpusFormatError("no videos have both annotations and predictions")
+        if stream is not None:
+            corpus.setdefault(annotation.database_id, []).append((stream, annotation))
     return corpus
 
 
@@ -429,11 +429,16 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     cfg.t_grid = parse_grid(cfg.t_grid) if cfg.t_grid is not None else default_t_values()
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
     grid = sweep(corpus, cfg.w_grid, cfg.t_grid, tuple(cfg.beta), stack_cfg)
+    metrics = {beta: [m.tolist() for m in grid.alarm_metrics(beta)] for beta in grid.betas}
+    alarm = grid.counts[..., 4:].tolist()
     lines = [SWEEP_HEADER]
-    for db, beta, w, t, fb, p_a, se_a, tp_a, fp_a, fn_a in grid.csv_rows():
+    for (d, db), beta, (w, w_value), (t, t_value) in itertools.product(
+        enumerate(grid.databases), grid.betas, enumerate(grid.w_values), enumerate(grid.t_values)
+    ):
+        fb, p_a, se_a = (_fmt_float(m[d][w][t]) for m in metrics[beta])
+        tp_a, fp_a, fn_a = alarm[d][w][t]
         lines.append(
-            f"{db},{beta:g},{w:g},{t:g},{_fmt_float(fb)},{_fmt_float(p_a)},"
-            f"{_fmt_float(se_a)},{tp_a},{fp_a},{fn_a}"
+            f"{db},{beta:g},{w_value:g},{t_value:g},{fb},{p_a},{se_a},{tp_a},{fp_a},{fn_a}"
         )
     text = "\n".join(lines) + "\n"
     if cfg.out:

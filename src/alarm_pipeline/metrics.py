@@ -98,9 +98,12 @@ def alarm_sensitivity(a: AlarmCounts) -> float | None:
 
 
 def check_beta(beta: float) -> None:
-    """Raise ValueError unless ``beta`` is finite and > 0."""
+    """Raise ValueError unless ``beta`` and its square are finite and > 0, so
+    that F_beta's ``beta * beta`` neither overflows nor underflows."""
     if not (0 < beta < math.inf):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if not (0 < beta * beta < math.inf):
+        raise ValueError(f"beta * beta must be finite and > 0, got {beta * beta} for beta {beta}")
 
 
 def f_beta(p_a: float, se_a: float, beta: float) -> float | None:

@@ -94,10 +94,12 @@ class SynthSpec:
         for name in ("fall_rate", "near_fall_fp_rate", "far_fp_rate"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for mean, spread in (
-            (self.fall_duration_mean, self.fall_duration_spread),
-            (self.fp_duration_mean, self.fp_duration_spread),
+        for name, mean, spread in (
+            ("fall_duration_spread", self.fall_duration_mean, self.fall_duration_spread),
+            ("fp_duration_spread", self.fp_duration_mean, self.fp_duration_spread),
         ):
+            if spread < 0:
+                raise ValueError(f"{name} must be >= 0, got {spread}")
             if mean - spread < 1:
                 raise ValueError("duration mean - spread must be >= 1")
         if self.min_separation_frames < 2:
@@ -192,8 +194,6 @@ def _generate_video(spec: SynthSpec, index: int) -> tuple[VideoAnnotation, Predi
         raise GenerationError(f"{video_id}: could not place a fall after {_MAX_ATTEMPTS} tries")
 
     def place_near() -> tuple[int, int, float]:
-        if not falls:
-            raise GenerationError(f"{video_id}: near dip requested but the video has no falls")
         for _ in range(_MAX_ATTEMPTS):
             s, e = falls[int(rng.integers(0, len(falls)))]
             g = int(rng.integers(*NEAR_FP_OFFSETS, endpoint=True))

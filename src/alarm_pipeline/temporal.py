@@ -11,7 +11,9 @@ at once. It ranks each filtered score against the sorted thresholds (how
 many it is strictly below) and reads every count at every threshold from
 bincounts of those ranks, as a ROC curve is read from sorted scores. Each
 fall is a half-open range of stack indices, the stacks whose span overlaps
-it, and a stack in any such range is "hot". Stack counts come by class;
+it. The "hot" stacks are those that are not eligible negatives: the FALL and
+TRANSITION stacks, which are exactly the stacks in any fall's range, and the
+separator slots of a chunk, which are never Fall. Stack counts come by class;
 detected falls from the largest rank over each fall's range; false alarms
 from the identity
 
@@ -253,8 +255,13 @@ class DecisionLayout:
     the thresholds in ascending order, the stacks of each class, each fall's
     half-open range of stack indices (``fall_ranges``, an integer array of
     ``(lo, hi)`` rows as :func:`fall_stack_ranges` gives) and the "hot"
-    stacks, those in any fall's range. Index sets are kept as the few stacks
-    outside each class, as most stacks are eligible negatives and not hot. A
+    stacks, those that are not eligible negatives. ``truth_fall`` and
+    ``eligible`` must be the labels of the same falls, as
+    :func:`stack_label_masks` gives them (``eligible`` is not TRANSITION):
+    then the FALL and TRANSITION stacks are exactly the stacks in some fall's
+    range, and any other ineligible stack (a chunk's separator slot) is never
+    Fall, so its rank of 0 changes no count. Index sets are kept as the few
+    stacks outside each class, as most stacks are eligible negatives. A
     caller that filters one stream at many widths builds the layout once and
     calls :meth:`counts` per width.
     """
@@ -267,20 +274,17 @@ class DecisionLayout:
         fall_ranges: np.ndarray,
     ) -> None:
         t = np.asarray(t_values, dtype=np.float64)
-        n = truth_fall.size
         self.order = np.argsort(t, kind="stable")
         self.sorted_t = t[self.order]
         self.rank_dtype = np.min_scalar_type(t.size)
-        self.size = n
+        self.size = truth_fall.size
         self.truth = np.flatnonzero(truth_fall)
-        self.negative_count = np.count_nonzero(eligible & ~truth_fall)
-        self.not_negative = np.flatnonzero(truth_fall | ~eligible)
+        self.hot = np.flatnonzero(truth_fall | ~eligible)
+        self.negative_count = self.size - self.hot.size
 
         lo, hi = fall_ranges.T
         self.fall_count = lo.size
         self.fall_ranges = fall_ranges[lo < hi].ravel()
-        depth = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
-        self.hot = np.flatnonzero(np.cumsum(depth[:n]))
         # A hot gap is the closed range between consecutive hot stacks. Most
         # are the edge between neighbours inside one fall's range; those are
         # read as edges, since reduceat pays a fixed cost per range.
@@ -315,6 +319,7 @@ class DecisionLayout:
         padded = np.zeros(self.size + 1, dtype=self.rank_dtype)
         padded[cand] = rc
 
+        # Stack false positives are the Fall stacks less the Fall hot ones.
         # A fall is detected when any stack of its range is Fall. Runs are
         # Fall stacks less Fall edges; a run is a true alarm when it holds a
         # hot stack, and the runs that do are the Fall hot stacks less the
@@ -325,7 +330,6 @@ class DecisionLayout:
         keys = [
             padded[self.truth],
             rc,
-            padded[self.not_negative],
             np.maximum.reduceat(padded, self.fall_ranges)[::2],
             np.minimum(rc, padded[cand + 1]),
             np.concatenate((np.minimum(padded[self.hot_edges], padded[self.hot_edges + 1]),
@@ -333,8 +337,8 @@ class DecisionLayout:
             padded[self.hot],
         ]
         hist = np.stack([np.bincount(k, minlength=nt + 1) for k in keys])
-        tp, fall, not_negative, tp_a, edges, joined, hot = hist[:, ::-1].cumsum(1)[:, :nt]
-        fp = fall - not_negative
+        tp, fall, tp_a, edges, joined, hot = hist[:, ::-1].cumsum(1)[:, :nt]
+        fp = fall - hot
         out = np.empty((nt, 7), dtype=np.int64)
         out[self.order] = np.column_stack((
             tp, self.negative_count - fp, fp, self.truth.size - tp,
@@ -357,7 +361,10 @@ def decision_counts(
     Row i holds ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` for ``t_values[i]``,
     exactly as :func:`threshold_labels`, :func:`extract_alarms` and
     :func:`match_alarms` would give them. ``tp``/``fn`` count ``truth_fall``
-    stacks, ``tn``/``fp`` count eligible non-fall stacks. ``anchors`` must
+    stacks, ``tn``/``fp`` count eligible non-fall stacks. ``truth_fall`` and
+    ``eligible`` must be the labels of ``fall_intervals`` on ``anchors``, as
+    :func:`stack_label_masks` gives them: the kernel reads the stacks that
+    overlap a fall off those labels. ``anchors`` must
     advance by 1, as in a :class:`PredictionStream` (ValueError otherwise);
     ``fall_intervals`` must be sorted and disjoint, as
     :class:`VideoAnnotation` guarantees. Each filtered score is ranked

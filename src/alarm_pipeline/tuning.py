@@ -5,8 +5,8 @@ constraints, with per-database optima averaged into one deployable setting.
 (nDB, nW, nT, 7). :meth:`SweepGrid.alarm_metrics` derives ``F_beta``, ``p_a``
 and ``se_a`` of every cell from it by array operations, NaN where undefined,
 :meth:`TuningConstraints.mask` marks the feasible cells, and
-:func:`per_database_argmax` takes one masked argmax per database, building a
-:class:`MetricReport` only for the cell it picks.
+:func:`per_database_argmax` takes one masked argmax per database and reads
+the chosen cell's ``F_beta``, ``p_a`` and ``se_a`` off those arrays.
 
 The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
 all count a database per chunk of whole videos of one fps: the chunk's
@@ -24,7 +24,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,8 +31,7 @@ import numpy as np
 from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
                      stack_label_masks)
 from .errors import InfeasibleError
-from .metrics import (DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport,
-                      alarm_sensitivity, check_beta)
+from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
 from .temporal import (
     DecisionLayout,
     FilterConfig,
@@ -122,18 +120,6 @@ class SweepGrid:
         se_a = _ratio(tp_a, tp_a + fn_a)
         b2 = beta * beta
         return _ratio((1.0 + b2) * p_a * se_a, b2 * p_a + se_a), p_a, se_a
-
-    def csv_rows(self):
-        """Rows (database_id, beta, W, T, f_beta, p_a, se_a, TP_a, FP_a, FN_a);
-        an undefined ratio is NaN."""
-        metrics = {beta: [a.tolist() for a in self.alarm_metrics(beta)] for beta in self.betas}
-        alarm = self.counts[..., 4:].tolist()
-        for (d, db), beta, (w, w_value), (t, t_value) in product(
-            enumerate(self.databases), self.betas, enumerate(self.w_values),
-            enumerate(self.t_values),
-        ):
-            f, p_a, se_a = (m[d][w][t] for m in metrics[beta])
-            yield (db, beta, w_value, t_value, f, p_a, se_a, *alarm[d][w][t])
 
 
 # Largest stack count of one chunk: the kernel holds a few arrays of that
@@ -294,7 +280,8 @@ class OptimumResult:
     w_seconds: float | None = None
     t_pred: float | None = None
     f_beta: float | None = None
-    report: MetricReport | None = None
+    p_a: float | None = None
+    se_a: float | None = None
     reason: str | None = None
 
 
@@ -304,7 +291,8 @@ def per_database_argmax(
     """Best feasible cell per database; ties go to smaller W, then smaller T.
 
     One masked argmax over the grid sorted by (W, T), whose first maximum is
-    the tie-break. Only the chosen cells get a :class:`MetricReport`.
+    the tie-break; F_beta, p_a and se_a of the chosen cell are read from
+    :meth:`SweepGrid.alarm_metrics`.
     """
     f, p_a, se_a = grid.alarm_metrics(beta)
     ok = constraints.mask(grid.databases, p_a, se_a) & ~np.isnan(f)
@@ -317,10 +305,8 @@ def per_database_argmax(
         if not ok[d, w, t]:
             results[db] = OptimumResult(db, False, reason="no grid cell satisfies the constraints")
             continue
-        c = grid.counts[d, w, t].tolist()
-        report = MetricReport.from_counts(ConfusionCounts(*c[:4]), AlarmCounts(*c[4:]), grid.betas)
         results[db] = OptimumResult(db, True, grid.w_values[w], grid.t_values[t],
-                                    float(f[d, w, t]), report)
+                                    *(float(m[d, w, t]) for m in (f, p_a, se_a)))
     return results
 
 
@@ -361,8 +347,8 @@ class TuningResult:
                     w_seconds=r.w_seconds,
                     t_pred=r.t_pred,
                     f_beta=r.f_beta,
-                    p_a=r.report.p_a,
-                    se_a=r.report.se_a,
+                    p_a=r.p_a,
+                    se_a=r.se_a,
                 )
             else:
                 entry["reason"] = r.reason

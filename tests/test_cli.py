@@ -229,6 +229,18 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
          "offset cutoff must be >= 0, got nan"),
         (["sweep", "--beta", "nan"], "beta must be finite and > 0, got nan"),
         (["sweep", "--beta", "0.5", "--beta", "0"], "beta must be finite and > 0, got 0.0"),
+        (["evaluate", "--w-seconds", "0.2", "--beta", "1e200"],
+         "beta * beta must be finite and > 0, got inf for beta 1e+200"),
+        (["evaluate", "--w-seconds", "0.2", "--beta", "1e-200"],
+         "beta * beta must be finite and > 0, got 0.0 for beta 1e-200"),
+        (["sweep", "--beta", "1e200"],
+         "beta * beta must be finite and > 0, got inf for beta 1e+200"),
+        (["sweep", "--beta", "0.5", "--beta", "1e-200"],
+         "beta * beta must be finite and > 0, got 0.0 for beta 1e-200"),
+        (["tune", "--beta", "1e200"],
+         "beta * beta must be finite and > 0, got inf for beta 1e+200"),
+        (["tune", "--beta", "1e-200"],
+         "beta * beta must be finite and > 0, got 0.0 for beta 1e-200"),
         (["synth", "--videos", "1", "--fall-rate", "inf"],
          "fall_rate must be finite and >= 0, got inf"),
         (["synth", "--videos", "1", "--fall-rate", "nan"],
@@ -237,13 +249,17 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
          "near_fall_fp_rate must be finite and >= 0, got inf"),
         (["synth", "--videos", "1", "--far-fp-rate", "1e400"],
          "far_fp_rate must be finite and >= 0, got inf"),
+        (["synth", "--videos", "2", "--fall-duration-spread", "-1"],
+         "fall_duration_spread must be >= 0, got -1"),
+        (["synth", "--videos", "2", "--fp-duration-spread", "-2"],
+         "fp_duration_spread must be >= 0, got -2"),
     ]
     for args, message in cases:
         capsys.readouterr()
         inputs = [] if args[0] == "synth" else data
         assert main([*args, *inputs, "--out", str(tmp_path / "out")]) == 1, args
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n", err
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), (args, out, err)
     assert not (tmp_path / "out").exists()
 
 
@@ -375,6 +391,33 @@ def test_tune_matches_module(tmp_path, corpus_files, capsys):
     assert blob["final"]["w_seconds"] == direct.w_final
     assert blob["final"]["t_pred"] == direct.t_final
     assert f"W={direct.w_final:g}" in capsys.readouterr().out
+
+
+def test_tune_reports_partly_infeasible_corpus(tmp_path, capsys):
+    # Database b's dips are as long as its falls, so none of its cells reaches
+    # an alarm precision of 0.9; the tuned pair is database a's optimum.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["synth", "--videos", "4", "--seed", "3", "--out", str(a)]) == 0
+    assert main(["synth", "--videos", "4", "--far-fp-rate", "2", "--fp-duration-mean", "32",
+                 "--fp-duration-spread", "8", "--database-id", "b", "--seed", "5",
+                 "--out", str(b)]) == 0
+    ann, pred = tmp_path / "annotations.jsonl", tmp_path / "predictions.csv"
+    ann.write_text((a / "annotations.jsonl").read_text() + (b / "annotations.jsonl").read_text())
+    rows_b = (b / "predictions.csv").read_text().split("\n", 1)[1]
+    pred.write_text((a / "predictions.csv").read_text() + rows_b)
+    out = tmp_path / "tuned"
+    capsys.readouterr()
+    assert main(["tune", "--annotations", str(ann), "--predictions", str(pred),
+                 "--min-precision", "0.9", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "b: infeasible (no grid cell satisfies the constraints)" in lines
+    blob = json.loads((out / "tuning.json").read_text())
+    entries = {entry["database_id"]: entry for entry in blob["per_database"]}
+    assert entries["b"] == {"database_id": "b", "feasible": False,
+                            "reason": "no grid cell satisfies the constraints"}
+    optimum = entries["synth"]
+    assert optimum["feasible"]
+    assert blob["final"] == {"w_seconds": optimum["w_seconds"], "t_pred": optimum["t_pred"]}
 
 
 def test_tune_infeasible_exit_code(tmp_path, corpus_files):

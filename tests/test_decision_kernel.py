@@ -103,6 +103,22 @@ def test_evaluate_video_agrees_with_match_alarms(video, width, k):
     )
 
 
+@settings(max_examples=500, deadline=None)
+@given(video=videos())
+def test_hot_labels_are_the_fall_ranges(video):
+    """DecisionLayout reads the stacks that overlap a fall off the labels:
+    FALL | TRANSITION is exactly the union of the falls' stack ranges, also
+    when fall intervals touch."""
+    _, anchors, falls, stack_length, frame_count = video
+    annotation = VideoAnnotation("v", "db", 30.0, frame_count, falls)
+    fall, transition = stack_label_masks(annotation, np.asarray(anchors, dtype=np.int64),
+                                         StackConfig(stack_length))
+    in_range = np.zeros(len(anchors), dtype=bool)
+    for lo, hi in fall_stack_ranges(falls, anchors, stack_length).tolist():
+        in_range[lo:hi] = True
+    assert np.array_equal(fall | transition, in_range)
+
+
 @st.composite
 def ranked_streams(draw):
     """(filtered, anchors, falls, stack_length) with filtered scores drawn

@@ -100,6 +100,12 @@ def test_f_beta_edge_cases():
         # Checked whatever the counts, even when no F_beta is defined.
         with pytest.raises(ValueError, match="beta must be finite and > 0"):
             MetricReport.from_counts(None, None, (0.5, beta))
+    # The square overflows to inf or underflows to 0.
+    for beta in (1e200, 1e-200):
+        with pytest.raises(ValueError, match=r"beta \* beta must be finite and > 0"):
+            f_beta(0.5, 0.5, beta)
+        with pytest.raises(ValueError, match=r"beta \* beta must be finite and > 0"):
+            MetricReport.from_counts(None, None, (0.5, beta))
     with pytest.raises(ValueError):
         f_beta(1.2, 0.5, 1.0)
 

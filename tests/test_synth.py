@@ -29,6 +29,10 @@ def test_spec_validation():
                 SynthSpec(video_count=1, **{name: bad})
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, fall_duration_mean=5, fall_duration_spread=5)
+    for name in ("fall_duration_spread", "fp_duration_spread"):
+        for bad in (-1, -2):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0, got {bad}"):
+                SynthSpec(video_count=1, **{name: bad})
     with pytest.raises(ValueError):
         SynthSpec(video_count=1, score_noise=0.5)
     with pytest.raises(ValueError):

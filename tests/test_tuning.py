@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from alarm_pipeline import tuning
-from alarm_pipeline.corpus import StackConfig
+from alarm_pipeline.cli import main
+from alarm_pipeline.corpus import save_annotations, save_predictions
 from alarm_pipeline.errors import InfeasibleError
 from alarm_pipeline.metrics import AlarmCounts, ConfusionCounts, MetricReport
 from alarm_pipeline.synth import SynthSpec, generate
@@ -104,7 +105,7 @@ def test_constraints_can_be_disabled():
 # -- sweep -----------------------------------------------------------------------
 
 
-def test_sweep_covers_full_grid():
+def test_sweep_covers_full_grid(tmp_path):
     corpus = small_corpus()
     w_values = [0.1, 0.3, 0.5]
     t_values = [0.3, 0.5]
@@ -112,8 +113,14 @@ def test_sweep_covers_full_grid():
     assert grid.databases == ["synth"]
     assert grid.counts.dtype == np.int64
     assert grid.counts.shape == (1, 3, 2, 7)  # dbs * W * T * counts
-    rows = list(grid.csv_rows())
-    assert len(rows) == 1 * 2 * 3 * 2  # dbs * betas * W * T
+    pairs = corpus["synth"]
+    save_annotations([a for _, a in pairs], tmp_path / "annotations.jsonl")
+    save_predictions([s for s, _ in pairs], tmp_path / "predictions.csv")
+    assert main(["sweep", "--annotations", str(tmp_path / "annotations.jsonl"),
+                 "--predictions", str(tmp_path / "predictions.csv"),
+                 "--w-grid", "0.1,0.3,0.5", "--t-grid", "0.3,0.5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 1 * 2 * 3 * 2  # header + dbs * betas * W * T
 
 
 def test_sweep_cells_match_direct_evaluation():
@@ -210,8 +217,9 @@ def test_argmax_picks_best_feasible_cell():
     best = per_database_argmax(grid, 0.5, constraints)["db"]
     assert best.feasible
     assert (best.w_seconds, best.t_pred, best.f_beta) == (0.1, 0.4, 0.8163265306122449)
-    assert best.report.alarm_counts == AlarmCounts(8, 2, 1)
-    assert (best.report.p_a, best.report.f_beta[0.5]) == (0.8, best.f_beta)
+    assert best.p_a == 0.8
+    assert best.se_a == 8 / 9
+    assert grid.counts[0, 0, 0, 4:].tolist() == [8, 2, 1]
 
 
 def test_argmax_breaks_ties_toward_smaller_w_then_t():
