@@ -9,7 +9,8 @@ value of its flag's type); explicit flags win over the file. Commands that
 write into ``--out`` also drop a manifest.json there with a content hash of the
 semantic inputs, so two runs with identical inputs produce identical manifests.
 
-Exit codes: 0 success, 1 bad usage or bad data, 2 constraints infeasible.
+Each command checks all its parameters before it reads any input. Exit
+codes: 0 success, 1 bad usage or bad data, 2 constraints infeasible.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .corpus import (
     save_predictions,
 )
 from .errors import CorpusFormatError, GenerationError, InfeasibleError, PipelineError
-from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, macro_average
+from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, check_beta, macro_average
 from .synth import SynthSpec, generate
-from .temporal import FilterConfig, evaluate_video, offset_histogram
-from .tuning import Corpus, default_t_values, default_w_values, filter_counts, sweep, tune
+from .temporal import FilterConfig, check_cutoffs, evaluate_video, offset_histogram
+from .tuning import (Corpus, TuningConstraints, check_grids, default_t_values, default_w_values,
+                     filter_counts, sweep, tune)
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
@@ -260,6 +262,14 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
     return corpus
 
 
+def _grids(cfg: argparse.Namespace) -> tuple[list[float], list[float]]:
+    """The checked --w-grid and --t-grid values, each defaulting to the standard grid."""
+    w_values = parse_grid(cfg.w_grid) if cfg.w_grid is not None else default_w_values()
+    t_values = parse_grid(cfg.t_grid) if cfg.t_grid is not None else default_t_values()
+    check_grids(w_values, t_values)
+    return w_values, t_values
+
+
 def _filter_config(cfg: argparse.Namespace) -> FilterConfig:
     if cfg.w_seconds is not None and cfg.w_frames is not None:
         raise ValueError("give at most one of --w-seconds / --w-frames")
@@ -358,13 +368,15 @@ def format_report_table(rows: Sequence[tuple[str, MetricReport]], betas: Sequenc
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     betas = tuple(cfg.beta)
+    for beta in betas:
+        check_beta(beta)
     if cfg.counts_only:
         rows = _counts_only_rows(cfg.counts_only, betas)
         filter_json = None
     else:
-        corpus = _load_corpus(cfg)
         filter_cfg = _filter_config(cfg)
         stack_cfg = StackConfig(stack_length=cfg.stack_length)
+        corpus = _load_corpus(cfg)
         rows = [
             (database_id,
              MetricReport.from_counts(*filter_counts(videos, filter_cfg, stack_cfg), betas))
@@ -423,11 +435,11 @@ def _fmt_float(value: float) -> str:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    corpus = _load_corpus(cfg)
-    # the manifest records the grids the sweep ran
-    cfg.w_grid = parse_grid(cfg.w_grid) if cfg.w_grid is not None else default_w_values()
-    cfg.t_grid = parse_grid(cfg.t_grid) if cfg.t_grid is not None else default_t_values()
+    cfg.w_grid, cfg.t_grid = _grids(cfg)  # the manifest records the grids the sweep ran
+    for beta in cfg.beta:
+        check_beta(beta)
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
+    corpus = _load_corpus(cfg)
     grid = sweep(corpus, cfg.w_grid, cfg.t_grid, tuple(cfg.beta), stack_cfg)
     metrics = {beta: [m.tolist() for m in grid.alarm_metrics(beta)] for beta in grid.betas}
     alarm = grid.counts[..., 4:].tolist()
@@ -449,15 +461,19 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_tune(cfg: argparse.Namespace) -> int:
+    w_values, t_values = _grids(cfg)
+    check_beta(cfg.beta)
+    TuningConstraints(cfg.min_precision, cfg.max_drop)  # checks both limits
+    stack_cfg = StackConfig(stack_length=cfg.stack_length)
     corpus = _load_corpus(cfg)
     result = tune(
         corpus,
-        w_values=parse_grid(cfg.w_grid) if cfg.w_grid is not None else None,
-        t_values=parse_grid(cfg.t_grid) if cfg.t_grid is not None else None,
+        w_values=w_values,
+        t_values=t_values,
         beta=cfg.beta,
         min_alarm_precision=cfg.min_precision,
         max_sensitivity_drop_points=cfg.max_drop,
-        stack_cfg=StackConfig(stack_length=cfg.stack_length),
+        stack_cfg=stack_cfg,
     )
     for database_id in sorted(result.per_database):
         opt = result.per_database[database_id]
@@ -475,9 +491,10 @@ def cmd_tune(cfg: argparse.Namespace) -> int:
 
 
 def cmd_offsets(cfg: argparse.Namespace) -> int:
-    corpus = _load_corpus(cfg)
     filter_cfg = _filter_config(cfg)
+    check_cutoffs(cfg.offset_cutoff, cfg.duration_cutoff)
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
+    corpus = _load_corpus(cfg)
     evaluations = [evaluate_video(stream, annotation, filter_cfg, stack_cfg)
                    for videos in corpus.values() for stream, annotation in videos]
     records = [record for ev in evaluations for record in ev.fp_offsets]

@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -294,65 +294,117 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     Rows of one video may be interleaved with other videos but must keep
     strictly increasing anchor frames; violations are reported with the
     offending line number. A file in the layout :func:`save_predictions`
-    writes is parsed in bulk, one video block at a time; any other file, and
-    any file the bulk parse finds fault with, is read row by row, so both
-    paths return the same streams and every error comes from the row loop.
+    writes is parsed in bulk, ``_READ_BYTES`` at a time, so its peak memory
+    is about the returned arrays plus a few pieces of the file; any other
+    file, and any file the bulk parse finds fault with, is read row by row,
+    so both paths return the same streams and every error comes from the
+    row loop.
     """
     path = Path(path)
-    streams = _load_canonical_predictions(path.read_bytes())
+    with path.open("rb") as handle:
+        streams = _load_canonical_predictions(iter(lambda: handle.read(_READ_BYTES), b""))
     return streams if streams is not None else _load_prediction_rows(path)
 
 
+# Bytes the bulk loader reads and parses at a time.
+_READ_BYTES = 1 << 20
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
-# One video's block in the canonical layout: rows ``id,<digits>,<number>\n``
-# that all repeat the first row's id. Anything else ends the match.
+# Up to 1024 rows of one video's block in the canonical layout: rows
+# ``id,<digits>,<number>\n`` that all repeat the first row's id. Anything
+# else ends the match. The bound keeps the regex engine's backtracking
+# state, about 270 bytes a row, small; the next match goes on with the block.
 _CANONICAL_BLOCK = re.compile(
-    rb"([^,\n]*),[0-9]+,[0-9.eE+-]+\n(?:\1,[0-9]+,[0-9.eE+-]+\n)*"
+    rb"([^,\n]*),[0-9]+,[0-9.eE+-]+\n(?:\1,[0-9]+,[0-9.eE+-]+\n){0,1023}"
 )
 
 
-def _load_canonical_predictions(data: bytes) -> list[PredictionStream] | None:
-    """Bulk parse of a canonical prediction file, or None to use the row loop.
+def _canonical_runs(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """The rows after the header, in runs of whole lines, from ``pieces`` cut
+    anywhere. Raises ValueError on a quote, a ``\\r``, a wrong or missing
+    header, or a last line without ``\\n``, all of which the row loop reads."""
+    header = True
+    rest: list[bytes] = []  # the pieces of a line not yet ended
+    for piece in pieces:
+        if b'"' in piece or b"\r" in piece:
+            raise ValueError("not canonical: quote or carriage return")
+        cut = piece.rfind(b"\n") + 1
+        if not cut:
+            rest.append(piece)
+            continue
+        run = b"".join([*rest, memoryview(piece)[:cut]])
+        rest = [piece[cut:]]
+        del piece  # the run holds its lines
+        if header:
+            if not run.startswith(_CANONICAL_HEADER):
+                raise ValueError("not canonical: header")
+            run, header = run[len(_CANONICAL_HEADER):], False
+        if run:
+            yield run
+    if header or any(rest):
+        raise ValueError("not canonical: no header or no final newline")
+
+
+def _load_canonical_predictions(pieces: Iterable[bytes]) -> list[PredictionStream] | None:
+    """Bulk parse of a canonical prediction file given as byte pieces cut
+    anywhere, or None to use the row loop.
 
     Canonical means the header line, ``\\n`` line endings, no quote and no
     ``\\r`` anywhere, and each video's rows in one block. Every row is
     checked to have three fields and ASCII numerals before ``np.loadtxt``
-    parses the anchor and score columns (scores with CPython's own float
-    parser, so they match ``float()`` bit for bit). Score range and anchor
+    parses the anchor and score columns of a run of whole lines (scores with
+    CPython's own float parser, so they match ``float()`` bit for bit). Each
+    video's rows are copied out of the run's table, and a video whose block
+    goes on into the next run is joined when it ends. Score range and anchor
     order are left to :class:`PredictionStream`. Returns None, never raises,
     on anything the row loop might treat differently or reject.
     """
-    if not data.startswith(_CANONICAL_HEADER) or b'"' in data or b"\r" in data:
-        return None
-    ids: list[bytes] = []
-    bounds = [0]
-    pos = len(_CANONICAL_HEADER)
-    while pos < len(data):
-        block = _CANONICAL_BLOCK.match(data, pos)
-        if block is None:
-            return None
-        ids.append(block.group(1))
-        bounds.append(bounds[-1] + data.count(b"\n", pos, block.end()))
-        pos = block.end()
-    if not ids:
-        return []
-    if len(set(ids)) != len(ids):
-        return None
+    streams: list[PredictionStream] = []
+    seen: set[bytes] = set()
+    video_id: bytes | None = None  # the open video, whose block may go on
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     try:
-        table = np.loadtxt(
-            io.BytesIO(data), delimiter=",", skiprows=1, usecols=(1, 2), comments=None,
-            dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
-        )
-        if len(table) != bounds[-1]:
-            return None
-        anchors = np.ascontiguousarray(table["anchor"])
-        scores = np.ascontiguousarray(table["score"])
-        return [
-            PredictionStream(video_id.decode("utf-8"), anchors[lo:hi], scores[lo:hi])
-            for video_id, lo, hi in zip(ids, bounds, bounds[1:])
-        ]
-    except ValueError:  # unparsable number, id not UTF-8, score range, anchor order
+        for run in _canonical_runs(pieces):
+            ids: list[bytes] = []  # the id of each block in the run
+            ends: list[int] = []  # the rows of the run up to each block's end
+            pos = rows = 0
+            while pos < len(run):
+                block = _CANONICAL_BLOCK.match(run, pos)
+                if block is None:
+                    return None
+                rows += run.count(b"\n", pos, block.end())
+                if ids and ids[-1] == block.group(1):  # the block goes on
+                    ends[-1] = rows
+                else:
+                    ids.append(block.group(1))
+                    ends.append(rows)
+                pos = block.end()
+            table = np.loadtxt(
+                io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None,
+                dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
+            )
+            if len(table) != rows:
+                return None
+            for block_id, lo, hi in zip(ids, [0, *ends], ends):
+                if block_id != video_id:
+                    if parts:
+                        streams.append(_joined_stream(video_id, parts))
+                    if block_id in seen:
+                        return None
+                    seen.add(block_id)
+                    video_id, parts = block_id, []
+                parts.append((table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy()))
+            del table  # freed before the next piece is read
+        if parts:
+            streams.append(_joined_stream(video_id, parts))
+        return streams
+    except ValueError:  # not canonical, unparsable number, id not UTF-8, score range, anchor order
         return None
+
+
+def _joined_stream(video_id: bytes, parts: list[tuple[np.ndarray, np.ndarray]]) -> PredictionStream:
+    """The stream of one video's ``(anchors, scores)`` parts; one part is not copied."""
+    anchors, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return PredictionStream(video_id.decode("utf-8"), anchors, scores)
 
 
 def _load_prediction_rows(path: Path) -> list[PredictionStream]:
@@ -420,22 +472,21 @@ _ROWS_PER_WRITE = 1 << 14
 def save_predictions(streams: Iterable[PredictionStream], path: str | Path) -> None:
     """Write prediction streams as canonical CSV (shortest round-trip floats).
 
-    Each video's rows are formatted as one string per chunk of
-    ``_ROWS_PER_WRITE`` rows; the id field is quoted once per video by the
-    same ``csv.writer`` dialect, so the bytes equal a row-by-row write.
+    Each video's rows are listed and formatted as one string per chunk of
+    ``_ROWS_PER_WRITE`` rows, so peak memory is a few chunks whatever the
+    video's length; the id field is quoted once per video by the same
+    ``csv.writer`` dialect, so the bytes equal a row-by-row write.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(_CANONICAL_HEADER.decode())
         for stream in streams:
             video_id = _csv_field(stream.video_id)
-            anchors = stream.anchor_frames.tolist()
-            scores = stream.scores.tolist()
+            anchors, scores = stream.anchor_frames, stream.scores
             for lo in range(0, len(anchors), _ROWS_PER_WRITE):
                 hi = lo + _ROWS_PER_WRITE
-                handle.write("".join(
-                    [f"{video_id},{a},{s!r}\n" for a, s in zip(anchors[lo:hi], scores[lo:hi])]
-                ))
+                rows = zip(anchors[lo:hi].tolist(), scores[lo:hi].tolist())
+                handle.write("".join([f"{video_id},{a},{s!r}\n" for a, s in rows]))
 
 
 def _csv_field(value: str) -> str:

@@ -390,6 +390,13 @@ class OffsetSummary:
     duration_cutoff_frames: float
 
 
+def check_cutoffs(offset_cutoff_frames: float, duration_cutoff_frames: float) -> None:
+    """Raise ValueError unless both histogram cutoffs are >= 0."""
+    for name, cutoff in (("offset", offset_cutoff_frames), ("duration", duration_cutoff_frames)):
+        if not cutoff >= 0:  # NaN fails too
+            raise ValueError(f"{name} cutoff must be >= 0, got {cutoff}")
+
+
 def offset_histogram(
     records: Sequence[FpOffsetRecord],
     offset_cutoff_frames: float = 5,
@@ -400,9 +407,7 @@ def offset_histogram(
     The raw (duration, offset) points stay available on the records themselves
     for plotting and re-analysis. Both cutoffs must be >= 0.
     """
-    for name, cutoff in (("offset", offset_cutoff_frames), ("duration", duration_cutoff_frames)):
-        if not cutoff >= 0:  # NaN fails too
-            raise ValueError(f"{name} cutoff must be >= 0, got {cutoff}")
+    check_cutoffs(offset_cutoff_frames, duration_cutoff_frames)
     n = len(records)
     if n == 0:
         return OffsetSummary(0, None, None, offset_cutoff_frames, duration_cutoff_frames)

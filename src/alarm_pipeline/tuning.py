@@ -218,6 +218,24 @@ def filter_counts(
     return ConfusionCounts(*counts[:4]), AlarmCounts(*counts[4:])
 
 
+def check_grids(w_values: Sequence[float], t_values: Sequence[float]) -> None:
+    """Raise ValueError unless both grids are non-empty, no width or threshold
+    appears twice, and each value is one :class:`FilterConfig` accepts:
+    thresholds in (0, 1), widths finite and > 0 seconds."""
+    if not w_values or not t_values:
+        raise ValueError("w_values and t_values must be non-empty")
+    for t in t_values:
+        if not (0.0 < t < 1.0):
+            raise ValueError(f"t_pred must lie in (0, 1), got {t}")
+    for name, values in (("w_values", w_values), ("t_values", t_values)):
+        repeated = [value for value, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{name} must not repeat {repeated[0]}")
+    for w in w_values:
+        if not (0 < w < math.inf):
+            raise ValueError(f"width_seconds must be finite and > 0, got {w}")
+
+
 def sweep(
     corpus: Corpus,
     w_values: Sequence[float] | None = None,
@@ -229,21 +247,12 @@ def sweep(
 
     A database's counts are summed over chunks of whole videos, one rank
     pass per chunk and width; they equal the sum of its videos' counts.
-    Every threshold must lie in (0, 1), as :class:`FilterConfig` requires,
-    no width or threshold may appear twice, and every beta must be finite
+    The grids must pass :func:`check_grids`, and every beta must be finite
     and > 0. Empty databases are skipped with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
-    if not w_values or not t_values:
-        raise ValueError("w_values and t_values must be non-empty")
-    for t in t_values:
-        if not (0.0 < t < 1.0):
-            raise ValueError(f"t_pred must lie in (0, 1), got {t}")
-    for name, values in (("w_values", w_values), ("t_values", t_values)):
-        repeated = [value for value, count in Counter(values).items() if count > 1]
-        if repeated:
-            raise ValueError(f"{name} must not repeat {repeated[0]}")
+    check_grids(w_values, t_values)
     for beta in betas:
         check_beta(beta)
     for db, videos in corpus.items():

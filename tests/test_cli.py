@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -241,6 +242,14 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
          "beta * beta must be finite and > 0, got inf for beta 1e+200"),
         (["tune", "--beta", "1e-200"],
          "beta * beta must be finite and > 0, got 0.0 for beta 1e-200"),
+        (["sweep", "--w-grid", "0.2,-0.1"], "width_seconds must be finite and > 0, got -0.1"),
+        (["tune", "--min-precision", "1"], "min_alarm_precision must lie in [0, 1), got 1.0"),
+        (["evaluate", "--t-pred", "1.5"], "t_pred must lie in (0, 1), got 1.5"),
+        (["evaluate", "--w-seconds", "0.2", "--w-frames", "3"],
+         "give at most one of --w-seconds / --w-frames"),
+        (["offsets", "--w-frames", "0"], "width_frames must be >= 1, got 0"),
+        (["offsets", "--duration-cutoff", "-1"], "duration cutoff must be >= 0, got -1.0"),
+        (["sweep", "--stack-length", "0"], "stack_length must be >= 1, got 0"),
         (["synth", "--videos", "1", "--fall-rate", "inf"],
          "fall_rate must be finite and >= 0, got inf"),
         (["synth", "--videos", "1", "--fall-rate", "nan"],
@@ -254,12 +263,15 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
         (["synth", "--videos", "2", "--fp-duration-spread", "-2"],
          "fp_duration_spread must be >= 0, got -2"),
     ]
-    for args, message in cases:
+    # Parameters are checked before any input is read, so a missing
+    # predictions file gives the same error.
+    unread = ["--annotations", str(ann), "--predictions", str(tmp_path / "missing.csv")]
+    for (args, message), inputs in itertools.product(cases, (data, unread)):
         capsys.readouterr()
-        inputs = [] if args[0] == "synth" else data
+        inputs = [] if args[0] == "synth" else inputs
         assert main([*args, *inputs, "--out", str(tmp_path / "out")]) == 1, args
         out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {message}\n"), (args, out, err)
+        assert (out, err) == ("", f"error: {message}\n"), (args, inputs, out, err)
     assert not (tmp_path / "out").exists()
 
 

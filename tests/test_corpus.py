@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def stream_bits(streams):
     ]
 
 
+def pieces(data, cuts):
+    """``data`` cut at each of the sorted offsets ``cuts``."""
+    bounds = [0, *cuts, len(data)]
+    return [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def splits(data):
+    """``data`` whole, in one-byte pieces, and in two pieces cut at every offset."""
+    yield [data]
+    yield pieces(data, range(1, len(data)))
+    for cut in range(len(data) + 1):
+        yield pieces(data, [cut])
+
+
 def reference_csv(streams):
     """Bytes of the row-by-row ``csv.writer`` layout that save_predictions keeps.
 
@@ -307,7 +322,8 @@ def test_prediction_loader_errors(tmp_path):
     ]
     for text, message, line in cases:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        assert _load_canonical_predictions(path.read_bytes()) is None, text
+        for split in splits(path.read_bytes()):
+            assert _load_canonical_predictions(split) is None, (text, split)
         with pytest.raises(CorpusFormatError, match=message) as err:
             load_predictions(path)
         assert err.value.line == line, text
@@ -347,8 +363,10 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     assert loaded[1].scores.tolist() == [0.2, 0.4]
 
     canonical = HEADER + "a,9,0.1\na,10,0.3\nb,9,0.2\nb,10,0.4\n"
-    bulk = _load_canonical_predictions(canonical.encode())
+    bulk = _load_canonical_predictions([canonical.encode()])
     assert stream_bits(bulk) == stream_bits(loaded)
+    for split in splits(canonical.encode()):
+        assert stream_bits(_load_canonical_predictions(split)) == stream_bits(bulk), split
     variants = [  # each read row by row into the same streams
         HEADER + "a,9,0.1\nb,9,0.2\na,10,0.3\nb,10,0.4\n",  # interleaved
         canonical[:-1],  # no final newline
@@ -360,7 +378,8 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     ]
     for text in variants:
         path.write_bytes(text.encode())
-        assert _load_canonical_predictions(path.read_bytes()) is None, text
+        for split in splits(path.read_bytes()):
+            assert _load_canonical_predictions(split) is None, (text, split)
         assert stream_bits(load_predictions(path)) == stream_bits(bulk), text
 
 
@@ -379,19 +398,84 @@ def prediction_streams(draw):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(streams=prediction_streams())
-def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams):
+@given(streams=prediction_streams(), data=st.data())
+def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
-    assert path.read_bytes() == reference_csv(streams)
-    rows = _load_prediction_rows(path)
-    assert stream_bits(rows) == stream_bits(streams)
-    bulk = _load_canonical_predictions(path.read_bytes())
+    text = path.read_bytes()
+    assert text == reference_csv(streams)
+    rows = stream_bits(_load_prediction_rows(path))
+    assert rows == stream_bits(streams)
     quoted = any(set(s.video_id) & set(',"\r') for s in streams)
-    assert (bulk is None) == quoted
-    if bulk is not None:
-        assert stream_bits(bulk) == stream_bits(rows)
-    assert stream_bits(load_predictions(path)) == stream_bits(rows)
+    # The bulk loader's result must not depend on where its pieces end.
+    row_ends = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")]
+    first_rows = row_ends[1] if len(row_ends) > 1 else len(text)
+    cut_sets = [
+        [],
+        sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8))),
+        range(1, len(text)),  # one-byte pieces
+        row_ends,
+        # one cut inside the header, the first id or one of its numbers
+        *([cut] for cut in range(1, first_rows)),
+    ]
+    for cuts in cut_sets:
+        bulk = _load_canonical_predictions(pieces(text, cuts))
+        assert (bulk is None) == quoted, cuts
+        if bulk is not None:
+            assert stream_bits(bulk) == rows, cuts
+            assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
+                       for s in bulk)
+    assert stream_bits(load_predictions(path)) == rows
+
+
+def test_bulk_loader_empty_and_header_only_files(tmp_path):
+    path = tmp_path / "pred.csv"
+    path.write_bytes(b"")
+    assert _load_canonical_predictions([]) is None
+    with pytest.raises(CorpusFormatError, match="empty prediction file"):
+        load_predictions(path)
+    path.write_bytes(HEADER.encode())
+    for split in splits(HEADER.encode()):
+        assert _load_canonical_predictions(split) == [], split
+    assert load_predictions(path) == []
+
+
+def test_load_predictions_peak_memory(tmp_path, monkeypatch):
+    # tracemalloc sees numpy's buffers too. Beyond the returned arrays the
+    # loader holds a few 64 KiB pieces, one piece's table and the Python
+    # objects, well under 1 MiB; a file read whole, or its table kept, would
+    # hold several times the arrays.
+    monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 16)
+    # Short rows (``v12,1009,0.25``) put about 4,700 rows of one video in a
+    # piece, where a regex that kept state for every row of a block would
+    # cross the margin too.
+    rng = np.random.default_rng(5)
+    streams = [PredictionStream(f"v{i}", np.arange(9, 10_009), rng.integers(0, 5, 10_000) / 4)
+               for i in range(20)]
+    path = tmp_path / "pred.csv"
+    save_predictions(streams, path)
+    tracemalloc.start()
+    try:
+        loaded = load_predictions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream_bits(loaded) == stream_bits(streams)
+    arrays = sum(s.anchor_frames.nbytes + s.scores.nbytes for s in loaded)
+    assert peak < arrays + (1 << 20), (peak, arrays)
+
+
+def test_save_predictions_peak_memory(tmp_path):
+    # Formatting _ROWS_PER_WRITE rows holds about 160 bytes a row; listing a
+    # whole 100k-row video first would hold 9 MB.
+    stream = PredictionStream("v", np.arange(100_000), np.random.default_rng(5).random(100_000))
+    tracemalloc.start()
+    try:
+        save_predictions([stream], tmp_path / "pred.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_save_predictions_matches_csv_writer(tmp_path):
