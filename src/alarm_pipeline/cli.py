@@ -40,8 +40,8 @@ from .errors import CorpusFormatError, GenerationError, InfeasibleError, Pipelin
 from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, check_beta, macro_average
 from .synth import SynthSpec, generate
 from .temporal import FilterConfig, check_cutoffs, evaluate_video, offset_histogram
-from .tuning import (Corpus, TuningConstraints, check_grids, default_t_values, default_w_values,
-                     filter_counts, sweep, tune)
+from .tuning import (Corpus, TuningConstraints, TuningResult, check_grids, default_t_values,
+                     default_w_values, filter_counts, sweep, tune)
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
@@ -185,8 +185,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _parameters(cfg: argparse.Namespace) -> dict[str, Any]:
     """Manifest view of a config: semantic knobs only, no command or paths."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(cfg).items() if k not in _NOT_HASHED}
+    return {k: v for k, v in vars(cfg).items() if k not in _NOT_HASHED}
 
 
 def parse_grid(spec: Any) -> list[float]:
@@ -270,6 +269,15 @@ def _grids(cfg: argparse.Namespace) -> tuple[list[float], list[float]]:
     return w_values, t_values
 
 
+def _betas(cfg: argparse.Namespace) -> tuple[float, ...]:
+    """The checked --beta values: each one :func:`check_beta` accepts, none repeated."""
+    for i, beta in enumerate(cfg.beta):
+        check_beta(beta)
+        if beta in cfg.beta[:i]:
+            raise ValueError(f"beta must not repeat {beta}")
+    return tuple(cfg.beta)
+
+
 def _filter_config(cfg: argparse.Namespace) -> FilterConfig:
     if cfg.w_seconds is not None and cfg.w_frames is not None:
         raise ValueError("give at most one of --w-seconds / --w-frames")
@@ -323,6 +331,26 @@ def _json_text(payload: Any) -> str:
     return _dumps(payload, indent=2) + "\n"
 
 
+# Each JSON artifact is its record's fields, shaped here and written by _dumps.
+def _report_json(report: MetricReport) -> dict[str, Any]:
+    """A report's fields, its F_beta values keyed by ``f"{beta:g}"``."""
+    return dataclasses.asdict(report) | {
+        "f_beta": {f"{beta:g}": value for beta, value in report.f_beta.items()}
+    }
+
+
+def _tuning_json(result: TuningResult) -> dict[str, Any]:
+    """A tuning result's fields: the optima listed by database id, each
+    without the fields it leaves unset (a feasible optimum has no reason, an
+    infeasible one no cell), and the final pair as ``final``."""
+    payload = dataclasses.asdict(result)
+    optima = payload.pop("per_database")
+    payload["per_database"] = [{key: value for key, value in optima[db].items()
+                                if value is not None} for db in sorted(optima)]
+    payload["final"] = {"w_seconds": payload.pop("w_final"), "t_pred": payload.pop("t_final")}
+    return payload
+
+
 def _write_outputs(cfg: argparse.Namespace, artifacts: Mapping[str, str]) -> None:
     """Write ``artifacts`` (file name -> text) and manifest.json into ``cfg.out``.
 
@@ -367,9 +395,7 @@ def format_report_table(rows: Sequence[tuple[str, MetricReport]], betas: Sequenc
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
-    betas = tuple(cfg.beta)
-    for beta in betas:
-        check_beta(beta)
+    betas = _betas(cfg)
     if cfg.counts_only:
         rows = _counts_only_rows(cfg.counts_only, betas)
         filter_json = None
@@ -389,9 +415,9 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
     if cfg.out:
         report_json = {
             "filter": filter_json,
-            "betas": list(betas),
-            "databases": {name: report.to_json_dict() for name, report in rows},
-            "macro": macro.to_json_dict(),
+            "betas": betas,
+            "databases": {name: _report_json(report) for name, report in rows},
+            "macro": _report_json(macro),
         }
         _write_outputs(cfg, {"report.json": _json_text(report_json), "report.txt": table})
     return 0
@@ -436,16 +462,15 @@ def _fmt_float(value: float) -> str:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     cfg.w_grid, cfg.t_grid = _grids(cfg)  # the manifest records the grids the sweep ran
-    for beta in cfg.beta:
-        check_beta(beta)
+    betas = _betas(cfg)
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
     corpus = _load_corpus(cfg)
-    grid = sweep(corpus, cfg.w_grid, cfg.t_grid, tuple(cfg.beta), stack_cfg)
-    metrics = {beta: [m.tolist() for m in grid.alarm_metrics(beta)] for beta in grid.betas}
+    grid = sweep(corpus, cfg.w_grid, cfg.t_grid, stack_cfg)
+    metrics = {beta: [m.tolist() for m in grid.alarm_metrics(beta)] for beta in betas}
     alarm = grid.counts[..., 4:].tolist()
     lines = [SWEEP_HEADER]
     for (d, db), beta, (w, w_value), (t, t_value) in itertools.product(
-        enumerate(grid.databases), grid.betas, enumerate(grid.w_values), enumerate(grid.t_values)
+        enumerate(grid.databases), betas, enumerate(grid.w_values), enumerate(grid.t_values)
     ):
         fb, p_a, se_a = (_fmt_float(m[d][w][t]) for m in metrics[beta])
         tp_a, fp_a, fn_a = alarm[d][w][t]
@@ -486,7 +511,7 @@ def cmd_tune(cfg: argparse.Namespace) -> int:
             sys.stdout.write(f"{database_id}: infeasible ({opt.reason})\n")
     sys.stdout.write(f"final: W={result.w_final:g} s, T_pred={result.t_final:g}\n")
     if cfg.out:
-        _write_outputs(cfg, {"tuning.json": _json_text(result.to_json_dict())})
+        _write_outputs(cfg, {"tuning.json": _json_text(_tuning_json(result))})
     return 0
 
 
@@ -525,7 +550,8 @@ def cmd_synth(cfg: argparse.Namespace) -> int:
     ledger = {
         "fall_count": corpus.fall_count(),
         "false_pulse_count": corpus.fp_count(),
-        "videos": corpus.ledger_json(),
+        "videos": {video: [vars(event) for event in events]  # flat records: no deep copy
+                   for video, events in corpus.ledger.items()},
     }
     _write_outputs(cfg, {"ledger.json": _json_text(ledger)})
     sys.stdout.write(
@@ -543,11 +569,7 @@ def cmd_folds(cfg: argparse.Namespace) -> int:
         raise CorpusFormatError("annotation file is empty", path=cfg.annotations)
     groups = {a.video_id: a.group_id for a in annotations}
     assignment = assign_folds(groups, k=cfg.k, seed=cfg.seed)
-    text = _json_text({
-        "k": assignment.k,
-        "seed": assignment.seed,
-        "folds": {video: fold for video, fold in sorted(assignment.folds.items())},
-    })
+    text = _json_text(dataclasses.asdict(assignment))
     if cfg.out:
         _write_outputs(cfg, {"folds.json": text})
     else:

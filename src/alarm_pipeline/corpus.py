@@ -8,12 +8,14 @@ intervals are inclusive on both ends and 0-based throughout.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import math
 import random
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -204,14 +206,27 @@ _TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
 _PREDICTION_HEADER = ["video_id", "anchor_frame", "score"]
 
 
-def _read_text(path: Path, newline: str | None) -> io.StringIO:
-    """The file decoded as UTF-8, read like ``path.open(newline=newline)``."""
-    data = path.read_bytes()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"invalid UTF-8 ({exc.reason})", path=str(path), line=line)
+# Bytes the loaders read, check and parse at a time.
+_READ_BYTES = 1 << 20
+
+
+def _check_utf8(path: Path) -> None:
+    """Raise CorpusFormatError, with its line, at the first byte sequence of
+    ``path`` that is not UTF-8; the file is decoded ``_READ_BYTES`` at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with path.open("rb") as handle:
+        while True:
+            piece = handle.read(_READ_BYTES)
+            try:
+                decoder.decode(piece, final=not piece)
+            except UnicodeDecodeError as exc:
+                # exc.object: the bytes held back from the last piece, never a newline, and this one
+                line += exc.object.count(b"\n", 0, exc.start)
+                raise CorpusFormatError(f"invalid UTF-8 ({exc.reason})", path=str(path), line=line)
+            if not piece:
+                return
+            line += piece.count(b"\n")
 
 
 def _annotation_type_error(record: dict) -> str | None:
@@ -234,7 +249,8 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
     path = Path(path)
     annotations: list[VideoAnnotation] = []
     seen: set[str] = set()
-    with _read_text(path, newline=None) as handle:
+    _check_utf8(path)
+    with path.open(encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -298,7 +314,8 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     is about the returned arrays plus a few pieces of the file; any other
     file, and any file the bulk parse finds fault with, is read row by row,
     so both paths return the same streams and every error comes from the
-    row loop.
+    row loop. The row loop streams the file too, into arrays of 16 bytes a
+    row.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -306,8 +323,6 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     return streams if streams is not None else _load_prediction_rows(path)
 
 
-# Bytes the bulk loader reads and parses at a time.
-_READ_BYTES = 1 << 20
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
 # Up to 1024 rows of one video's block in the canonical layout: rows
 # ``id,<digits>,<number>\n`` that all repeat the first row's id. Anything
@@ -408,11 +423,12 @@ def _joined_stream(video_id: bytes, parts: list[tuple[np.ndarray, np.ndarray]]) 
 
 
 def _load_prediction_rows(path: Path) -> list[PredictionStream]:
-    """Row-by-row reader for any prediction CSV; the only one that reports errors."""
-    order: list[str] = []
-    anchors: dict[str, list[int]] = {}
-    scores: dict[str, list[float]] = {}
-    with _read_text(path, newline="") as handle:
+    """Row-by-row reader for any prediction CSV; the only one that reports
+    errors. The file is read as a stream and each video's rows are kept in
+    typed buffers, 16 bytes a row."""
+    _check_utf8(path)
+    columns: dict[str, tuple[array, array]] = {}  # video id -> anchors, scores; in file order
+    with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -449,18 +465,19 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
                 raise CorpusFormatError(
                     f"score {score} outside [0, 1] for video {video_id!r}", path=str(path), line=line_no
                 )
-            if video_id not in anchors:
-                order.append(video_id)
-                anchors[video_id] = []
-                scores[video_id] = []
-            elif anchors[video_id] and anchor <= anchors[video_id][-1]:
+            anchors_scores = columns.get(video_id)
+            if anchors_scores is None:
+                anchors_scores = columns[video_id] = array("q"), array("d")
+            elif anchor <= anchors_scores[0][-1]:
                 raise CorpusFormatError(
                     f"anchor {anchor} not increasing for video {video_id!r}", path=str(path), line=line_no
                 )
-            anchors[video_id].append(anchor)
-            scores[video_id].append(score)
+            anchors_scores[0].append(anchor)
+            anchors_scores[1].append(score)
     try:
-        return [PredictionStream(v, np.array(anchors[v]), np.array(scores[v])) for v in order]
+        return [PredictionStream(v, np.frombuffer(anchors, dtype=np.int64),
+                                 np.frombuffer(scores, dtype=np.float64))
+                for v, (anchors, scores) in columns.items()]
     except ValueError as exc:  # an anchor gap: rows are in range and increasing
         raise CorpusFormatError(str(exc), path=str(path))
 

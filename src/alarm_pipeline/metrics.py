@@ -201,25 +201,6 @@ class MetricReport:
             alarm_counts=alarm_counts,
         )
 
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "sp": self.sp,
-            "se": self.se,
-            "p": self.p,
-            "p_a": self.p_a,
-            "se_a": self.se_a,
-            "f_beta": {f"{beta:g}": value for beta, value in self.f_beta.items()},
-        }
-        sc = self.stack_counts
-        out["stack_counts"] = (
-            None if sc is None else {"tp": sc.tp, "tn": sc.tn, "fp": sc.fp, "fn": sc.fn}
-        )
-        ac = self.alarm_counts
-        out["alarm_counts"] = (
-            None if ac is None else {"tp_a": ac.tp_a, "fp_a": ac.fp_a, "fn_a": ac.fn_a}
-        )
-        return out
-
 
 def _mean_defined(values: Iterable[float | None]) -> float | None:
     defined = [v for v in values if v is not None]

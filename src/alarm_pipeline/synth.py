@@ -43,17 +43,6 @@ class PlantedEvent:
     end_frame: int
     offset_frames: float | None = None
 
-    def to_json_dict(self) -> dict:
-        offset = self.offset_frames
-        if offset is not None and not math.isfinite(offset):
-            offset = None
-        return {
-            "kind": self.kind,
-            "start_frame": self.start_frame,
-            "end_frame": self.end_frame,
-            "offset_frames": offset,
-        }
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -132,12 +121,6 @@ class SynthCorpus:
     def pairs(self) -> Iterator[tuple[PredictionStream, VideoAnnotation]]:
         for stream, annotation in zip(self.streams, self.annotations):
             yield stream, annotation
-
-    def ledger_json(self) -> dict:
-        return {
-            video_id: [e.to_json_dict() for e in events]
-            for video_id, events in self.ledger.items()
-        }
 
 
 def _event_count(rng: np.random.Generator, rate: float) -> int:

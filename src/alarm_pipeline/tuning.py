@@ -31,7 +31,7 @@ import numpy as np
 from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
                      stack_label_masks)
 from .errors import InfeasibleError
-from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
+from .metrics import AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
 from .temporal import (
     DecisionLayout,
     FilterConfig,
@@ -104,7 +104,6 @@ class SweepGrid:
 
     w_values: list[float]
     t_values: list[float]
-    betas: tuple[float, ...]
     databases: list[str]
     counts: np.ndarray
 
@@ -240,21 +239,19 @@ def sweep(
     corpus: Corpus,
     w_values: Sequence[float] | None = None,
     t_values: Sequence[float] | None = None,
-    betas: Sequence[float] = DEFAULT_BETAS,
     stack_cfg: StackConfig = StackConfig(),
 ) -> SweepGrid:
     """Populate the full (W, T_pred) grid for every database.
 
     A database's counts are summed over chunks of whole videos, one rank
     pass per chunk and width; they equal the sum of its videos' counts.
-    The grids must pass :func:`check_grids`, and every beta must be finite
-    and > 0. Empty databases are skipped with a warning.
+    The grids must pass :func:`check_grids`. Counts do not depend on beta:
+    :meth:`SweepGrid.alarm_metrics` takes any. Empty databases are skipped
+    with a warning.
     """
     w_values = list(default_w_values() if w_values is None else w_values)
     t_values = list(default_t_values() if t_values is None else t_values)
     check_grids(w_values, t_values)
-    for beta in betas:
-        check_beta(beta)
     for db, videos in corpus.items():
         if not videos:
             warnings.warn(f"database {db!r} has no videos; skipped")
@@ -265,7 +262,7 @@ def sweep(
             corpus[db], lambda fps: [width_to_frames(w, fps) for w in w_values], t_values,
             stack_cfg,
         )
-    return SweepGrid(w_values, t_values, tuple(betas), databases, counts)
+    return SweepGrid(w_values, t_values, databases, counts)
 
 
 def baseline_sensitivities(
@@ -346,33 +343,6 @@ class TuningResult:
     w_final: float
     t_final: float
 
-    def to_json_dict(self) -> dict:
-        per_db = []
-        for db in sorted(self.per_database):
-            r = self.per_database[db]
-            entry: dict = {"database_id": db, "feasible": r.feasible}
-            if r.feasible:
-                entry.update(
-                    w_seconds=r.w_seconds,
-                    t_pred=r.t_pred,
-                    f_beta=r.f_beta,
-                    p_a=r.p_a,
-                    se_a=r.se_a,
-                )
-            else:
-                entry["reason"] = r.reason
-            per_db.append(entry)
-        return {
-            "beta": self.beta,
-            "constraints": {
-                "min_alarm_precision": self.constraints.min_alarm_precision,
-                "max_sensitivity_drop_points": self.constraints.max_sensitivity_drop_points,
-                "baseline_se_a": dict(sorted(self.constraints.baseline_se_a.items())),
-            },
-            "per_database": per_db,
-            "final": {"w_seconds": self.w_final, "t_pred": self.t_final},
-        }
-
 
 def tune(
     corpus: Corpus,
@@ -386,17 +356,18 @@ def tune(
     """Full tuning pass: baseline, sweep, constrained argmax, averaging.
 
     ``beta`` selects which F curve the argmax maximizes (0.5 by default:
-    false alarms wake the staff, so precision weighs more); the sweep
-    computes that curve only.
+    false alarms wake the staff, so precision weighs more), read off the
+    sweep's counts by :meth:`SweepGrid.alarm_metrics`.
     """
-    # The constraints first: their baseline is one cell per database, so a
-    # bad limit fails before the sweep.
+    # The beta and the constraints first: their baseline is one cell per
+    # database, so a bad beta or limit fails before the sweep.
+    check_beta(beta)
     constraints = TuningConstraints(
         min_alarm_precision=min_alarm_precision,
         max_sensitivity_drop_points=max_sensitivity_drop_points,
         baseline_se_a=baseline_sensitivities(corpus, stack_cfg),
     )
-    grid = sweep(corpus, w_values, t_values, (beta,), stack_cfg)
+    grid = sweep(corpus, w_values, t_values, stack_cfg)
     optima = per_database_argmax(grid, beta, constraints)
     w_final, t_final = average_optima(optima, grid.t_values)
     return TuningResult(beta, constraints, optima, w_final, t_final)

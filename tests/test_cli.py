@@ -209,6 +209,8 @@ def test_bad_prediction_data_exits_one(tmp_path, corpus_files, capsys):
 def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys):
     ann, pred = corpus_files
     data = ["--annotations", str(ann), "--predictions", str(pred)]
+    repeats = tmp_path / "repeats.json"
+    repeats.write_text(json.dumps({"beta": [0.5, 1, 2, 1.0]}))
     cases = [  # (arguments, message on stderr)
         (["evaluate", "--w-seconds", "inf", "--t-pred", "0.4"],
          "width_seconds must be finite and > 0, got inf"),
@@ -243,6 +245,11 @@ def test_unusable_widths_and_thresholds_exit_one(tmp_path, corpus_files, capsys)
         (["tune", "--beta", "1e-200"],
          "beta * beta must be finite and > 0, got 0.0 for beta 1e-200"),
         (["sweep", "--w-grid", "0.2,-0.1"], "width_seconds must be finite and > 0, got -0.1"),
+        (["sweep", "--beta", "1", "--beta", "1"], "beta must not repeat 1.0"),
+        (["evaluate", "--w-seconds", "0.2", "--beta", "1", "--beta", "1.0"],
+         "beta must not repeat 1.0"),
+        (["sweep", "--config", str(repeats)], "beta must not repeat 1.0"),
+        (["evaluate", "--config", str(repeats)], "beta must not repeat 1.0"),
         (["tune", "--min-precision", "1"], "min_alarm_precision must lie in [0, 1), got 1.0"),
         (["evaluate", "--t-pred", "1.5"], "t_pred must lie in (0, 1), got 1.5"),
         (["evaluate", "--w-seconds", "0.2", "--w-frames", "3"],

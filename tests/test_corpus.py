@@ -465,6 +465,58 @@ def test_load_predictions_peak_memory(tmp_path, monkeypatch):
     assert peak < arrays + (1 << 20), (peak, arrays)
 
 
+def test_row_loop_peak_memory(tmp_path, monkeypatch):
+    # A CRLF file takes the row loop. It streams the file and keeps each
+    # video's rows in typed buffers, 16 bytes a row plus their slack; a file
+    # read whole, or rows kept as Python objects, would hold several times
+    # the arrays.
+    monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 16)
+    rng = np.random.default_rng(5)
+    streams = [PredictionStream(f"v{i}", np.arange(9, 10_009), rng.integers(0, 5, 10_000) / 4)
+               for i in range(20)]
+    path = tmp_path / "pred.csv"
+    save_predictions(streams, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        loaded = load_predictions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream_bits(loaded) == stream_bits(streams)
+    assert all(s.anchor_frames.flags.writeable and s.scores.flags.writeable for s in loaded)
+    arrays = sum(s.anchor_frames.nbytes + s.scores.nbytes for s in loaded)
+    assert peak < 2 * arrays + (1 << 20), (peak, arrays)
+
+
+def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
+    # The UTF-8 check decodes the file a piece at a time. A character cut
+    # between two pieces is decoded whole, and an invalid byte is reported
+    # with the reason and line of a whole-file decode, at any piece size.
+    valid = (HEADER + "v\u20ac,9,0.5\nv\u20ac,10,0.5\n").encode()  # the euro sign is 3 bytes
+    predictions = [
+        (valid + b"\xe2\x82,11,0.5\n", "invalid continuation byte", 4),
+        (valid + b"w,11,0.5\n\xe2\x82", "unexpected end of data", 5),
+        (valid.replace(b"\xe2\x82\xac,10", b"\xe2\x82\xff,10"), "invalid continuation byte", 3),
+        (valid + b"w,11,0.5\r\n\xff,12,0.5\r\n", "invalid start byte", 5),
+    ]
+    record = json.dumps({"video_id": "\u20ac", "database_id": "d", "fps": 30.0,
+                         "frame_count": 100, "fall_intervals": []}, ensure_ascii=False).encode()
+    annotations = [(b"\n" + record + b"\n" + record[:20] + b"\xe2\x82" + record[22:],
+                    "invalid continuation byte", 3)]
+    path = tmp_path / "data"
+    for size in [*range(1, 12), 1 << 20]:
+        monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", size)
+        path.write_bytes(valid)
+        assert [s.video_id for s in load_predictions(path)] == ["v\u20ac"]
+        for load, cases in ((load_predictions, predictions), (load_annotations, annotations)):
+            for data, reason, line in cases:
+                path.write_bytes(data)
+                with pytest.raises(CorpusFormatError, match=rf"invalid UTF-8 \({reason}\)") as err:
+                    load(path)
+                assert err.value.line == line, (size, data)
+
+
 def test_save_predictions_peak_memory(tmp_path):
     # Formatting _ROWS_PER_WRITE rows holds about 160 bytes a row; listing a
     # whole 100k-row video first would hold 9 MB.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from alarm_pipeline.cli import main
 from alarm_pipeline.errors import GenerationError
 from alarm_pipeline.synth import FALL, FAR_FP, NEAR_FP, SynthSpec, generate
 from alarm_pipeline.temporal import AlarmKind, evaluate_video, identity_filter
@@ -153,15 +154,23 @@ def test_counts_helpers():
 # -- degenerate corpora ----------------------------------------------------------------
 
 
-def test_no_fall_videos_have_infinite_offsets():
+def test_no_fall_videos_have_infinite_offsets(tmp_path):
     corpus = generate(SynthSpec(video_count=4, fall_rate=0.0, far_fp_rate=1.0, seed=5))
     for events in corpus.ledger.values():
         for event in events:
             assert event.kind == FAR_FP
             assert math.isinf(event.offset_frames)
-            assert event.to_json_dict()["offset_frames"] is None
-    blob = json.dumps(corpus.ledger_json())
-    assert "Infinity" not in blob
+    # ledger.json writes each infinite offset as null, in strict JSON
+    assert main(["synth", "--videos", "4", "--fall-rate", "0", "--far-fp-rate", "1",
+                 "--seed", "5", "--out", str(tmp_path)]) == 0
+
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    blob = json.loads((tmp_path / "ledger.json").read_text(), parse_constant=not_json)
+    events = [event for events in blob["videos"].values() for event in events]
+    assert len(events) == 4
+    assert all(event["kind"] == FAR_FP and event["offset_frames"] is None for event in events)
 
 
 def test_near_dips_require_falls():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from alarm_pipeline import tuning
-from alarm_pipeline.cli import main
+from alarm_pipeline.cli import _json_text, _tuning_json, main
 from alarm_pipeline.corpus import save_annotations, save_predictions
 from alarm_pipeline.errors import InfeasibleError
-from alarm_pipeline.metrics import AlarmCounts, ConfusionCounts, MetricReport
+from alarm_pipeline.metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
 from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import FilterConfig, evaluate_video, combine, identity_filter
 from alarm_pipeline.tuning import (
@@ -126,7 +126,7 @@ def test_sweep_covers_full_grid(tmp_path):
 def test_sweep_cells_match_direct_evaluation():
     corpus = small_corpus(seed=11)
     grid = sweep(corpus, [0.1, 0.4, 1.0], [0.3, 0.7])
-    metrics = {beta: grid.alarm_metrics(beta) for beta in grid.betas}
+    metrics = {beta: grid.alarm_metrics(beta) for beta in DEFAULT_BETAS}  # combine's betas
     for (d, db), (w, w_value), (t, t_value) in itertools.product(
         enumerate(grid.databases), enumerate(grid.w_values), enumerate(grid.t_values)
     ):
@@ -173,14 +173,20 @@ def test_sweep_and_tune_reject_repeated_grid_values():
     assert grid.counts[0, 0].tolist() == grid.counts[0, 1].tolist()
 
 
-def test_sweep_rejects_bad_betas_before_counting(monkeypatch):
+def test_tune_and_alarm_metrics_reject_bad_betas(monkeypatch):
+    # Counts do not depend on beta, so the sweep takes none: alarm_metrics
+    # checks each beta it is given, and tune checks its beta before counting.
+    grid = sweep(small_corpus(), [0.1], [0.5])
+
     def no_counting(*args, **kwargs):
-        raise AssertionError("counted before checking betas")
+        raise AssertionError("counted before checking beta")
 
     monkeypatch.setattr(tuning, "_database_counts", no_counting)
-    for betas in ((0.5, math.nan), (0.0,), (-1.0,), (math.inf,)):
+    for beta in (math.nan, 0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="beta must be finite and > 0"):
-            sweep(small_corpus(), [0.1], [0.5], betas)
+            grid.alarm_metrics(beta)
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            tune(small_corpus(), [0.1], [0.5], beta=beta)
 
 
 # -- baselines and argmax ----------------------------------------------------------
@@ -200,8 +206,7 @@ def _grid_from_cells(cells, w_values, t_values):
     counts = np.zeros((1, len(w_values), len(t_values), 7), dtype=np.int64)
     for (w, t), alarm in cells.items():
         counts[0, w_values.index(w), t_values.index(t), 4:] = alarm
-    return SweepGrid(w_values=w_values, t_values=t_values, betas=(0.5,), databases=["db"],
-                     counts=counts)
+    return SweepGrid(w_values=w_values, t_values=t_values, databases=["db"], counts=counts)
 
 
 def test_argmax_picks_best_feasible_cell():
@@ -263,7 +268,7 @@ def test_argmax_matches_cell_by_cell_search():
         counts[..., 4:] = rng.integers(0, 4, shape + (3,))
         grid = SweepGrid(w_values=rng.permutation(shape[1]).tolist(),
                          t_values=rng.permutation(shape[2]).tolist(),
-                         betas=(1.0,), databases=["a", "b", "c"], counts=counts)
+                         databases=["a", "b", "c"], counts=counts)
         constraints = TuningConstraints(
             min_alarm_precision=float(rng.choice([0.0, 0.5])),
             max_sensitivity_drop_points=float(rng.choice([math.inf, 30.0])),
@@ -303,8 +308,8 @@ def test_alarm_metrics_match_scalar_reports_bit_for_bit():
     counts = rng.integers(0, 50, (2, 6, 5, 7))
     counts[0, 0, :, 4:] = [[0, 0, 0], [0, 0, 7], [0, 7, 0], [0, 3, 4], [5, 0, 0]]
     counts[0, 1, :, 4:] = [[4, 0, 3], [4, 3, 0], [1, 0, 0], [0, 1, 1], [2**40, 1, 3]]
-    grid = SweepGrid(w_values=list(range(6)), t_values=list(range(5)), betas=(0.5,),
-                     databases=["a", "b"], counts=counts)
+    grid = SweepGrid(w_values=list(range(6)), t_values=list(range(5)), databases=["a", "b"],
+                     counts=counts)
     for beta in (0.5, 1.0, 2.0, 3.7):
         f, p_a, se_a = grid.alarm_metrics(beta)
         assert f.shape == p_a.shape == se_a.shape == counts.shape[:3]
@@ -378,12 +383,18 @@ def test_tune_result_serializes():
 
     corpus = small_corpus(seed=4)
     result = tune(corpus, w_values=[0.2, 0.4], t_values=[0.3, 0.5])
-    blob = result.to_json_dict()
-    json.dumps(blob)  # must be serializable as-is
-    assert blob["final"]["w_seconds"] == result.w_final
-    assert blob["final"]["t_pred"] == result.t_final
-    assert blob["per_database"][0]["database_id"] == "synth"
-    assert blob["constraints"]["min_alarm_precision"] == 0.80
+    result.per_database["lab"] = OptimumResult("lab", False, reason="no grid cell")
+    blob = json.loads(_json_text(_tuning_json(result)))  # tuning.json as the CLI writes it
+    assert set(blob) == {"beta", "constraints", "per_database", "final"}
+    assert blob["final"] == {"w_seconds": result.w_final, "t_pred": result.t_final}
+    assert blob["constraints"] == {"min_alarm_precision": 0.80, "max_sensitivity_drop_points": 10.0,
+                                   "baseline_se_a": result.constraints.baseline_se_a}
+    best = result.per_database["synth"]
+    assert blob["per_database"] == [  # sorted by id; no reason when feasible, no cell when not
+        {"database_id": "lab", "feasible": False, "reason": "no grid cell"},
+        {"database_id": "synth", "feasible": True, "w_seconds": best.w_seconds,
+         "t_pred": best.t_pred, "f_beta": best.f_beta, "p_a": best.p_a, "se_a": best.se_a},
+    ]
 
 
 def test_tune_infeasible_raises():
