@@ -37,7 +37,7 @@ from .corpus import (
     save_predictions,
 )
 from .errors import CorpusFormatError, GenerationError, InfeasibleError, PipelineError
-from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, check_beta, macro_average
+from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, check_beta, check_betas, macro_average
 from .synth import SynthSpec, generate
 from .temporal import FilterConfig, check_cutoffs, evaluate_video, offset_histogram
 from .tuning import (Corpus, TuningConstraints, TuningResult, check_grids, default_t_values,
@@ -270,11 +270,8 @@ def _grids(cfg: argparse.Namespace) -> tuple[list[float], list[float]]:
 
 
 def _betas(cfg: argparse.Namespace) -> tuple[float, ...]:
-    """The checked --beta values: each one :func:`check_beta` accepts, none repeated."""
-    for i, beta in enumerate(cfg.beta):
-        check_beta(beta)
-        if beta in cfg.beta[:i]:
-            raise ValueError(f"beta must not repeat {beta}")
+    """The --beta values, checked by :func:`check_betas`."""
+    check_betas(cfg.beta)
     return tuple(cfg.beta)
 
 
@@ -370,8 +367,10 @@ def format_report_table(rows: Sequence[tuple[str, MetricReport]], betas: Sequenc
     """Fixed-width text table of alarm metrics, one database per row.
 
     Ratios print as percentages with one decimal; undefined values and the
-    missing counts of a macro-average row print as '-'.
+    missing counts of a macro-average row print as '-'. ``betas`` must pass
+    :func:`check_betas`, so no F column repeats.
     """
+    check_betas(betas)
     def pct(value: float | None) -> str:
         return "-" if value is None else f"{100.0 * value:.1f}"
 

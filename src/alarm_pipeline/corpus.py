@@ -11,14 +11,17 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import random
 import re
+import signal
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,21 +215,30 @@ _READ_BYTES = 1 << 20
 
 def _check_utf8(path: Path) -> None:
     """Raise CorpusFormatError, with its line, at the first byte sequence of
-    ``path`` that is not UTF-8; the file is decoded ``_READ_BYTES`` at a time."""
+    ``path`` that is not UTF-8; the file is decoded ``_READ_BYTES`` at a time.
+    Lines end as in universal newlines mode: at ``\\n``, ``\\r\\n`` or ``\\r``."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    line = 1
+    line, cr = 1, False  # cr: the last piece ended in "\r", so a "\n" first in this one ends no line
     with path.open("rb") as handle:
         while True:
             piece = handle.read(_READ_BYTES)
             try:
                 decoder.decode(piece, final=not piece)
             except UnicodeDecodeError as exc:
-                # exc.object: the bytes held back from the last piece, never a newline, and this one
-                line += exc.object.count(b"\n", 0, exc.start)
+                # exc.object: the bytes held back from the last piece, never a line end, and this one
+                line += _line_ends(exc.object[:exc.start], cr)
                 raise CorpusFormatError(f"invalid UTF-8 ({exc.reason})", path=str(path), line=line)
             if not piece:
                 return
-            line += piece.count(b"\n")
+            line += _line_ends(piece, cr)
+            cr = piece.endswith(b"\r")
+
+
+def _line_ends(data: bytes, cr: bool) -> int:
+    """The ``\\n``, ``\\r\\n`` and lone ``\\r`` line ends in ``data``, less a
+    first ``\\n`` that ends the ``\\r`` before ``data`` if ``cr``."""
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return ends - (cr and data.startswith(b"\n"))
 
 
 def _annotation_type_error(record: dict) -> str | None:
@@ -316,11 +328,174 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     so both paths return the same streams and every error comes from the
     row loop. The row loop streams the file too, into arrays of 16 bytes a
     row.
+
+    The bulk parse runs on the usable CPUs: the file is cut at line starts
+    into ``min(usable CPUs, size // _PART_BYTES)`` parts (one where the
+    usable CPUs are unknown), this process parses the first and a forked
+    child each other part, and the parts are joined in file order. A video
+    whose block is cut in two is joined too; an id in two parts otherwise,
+    a part that is not canonical or a child that fails sends the file to the
+    row loop, so the result and the errors are those of a one-part parse.
+    Every child is reaped before this returns or raises.
     """
     path = Path(path)
-    with path.open("rb") as handle:
-        streams = _load_canonical_predictions(iter(lambda: handle.read(_READ_BYTES), b""))
+    streams = _load_parts(path, _part_starts(path))
     return streams if streams is not None else _load_prediction_rows(path)
+
+
+# The least bytes of the file per part; a child's fork and pipe transfer pay
+# off only on parts this large.
+_PART_BYTES = 1 << 20
+
+
+def _part_starts(path: Path) -> list[int]:
+    """Offsets of the line starts where the parts of ``path`` begin, the
+    first 0; see :func:`load_predictions` for how many there are."""
+    size = path.stat().st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cpus, size // _PART_BYTES)
+    starts = [0]
+    if parts < 2:
+        return starts
+    with path.open("rb") as handle:
+        for i in range(1, parts):
+            pos = max(size * i // parts, starts[-1])
+            handle.seek(pos)
+            while chunk := handle.read(1 << 12):  # on to the start of the next line
+                newline = chunk.find(b"\n")
+                if newline >= 0:
+                    pos += newline + 1
+                    break
+                pos += len(chunk)
+            if pos >= size:
+                break
+            starts.append(pos)
+    return starts
+
+
+def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream] | None:
+    """The bulk parse of ``path`` in the parts that begin at ``starts``,
+    joined in file order, or None to use the row loop."""
+    ends = [*starts[1:], None]
+    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, pipe
+    try:
+        for i in range(1, len(starts)):
+            try:
+                children[i] = _fork_part(path, starts[i], ends[i])
+            except OSError:  # no process to spare: this one parses the rest
+                break
+        streams: list[PredictionStream] = []
+        seen: set[str] = set()
+        for i, start in enumerate(starts):
+            part = _receive_part(*children.pop(i)) if i in children else _parse_part(path, start, ends[i])
+            if part is None:
+                return None
+            if part and streams and part[0].video_id == streams[-1].video_id:  # a block cut in two
+                head = streams.pop()
+                seen.remove(head.video_id)
+                try:
+                    part[0] = PredictionStream(
+                        head.video_id, np.concatenate([head.anchor_frames, part[0].anchor_frames]),
+                        np.concatenate([head.scores, part[0].scores]))
+                except ValueError:  # the anchors do not go on by 1 across the cut
+                    return None
+            ids = {stream.video_id for stream in part}
+            if not seen.isdisjoint(ids):
+                return None
+            seen |= ids
+            streams += part
+        return streams
+    finally:
+        for pid, pipe in children.values():  # not received: stop and reap them
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _parse_part(path: Path, start: int, end: int | None) -> list[PredictionStream] | None:
+    """:func:`_load_canonical_predictions` of the lines in bytes ``[start,
+    end)`` of ``path`` (to its end if ``end`` is None), the header put before
+    a part that does not start the file."""
+    with path.open("rb") as handle:
+        handle.seek(start)
+        pieces = iter(lambda: handle.read(
+            _READ_BYTES if end is None else min(_READ_BYTES, end - handle.tell())), b"")
+        return _load_canonical_predictions(
+            pieces if start == 0 else itertools.chain([_CANONICAL_HEADER], pieces))
+
+
+def _fork_part(path: Path, start: int, end: int | None) -> tuple[int, BinaryIO]:
+    """Fork a child that parses a part of ``path`` (see :func:`_parse_part`)
+    and sends its streams down a pipe; returns the child's pid and the
+    pipe's read end. The child exits 0 only once it has sent them all."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child leaves through os._exit, never through the caller
+        status = 1
+        try:
+            os.close(read_fd)
+            streams = _parse_part(path, start, end)
+            if streams is not None:
+                with open(write_fd, "wb") as pipe:
+                    _send_streams(pipe, streams)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _send_streams(pipe: BinaryIO, streams: list[PredictionStream]) -> None:
+    """Write ``streams`` as native int64 words: their count, then each one's
+    id length and rows; then the UTF-8 ids; then each one's anchors and
+    scores."""
+    ids = [stream.video_id.encode() for stream in streams]
+    sizes = [n for video_id, stream in zip(ids, streams) for n in (len(video_id), len(stream))]
+    pipe.write(np.array([len(streams), *sizes], dtype=np.int64).tobytes())
+    pipe.write(b"".join(ids))
+    for stream in streams:
+        pipe.write(stream.anchor_frames)
+        pipe.write(stream.scores)
+
+
+def _receive_part(pid: int, pipe: BinaryIO) -> list[PredictionStream] | None:
+    """The streams the child ``pid`` sends down ``pipe`` (see
+    :func:`_send_streams`), each read straight into its own arrays, or None
+    if the pipe ends early or the child fails. The child is reaped."""
+    try:
+        with pipe:
+            (count,) = _read_array(pipe, np.int64, 1)
+            sizes = _read_array(pipe, np.int64, 2 * count).reshape(-1, 2).tolist()
+            ids = _read_array(pipe, np.uint8, sum(id_size for id_size, _ in sizes)).tobytes()
+            streams, pos = [], 0
+            for id_size, rows in sizes:
+                anchors = _read_array(pipe, np.int64, rows)
+                streams.append(PredictionStream(ids[pos:pos + id_size].decode(), anchors,
+                                                _read_array(pipe, np.float64, rows)))
+                pos += id_size
+    except (EOFError, ValueError):  # cut short, or not what the child sends
+        streams = None
+    finally:  # the pipe is closed, so a child still writing stops
+        status = os.waitpid(pid, 0)[1]
+    return streams if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _read_array(pipe: BinaryIO, dtype: type, size: int) -> np.ndarray:
+    """A new array of ``size`` items of ``dtype`` read from ``pipe`` into
+    its own memory; EOFError if the pipe ends first."""
+    out = np.empty(size, dtype=dtype)
+    view = memoryview(out).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise EOFError("pipe ended early")
+        view = view[got:]
+    return out
 
 
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()

@@ -106,6 +106,16 @@ def check_beta(beta: float) -> None:
         raise ValueError(f"beta * beta must be finite and > 0, got {beta * beta} for beta {beta}")
 
 
+def check_betas(betas: Sequence[float]) -> None:
+    """Raise ValueError at the first of ``betas`` that :func:`check_beta`
+    rejects or that repeats an earlier one (``1`` repeats ``1.0``), so that
+    each beta names one F value."""
+    for i, beta in enumerate(betas):
+        check_beta(beta)
+        if beta in betas[:i]:
+            raise ValueError(f"beta must not repeat {beta}")
+
+
 def f_beta(p_a: float, se_a: float, beta: float) -> float | None:
     """Weighted harmonic combination (1+b^2) * p*s / (b^2*p + s).
 
@@ -171,7 +181,8 @@ class MetricReport:
         before combining them into F_beta, mirroring arithmetic done by hand
         from a table printed at that precision (3 decimals of the fraction =
         0.1 percentage point). The reported p_a/se_a stay exact. Every beta
-        must be finite and > 0, whether or not p_a and se_a are defined.
+        must be finite and > 0 and none may repeat, whether or not p_a and
+        se_a are defined.
         """
         sp = se = p = None
         if stack_counts is not None:
@@ -182,8 +193,7 @@ class MetricReport:
         if alarm_counts is not None:
             p_a = alarm_precision(alarm_counts)
             se_a = alarm_sensitivity(alarm_counts)
-        for beta in betas:
-            check_beta(beta)
+        check_betas(betas)
         fb: dict[float, float | None] = dict.fromkeys(betas)
         if p_a is not None and se_a is not None:
             inputs = (p_a, se_a)

@@ -1,16 +1,22 @@
 import csv
 import io
+import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from alarm_pipeline import corpus
+from alarm_pipeline.cli import main
 from alarm_pipeline.corpus import (
     _ROWS_PER_WRITE,
     _load_canonical_predictions,
+    _load_parts,
     _load_prediction_rows,
+    _part_starts,
     PredictionStream,
     StackConfig,
     VideoAnnotation,
@@ -493,17 +499,25 @@ def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
     # The UTF-8 check decodes the file a piece at a time. A character cut
     # between two pieces is decoded whole, and an invalid byte is reported
     # with the reason and line of a whole-file decode, at any piece size.
+    # Lines end as in universal newlines mode, at "\n", "\r\n" or a lone
+    # "\r", and a "\r\n" cut between two pieces ends one line.
     valid = (HEADER + "v\u20ac,9,0.5\nv\u20ac,10,0.5\n").encode()  # the euro sign is 3 bytes
     predictions = [
         (valid + b"\xe2\x82,11,0.5\n", "invalid continuation byte", 4),
         (valid + b"w,11,0.5\n\xe2\x82", "unexpected end of data", 5),
         (valid.replace(b"\xe2\x82\xac,10", b"\xe2\x82\xff,10"), "invalid continuation byte", 3),
         (valid + b"w,11,0.5\r\n\xff,12,0.5\r\n", "invalid start byte", 5),
+        (valid.replace(b"\n", b"\r") + b"\xff,11,0.5\r", "invalid start byte", 4),
     ]
     record = json.dumps({"video_id": "\u20ac", "database_id": "d", "fps": 30.0,
                          "frame_count": 100, "fall_intervals": []}, ensure_ascii=False).encode()
-    annotations = [(b"\n" + record + b"\n" + record[:20] + b"\xe2\x82" + record[22:],
-                    "invalid continuation byte", 3)]
+    bad_record = record[:20] + b"\xe2\x82" + record[22:]
+    annotations = [
+        (b"\n" + record + b"\n" + bad_record, "invalid continuation byte", 3),
+        (b"\r".join([record, record, b"", bad_record, b""]), "invalid continuation byte", 4),
+        (b"\r\n".join([record, b"", record, bad_record, b""]), "invalid continuation byte", 4),
+        (record + b"\r\r\n\n" + bad_record, "invalid continuation byte", 4),
+    ]
     path = tmp_path / "data"
     for size in [*range(1, 12), 1 << 20]:
         monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", size)
@@ -515,6 +529,176 @@ def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
                 with pytest.raises(CorpusFormatError, match=rf"invalid UTF-8 \({reason}\)") as err:
                     load(path)
                 assert err.value.line == line, (size, data)
+        # a JSON error is numbered alike
+        path.write_bytes(b"\r".join([record, b"", b" ", b"{", b""]))
+        with pytest.raises(CorpusFormatError, match="invalid JSON") as err:
+            load_annotations(path)
+        assert err.value.line == 4, size
+
+
+# -- the bulk parse in parts ----------------------------------------------------
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, count, part_bytes=1):
+    """Let load_predictions cut a file into ``count`` parts of ``part_bytes`` or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr("alarm_pipeline.corpus._PART_BYTES", part_bytes)
+
+
+def line_starts(data):
+    """The offsets of every line of ``data`` but the first."""
+    return [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+
+
+PART_ROWS = ("a,9,0.5\na,10,0.25\na,11,1e-05\na,12,0.0\n"
+             "b,9,1.0\nc,3,0.3\nc,4,0.30000000000000004\nc,5,5e-324\n")
+PART_FILES = [  # (file text, whether the one-part parse gives streams)
+    (HEADER + PART_ROWS, True),
+    (HEADER + "a,9,0.5\na,10,0.25\nb,9,1.0\na,11,0.5\nc,3,0.3\n", False),  # a in two blocks
+    (HEADER + PART_ROWS.replace("c,5", '"c",5'), False),  # a quoted id
+    (HEADER + PART_ROWS.replace("a,11,1e-05\na,12", "a,12,1e-05\na,13"), False),  # an anchor gap
+    (HEADER + PART_ROWS.replace("c,4,", "c,3,"), False),  # anchors not increasing
+    (HEADER + PART_ROWS.replace("b,9,1.0", "b,9,1.5"), False),  # a score out of range
+    (HEADER + PART_ROWS[:-1], False),  # no final newline
+    ("video,anchor,score\n" + PART_ROWS, False),  # a wrong header
+]
+
+
+def test_parts_give_the_one_part_parse(tmp_path):
+    # Cut at every line start into 2, 3 and 4 parts (a file the one-part
+    # parse refuses: 2 and 3), so blocks are cut in two and three, parts hold
+    # one line, and the first part may be the header.
+    path = tmp_path / "pred.csv"
+    for text, canonical in PART_FILES:
+        path.write_text(text)
+        one_part = _load_parts(path, [0])
+        assert (one_part is not None) == canonical, text
+        if canonical:
+            assert stream_bits(one_part) == stream_bits(_load_prediction_rows(path))
+        starts = line_starts(path.read_bytes())
+        cut_counts = (1, 2, 3) if canonical else (1, 2)
+        for cuts in itertools.chain.from_iterable(itertools.combinations(starts, n)
+                                                  for n in cut_counts):
+            parts = _load_parts(path, [0, *cuts])
+            assert_no_children()
+            if canonical:
+                assert stream_bits(parts) == stream_bits(one_part), cuts
+                assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
+                           and s.anchor_frames.flags.writeable for s in parts)
+            else:
+                assert parts is None, (text, cuts)
+
+
+def test_part_starts(tmp_path, monkeypatch):
+    path = tmp_path / "pred.csv"
+    path.write_text(HEADER + PART_ROWS)
+    data = path.read_bytes()
+    assert _part_starts(path) == [0]  # smaller than _PART_BYTES
+    for cpus in (2, 3, 4, 64):
+        use_cpus(monkeypatch, cpus)
+        starts = _part_starts(path)
+        assert len(starts) == min(cpus, len(data.splitlines())), cpus
+        assert starts[0] == 0 and set(starts[1:]) <= set(line_starts(data))
+        assert starts == sorted(set(starts))
+        use_cpus(monkeypatch, cpus, part_bytes=len(data) // 2)
+        assert len(_part_starts(path)) == 2
+        use_cpus(monkeypatch, cpus, part_bytes=len(data) + 1)
+        assert _part_starts(path) == [0]
+    use_cpus(monkeypatch, 1)
+    assert _part_starts(path) == [0]
+    monkeypatch.delattr(os, "sched_getaffinity")  # the usable CPUs are unknown
+    assert _part_starts(path) == [0]
+    assert stream_bits(load_predictions(path)) == stream_bits(_load_prediction_rows(path))
+
+
+def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
+    rows_calls = []
+
+    def rows(path):
+        rows_calls.append(path)
+        return _load_prediction_rows(path)
+
+    monkeypatch.setattr(corpus, "_load_prediction_rows", rows)
+    send = corpus._send_streams
+
+    def send_then_fail(pipe, streams):
+        send(pipe, streams)
+        raise RuntimeError("the child fails after sending everything")
+
+    def send_short(pipe, streams):
+        buffer = io.BytesIO()
+        send(buffer, streams)
+        pipe.write(buffer.getvalue()[:-1])
+
+    path = tmp_path / "pred.csv"
+    cases = [  # (file text, what the child sends)
+        (HEADER + "a,9,0.5\nb,9,1.0\nc,3,0.3\nd,3,0.3\nb,10,0.5\na,10,0.5\n", send),  # ids repeat
+        (HEADER + PART_ROWS.replace("c,", '"c",'), send),  # quoted ids in the child's part
+        (HEADER + PART_ROWS, send_then_fail),  # the child exits non-zero
+        (HEADER + PART_ROWS, send_short),  # the pipe ends early
+    ]
+    for text, child_sends in cases:
+        path.write_text(text)
+        want = stream_bits(_load_prediction_rows(path))
+        monkeypatch.setattr(corpus, "_send_streams", child_sends)
+        for cpus in (2, 3, 4):
+            use_cpus(monkeypatch, cpus)
+            rows_calls.clear()
+            assert stream_bits(load_predictions(path)) == want, (text, cpus)
+            assert rows_calls == [path]
+            assert_no_children()
+    # With no process to fork, this one parses every part.
+    monkeypatch.setattr(corpus, "_send_streams", send)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rows_calls.clear()
+    assert stream_bits(load_predictions(path)) == want
+    assert rows_calls == []
+
+
+def test_parts_reap_children_when_the_parse_raises(tmp_path, monkeypatch):
+    path = tmp_path / "pred.csv"
+    path.write_text(HEADER + PART_ROWS)
+    parse = corpus._load_canonical_predictions
+    parent = os.getpid()
+
+    def parse_or_raise(pieces):  # raises in this process, not in the children
+        if os.getpid() == parent:
+            raise MemoryError("the first part fails")
+        return parse(pieces)
+
+    monkeypatch.setattr(corpus, "_load_canonical_predictions", parse_or_raise)
+    use_cpus(monkeypatch, 4)
+    with pytest.raises(MemoryError, match="the first part fails"):
+        load_predictions(path)
+    assert_no_children()
+
+
+def test_cli_evaluate_on_parts(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "corpus"
+    assert main(["synth", "--videos", "5", "--frames", "300", "--near-fp-rate", "1",
+                 "--seed", "3", "--out", str(data)]) == 0
+    args = ["evaluate", "--annotations", str(data / "annotations.jsonl"),
+            "--predictions", str(data / "predictions.csv"), "--w-seconds", "0.3",
+            "--t-pred", "0.4", "--out", str(tmp_path / "out")]
+    outputs = []
+    for cpus in (1, 2, 4):
+        use_cpus(monkeypatch, cpus)
+        capsys.readouterr()
+        assert main(args) == 0
+        assert_no_children()
+        outputs.append((capsys.readouterr(), {p.name: p.read_bytes()
+                                              for p in (tmp_path / "out").iterdir()}))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_save_predictions_peak_memory(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from alarm_pipeline.cli import _json_text, _report_json
+from alarm_pipeline.cli import _json_text, _report_json, format_report_table
 from alarm_pipeline.metrics import (
     AlarmCounts,
     ConfusionCounts,
@@ -109,6 +109,26 @@ def test_f_beta_edge_cases():
             MetricReport.from_counts(None, None, (0.5, beta))
     with pytest.raises(ValueError):
         f_beta(1.2, 0.5, 1.0)
+
+
+def test_repeated_beta_is_rejected_everywhere():
+    # One F value per beta: 1 and 1.0 name the same F_1, so a repeat would
+    # keep one value in a report and print two F_1 columns in a table.
+    counts = AlarmCounts(1, 1, 1)
+    for betas in ((1, 1.0), (0.5, 2.0, 0.5)):
+        with pytest.raises(ValueError, match=f"beta must not repeat {betas[-1]}"):
+            MetricReport.from_counts(None, counts, betas)
+        with pytest.raises(ValueError, match=f"beta must not repeat {betas[-1]}"):
+            MetricReport.from_counts(None, None, betas)
+        report = MetricReport.from_counts(None, counts, betas[:-1])
+        with pytest.raises(ValueError, match=f"beta must not repeat {betas[-1]}"):
+            format_report_table([("db", report)], betas)
+    # A bad beta is found before a later repeat, as the CLI reports it.
+    with pytest.raises(ValueError, match="beta must be finite and > 0, got 0"):
+        MetricReport.from_counts(None, counts, (1, 0, 1))
+    assert format_report_table([("db", MetricReport.from_counts(None, counts, (1, 2)))],
+                               (1, 2)).splitlines()[0].split() == [
+        "Database", "F_1", "F_2", "p_a", "se_a", "TP_a", "FP_a", "FN_a"]
 
 
 # -- weighted BCE ----------------------------------------------------------
