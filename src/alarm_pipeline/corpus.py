@@ -21,7 +21,7 @@ import signal
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -352,8 +352,7 @@ def _part_starts(path: Path) -> list[int]:
     """Offsets of the line starts where the parts of ``path`` begin, the
     first 0; see :func:`load_predictions` for how many there are."""
     size = path.stat().st_size
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = min(cpus, size // _PART_BYTES)
+    parts = min(_usable_cpus(), size // _PART_BYTES)
     starts = [0]
     if parts < 2:
         return starts
@@ -381,7 +380,7 @@ def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream] | None:
     try:
         for i in range(1, len(starts)):
             try:
-                children[i] = _fork_part(path, starts[i], ends[i])
+                children[i] = _fork(_send_part, path, starts[i], ends[i])
             except OSError:  # no process to spare: this one parses the rest
                 break
         streams: list[PredictionStream] = []
@@ -407,9 +406,7 @@ def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream] | None:
         return streams
     finally:
         for pid, pipe in children.values():  # not received: stop and reap them
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, pipe)
 
 
 def _parse_part(path: Path, start: int, end: int | None) -> list[PredictionStream] | None:
@@ -424,10 +421,15 @@ def _parse_part(path: Path, start: int, end: int | None) -> list[PredictionStrea
             pieces if start == 0 else itertools.chain([_CANONICAL_HEADER], pieces))
 
 
-def _fork_part(path: Path, start: int, end: int | None) -> tuple[int, BinaryIO]:
-    """Fork a child that parses a part of ``path`` (see :func:`_parse_part`)
-    and sends its streams down a pipe; returns the child's pid and the
-    pipe's read end. The child exits 0 only once it has sent them all."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where Python cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork(send: Callable[..., None], *args) -> tuple[int, BinaryIO]:
+    """Fork a child that calls ``send(pipe, *args)`` with the write end of a
+    pipe; returns the child's pid and the pipe's read end. The child leaves
+    through ``os._exit``, with 0 only once ``send`` has returned."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -439,15 +441,31 @@ def _fork_part(path: Path, start: int, end: int | None) -> tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(read_fd)
-            streams = _parse_part(path, start, end)
-            if streams is not None:
-                with open(write_fd, "wb") as pipe:
-                    _send_streams(pipe, streams)
-                status = 0
+            with open(write_fd, "wb") as pipe:
+                send(pipe, *args)
+            status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
+
+
+def _reap(pid: int, pipe: BinaryIO, stop: bool = True) -> int:
+    """Close ``pipe``, so a child still writing to it stops, kill the child
+    ``pid`` first if ``stop``, and reap it; returns its exit code."""
+    pipe.close()
+    if stop:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _send_part(pipe: BinaryIO, path: Path, start: int, end: int | None) -> None:
+    """Send the streams of a part of ``path`` (see :func:`_parse_part`) down
+    ``pipe``; raises, so the child exits 1, if the part is for the row loop."""
+    streams = _parse_part(path, start, end)
+    if streams is None:
+        raise ValueError("the part is for the row loop")
+    _send_streams(pipe, streams)
 
 
 def _send_streams(pipe: BinaryIO, streams: list[PredictionStream]) -> None:
@@ -468,21 +486,20 @@ def _receive_part(pid: int, pipe: BinaryIO) -> list[PredictionStream] | None:
     :func:`_send_streams`), each read straight into its own arrays, or None
     if the pipe ends early or the child fails. The child is reaped."""
     try:
-        with pipe:
-            (count,) = _read_array(pipe, np.int64, 1)
-            sizes = _read_array(pipe, np.int64, 2 * count).reshape(-1, 2).tolist()
-            ids = _read_array(pipe, np.uint8, sum(id_size for id_size, _ in sizes)).tobytes()
-            streams, pos = [], 0
-            for id_size, rows in sizes:
-                anchors = _read_array(pipe, np.int64, rows)
-                streams.append(PredictionStream(ids[pos:pos + id_size].decode(), anchors,
-                                                _read_array(pipe, np.float64, rows)))
-                pos += id_size
+        (count,) = _read_array(pipe, np.int64, 1)
+        sizes = _read_array(pipe, np.int64, 2 * count).reshape(-1, 2).tolist()
+        ids = _read_array(pipe, np.uint8, sum(id_size for id_size, _ in sizes)).tobytes()
+        streams, pos = [], 0
+        for id_size, rows in sizes:
+            anchors = _read_array(pipe, np.int64, rows)
+            streams.append(PredictionStream(ids[pos:pos + id_size].decode(), anchors,
+                                            _read_array(pipe, np.float64, rows)))
+            pos += id_size
     except (EOFError, ValueError):  # cut short, or not what the child sends
         streams = None
-    finally:  # the pipe is closed, so a child still writing stops
-        status = os.waitpid(pid, 0)[1]
-    return streams if os.waitstatus_to_exitcode(status) == 0 else None
+    finally:
+        status = _reap(pid, pipe, stop=False)
+    return streams if status == 0 else None
 
 
 def _read_array(pipe: BinaryIO, dtype: type, size: int) -> np.ndarray:
@@ -657,28 +674,104 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
         raise CorpusFormatError(str(exc), path=str(path))
 
 
-# Rows formatted into one string by save_predictions; bounds its memory.
-_ROWS_PER_WRITE = 1 << 14
+# Rows in one piece of the file save_predictions writes: a process formats
+# a piece into one string, so this bounds each one's memory.
+_ROWS_PER_WRITE = 1 << 12
+# A piece: the rows [lo, hi) of each of its streams, in file order.
+_Piece = list[tuple[PredictionStream, int, int]]
 
 
 def save_predictions(streams: Iterable[PredictionStream], path: str | Path) -> None:
     """Write prediction streams as canonical CSV (shortest round-trip floats).
 
-    Each video's rows are listed and formatted as one string per chunk of
-    ``_ROWS_PER_WRITE`` rows, so peak memory is a few chunks whatever the
-    video's length; the id field is quoted once per video by the same
-    ``csv.writer`` dialect, so the bytes equal a row-by-row write.
+    The streams are listed first, as pieces of ``_ROWS_PER_WRITE`` rows in
+    file order, because forked children must see them all at the fork; a
+    piece may end one video and start the next, and a long video spans
+    several. Each piece is formatted as one string, with each id quoted once
+    by the same ``csv.writer`` dialect, so the bytes equal a row-by-row write
+    and peak memory is about one piece per process.
+
+    The pieces are formatted on the usable CPUs: with ``P = min(usable CPUs,
+    pieces)``, this process formats the pieces ``i`` with ``i % P == 0`` and
+    a forked child ``c`` those with ``i % P == c``, sending each down a pipe;
+    this process writes them all in order. A piece a child did not send, as
+    its fork, its pipe or the child itself failed, is formatted here, so the
+    bytes are always the same. Every child is reaped before this returns or
+    raises.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(_CANONICAL_HEADER.decode())
-        for stream in streams:
-            video_id = _csv_field(stream.video_id)
-            anchors, scores = stream.anchor_frames, stream.scores
-            for lo in range(0, len(anchors), _ROWS_PER_WRITE):
-                hi = lo + _ROWS_PER_WRITE
-                rows = zip(anchors[lo:hi].tolist(), scores[lo:hi].tolist())
-                handle.write("".join([f"{video_id},{a},{s!r}\n" for a, s in rows]))
+    pieces = list(_pieces(streams, _ROWS_PER_WRITE))
+    workers = min(_usable_cpus(), len(pieces))
+    children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> pid, pipe
+    try:
+        for c in range(1, workers):
+            try:
+                children[c] = _fork(_send_pieces, pieces[c::workers])
+            except OSError:  # no process to spare: this one formats the rest
+                break
+        with Path(path).open("wb") as handle:
+            handle.write(_CANONICAL_HEADER)
+            for i, piece in enumerate(pieces):
+                child = children.get(i % workers)
+                data = _receive_piece(child[1]) if child else None
+                if data is None:
+                    if child:  # the child failed: this one formats its pieces from here on
+                        _reap(*children.pop(i % workers))
+                    data = _format_piece(piece)
+                handle.write(data)
+    finally:
+        for pid, pipe in children.values():
+            _reap(pid, pipe)
+
+
+def _pieces(streams: Iterable[PredictionStream], rows: int) -> Iterator[_Piece]:
+    """The rows of ``streams`` in file order, cut into pieces of ``rows``
+    rows (the last may have fewer); a piece holds no empty range."""
+    piece: _Piece = []
+    room = rows
+    for stream in streams:
+        lo = 0
+        while lo < len(stream):
+            hi = min(lo + room, len(stream))
+            piece.append((stream, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield piece
+                piece, room = [], rows
+    if piece:
+        yield piece
+
+
+def _format_piece(piece: _Piece) -> bytes:
+    """The UTF-8 CSV rows of a piece (see :func:`_pieces`)."""
+    lines: list[str] = []
+    for stream, lo, hi in piece:
+        video_id = _csv_field(stream.video_id)
+        rows = zip(stream.anchor_frames[lo:hi].tolist(), stream.scores[lo:hi].tolist())
+        lines += [f"{video_id},{a},{s!r}\n" for a, s in rows]
+    return "".join(lines).encode()
+
+
+def _send_pieces(pipe: BinaryIO, pieces: list[_Piece]) -> None:
+    """Format each of ``pieces`` and send it down ``pipe``."""
+    for piece in pieces:
+        _send_piece(pipe, _format_piece(piece))
+
+
+def _send_piece(pipe: BinaryIO, data: bytes) -> None:
+    """Write ``data`` down ``pipe`` after its length as a native int64."""
+    pipe.write(np.int64(len(data)).tobytes())
+    pipe.write(data)
+
+
+def _receive_piece(pipe: BinaryIO) -> np.ndarray | None:
+    """The bytes of the next piece sent down ``pipe`` (see
+    :func:`_send_piece`), or None if the pipe ends first."""
+    try:
+        (size,) = _read_array(pipe, np.int64, 1)
+        return _read_array(pipe, np.uint8, size)
+    except EOFError:
+        return None
 
 
 def _csv_field(value: str) -> str:

@@ -733,6 +733,181 @@ def test_save_predictions_matches_csv_writer(tmp_path):
     assert b'\n"cr\rid",0,0.0\n' in path.read_bytes()
 
 
+# -- the write in pieces --------------------------------------------------------
+
+WRITE_STREAMS = [  # pieces of 3 rows or more join videos and cut them
+    PredictionStream("a,b", np.arange(9, 9 + len(TRICKY_SCORES)), TRICKY_SCORES),
+    PredictionStream("", [4], [0.1]),
+    PredictionStream("100%", [], []),
+    PredictionStream('say "hi"', [3, 4], [0.5, 0.25]),
+    PredictionStream("%d %r %%", [7], [0.75]),
+    PredictionStream(" é 中 ", [4], [0.1]),
+    PredictionStream("two\nlines", [0, 1, 2, 3], [1.0, 0.0, 0.5, 1e-05]),
+    PredictionStream("cr\rid", [], []),
+    PredictionStream("plain", np.arange(20), np.linspace(0.0, 1.0, 20)),
+]
+WRITE_ROWS = sum(len(stream) for stream in WRITE_STREAMS)
+
+
+def use_pieces(monkeypatch, cpus, rows=3):
+    """Let save_predictions cut its rows into pieces of ``rows`` and format
+    them on ``cpus`` processes."""
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(corpus, "_ROWS_PER_WRITE", rows)
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one at each fork this process makes."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_pieces_cut_the_rows_in_file_order():
+    for rows in (1, 3, 7, 36, 1000):
+        pieces = list(corpus._pieces(WRITE_STREAMS, rows))
+        sizes = [sum(hi - lo for _, lo, hi in piece) for piece in pieces]
+        assert sizes[:-1] == [rows] * (len(pieces) - 1) and 0 < sizes[-1] <= rows
+        ranges = [(stream.video_id, lo, hi) for piece in pieces for stream, lo, hi in piece]
+        assert all(lo < hi for _, lo, hi in ranges)
+        joined = [(video_id, row) for video_id, lo, hi in ranges for row in range(lo, hi)]
+        assert joined == [(s.video_id, row) for s in WRITE_STREAMS for row in range(len(s))]
+    pieces = list(corpus._pieces(WRITE_STREAMS, 3))
+    assert any(len(piece) > 2 for piece in pieces)  # one piece holds three videos
+    assert sum(stream.video_id == "plain" for piece in pieces for stream, _, _ in piece) > 2
+    assert list(corpus._pieces([PredictionStream("e", [], [])], 3)) == []
+
+
+def test_write_in_pieces_gives_the_same_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "pred.csv"
+    want = reference_csv(WRITE_STREAMS)
+    forks = count_forks(monkeypatch)
+    for cpus, rows in itertools.product((1, 2, 3, 4), (1, 3, 7, 1000)):
+        use_pieces(monkeypatch, cpus, rows)
+        for streams in (WRITE_STREAMS, iter(WRITE_STREAMS)):
+            forks.clear()
+            save_predictions(streams, path)
+            assert_no_children()
+            assert path.read_bytes() == want, (cpus, rows)
+            assert len(forks) == min(cpus, -(-WRITE_ROWS // rows)) - 1, (cpus, rows)
+        for empty in ([], [PredictionStream("e", [], [])]):
+            save_predictions(empty, path)
+            assert path.read_bytes() == HEADER.encode()
+    assert not forks  # no fork for a file with no piece
+
+
+def test_write_in_pieces_survives_failing_children(tmp_path, monkeypatch):
+    path = tmp_path / "pred.csv"
+    want = reference_csv(WRITE_STREAMS)
+    send = corpus._send_piece
+    sent = [0]  # the pieces a child has sent: each counts in its own copy
+
+    def fail_after(k):
+        def send_or_fail(pipe, data):
+            if sent[0] == k:
+                raise RuntimeError(f"the child fails after {k} pieces")
+            sent[0] += 1
+            send(pipe, data)
+        return send_or_fail
+
+    def send_half(pipe, data):
+        buffer = io.BytesIO()
+        send(buffer, data)
+        pipe.write(buffer.getvalue()[:len(buffer.getvalue()) // 2])
+        raise RuntimeError("the pipe ends in the middle of a piece")
+
+    for child_sends in (fail_after(0), fail_after(1), fail_after(2), send_half):
+        monkeypatch.setattr(corpus, "_send_piece", child_sends)
+        for cpus in (2, 3, 4):
+            use_pieces(monkeypatch, cpus)
+            save_predictions(WRITE_STREAMS, path)
+            assert_no_children()
+            assert path.read_bytes() == want, cpus
+    monkeypatch.setattr(corpus, "_send_piece", send)
+    # With no process to fork, or none after the first child, this one formats the rest.
+    fork = os.fork
+    for spare in (0, 1):
+        forks = [spare]
+
+        def fork_while_spare():
+            if not forks[0]:
+                raise BlockingIOError("no process to spare")
+            forks[0] -= 1
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_while_spare)
+        use_pieces(monkeypatch, 4)
+        save_predictions(WRITE_STREAMS, path)
+        assert_no_children()
+        assert path.read_bytes() == want, spare
+
+
+def test_write_in_pieces_reaps_children_when_this_process_raises(tmp_path, monkeypatch):
+    use_pieces(monkeypatch, 4)
+    if os.path.exists("/dev/full"):  # every write fails there
+        with pytest.raises(OSError, match="No space left"):
+            save_predictions(WRITE_STREAMS, "/dev/full")
+        assert_no_children()
+    format_piece = corpus._format_piece
+    parent = os.getpid()
+
+    def format_or_raise(piece):  # raises in this process, not in the children
+        if os.getpid() == parent:
+            raise MemoryError("this process fails")
+        return format_piece(piece)
+
+    monkeypatch.setattr(corpus, "_format_piece", format_or_raise)
+    with pytest.raises(MemoryError, match="this process fails"):
+        save_predictions(WRITE_STREAMS, tmp_path / "pred.csv")
+    assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="threads are counted in /proc")
+def test_forks_leave_one_thread(tmp_path, monkeypatch):
+    # Python 3.12+ warns that a fork may deadlock when the process has more
+    # than one thread right after os.fork runs its at-fork handlers (numpy's
+    # OpenBLAS joins its threads in one of them), so count them there.
+    fork, threads = os.fork, []
+
+    def fork_and_count():
+        pid = fork()
+        if pid:
+            with open("/proc/self/status", encoding="ascii") as status:
+                threads.extend(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_and_count)
+    use_pieces(monkeypatch, 2)
+    path = tmp_path / "pred.csv"
+    save_predictions(WRITE_STREAMS, path)
+    assert threads == [1]
+    path.write_text(HEADER + PART_ROWS)
+    assert stream_bits(load_predictions(path)) == stream_bits(_load_prediction_rows(path))
+    assert threads == [1, 1]
+    assert_no_children()
+
+
+def test_cli_synth_in_pieces(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "corpus"
+    args = ["synth", "--videos", "5", "--frames", "300", "--near-fp-rate", "1", "--seed", "3",
+            "--out", str(out)]
+    outputs = []
+    for cpus in (1, 2, 4):
+        use_pieces(monkeypatch, cpus, rows=100)  # 5 videos of 291 rows: 15 pieces
+        capsys.readouterr()
+        assert main(args) == 0
+        assert_no_children()
+        outputs.append((capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 # -- fold assignment ----------------------------------------------------------
 
 
