@@ -331,16 +331,21 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
 
     The bulk parse runs on the usable CPUs: the file is cut at line starts
     into ``min(usable CPUs, size // _PART_BYTES)`` parts (one where the
-    usable CPUs are unknown), this process parses the first and a forked
-    child each other part, and the parts are joined in file order. A video
-    whose block is cut in two is joined too; an id in two parts otherwise,
-    a part that is not canonical or a child that fails sends the file to the
-    row loop, so the result and the errors are those of a one-part parse.
-    Every child is reaped before this returns or raises.
+    usable CPUs are unknown). A part is parsed into raw blocks, one per
+    video per run of lines: this process parses the first part, and a forked
+    child parses each other part whole before it sends its blocks down a
+    pipe. One join takes the blocks in file order and makes the consecutive
+    blocks of one id a stream, so a video cut between runs and one cut
+    between parts are the same case. An id that comes back, a part that is
+    not canonical or a child that fails sends the file to the row loop, so
+    the result and the errors are those of a one-part parse. Every child is
+    reaped before this returns or raises.
     """
     path = Path(path)
-    streams = _load_parts(path, _part_starts(path))
-    return streams if streams is not None else _load_prediction_rows(path)
+    try:
+        return _load_parts(path, _part_starts(path))
+    except (ValueError, EOFError):  # the bulk parse leaves the file to the row loop
+        return _load_prediction_rows(path)
 
 
 # The least bytes of the file per part; a child's fork and pipe transfer pay
@@ -372,52 +377,38 @@ def _part_starts(path: Path) -> list[int]:
     return starts
 
 
-def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream] | None:
+def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream]:
     """The bulk parse of ``path`` in the parts that begin at ``starts``,
-    joined in file order, or None to use the row loop."""
+    joined in file order; raises ValueError or EOFError to use the row loop."""
     ends = [*starts[1:], None]
     children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, pipe
     try:
         for i in range(1, len(starts)):
             try:
-                children[i] = _fork(_send_part, path, starts[i], ends[i])
+                children[i] = _fork(_send_blocks, path, starts[i], ends[i])
             except OSError:  # no process to spare: this one parses the rest
                 break
-        streams: list[PredictionStream] = []
-        seen: set[str] = set()
-        for i, start in enumerate(starts):
-            part = _receive_part(*children.pop(i)) if i in children else _parse_part(path, start, ends[i])
-            if part is None:
-                return None
-            if part and streams and part[0].video_id == streams[-1].video_id:  # a block cut in two
-                head = streams.pop()
-                seen.remove(head.video_id)
-                try:
-                    part[0] = PredictionStream(
-                        head.video_id, np.concatenate([head.anchor_frames, part[0].anchor_frames]),
-                        np.concatenate([head.scores, part[0].scores]))
-                except ValueError:  # the anchors do not go on by 1 across the cut
-                    return None
-            ids = {stream.video_id for stream in part}
-            if not seen.isdisjoint(ids):
-                return None
-            seen |= ids
-            streams += part
+        streams = _streams(itertools.chain.from_iterable(
+            _receive_blocks(children[i][1]) if i in children else _part_blocks(path, start, ends[i])
+            for i, start in enumerate(starts)))
+        while children:  # each child must have sent its whole part
+            if _reap(*children.popitem()[1], stop=False):
+                raise ValueError("a child failed")
         return streams
     finally:
-        for pid, pipe in children.values():  # not received: stop and reap them
+        for pid, pipe in children.values():  # stop and reap the children left
             _reap(pid, pipe)
 
 
-def _parse_part(path: Path, start: int, end: int | None) -> list[PredictionStream] | None:
-    """:func:`_load_canonical_predictions` of the lines in bytes ``[start,
-    end)`` of ``path`` (to its end if ``end`` is None), the header put before
-    a part that does not start the file."""
+def _part_blocks(path: Path, start: int, end: int | None) -> Iterator[_Block]:
+    """:func:`_canonical_blocks` of the lines in bytes ``[start, end)`` of
+    ``path`` (to its end if ``end`` is None), the header put before a part
+    that does not start the file."""
     with path.open("rb") as handle:
         handle.seek(start)
         pieces = iter(lambda: handle.read(
             _READ_BYTES if end is None else min(_READ_BYTES, end - handle.tell())), b"")
-        return _load_canonical_predictions(
+        yield from _canonical_blocks(
             pieces if start == 0 else itertools.chain([_CANONICAL_HEADER], pieces))
 
 
@@ -459,47 +450,26 @@ def _reap(pid: int, pipe: BinaryIO, stop: bool = True) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _send_part(pipe: BinaryIO, path: Path, start: int, end: int | None) -> None:
-    """Send the streams of a part of ``path`` (see :func:`_parse_part`) down
-    ``pipe``; raises, so the child exits 1, if the part is for the row loop."""
-    streams = _parse_part(path, start, end)
-    if streams is None:
-        raise ValueError("the part is for the row loop")
-    _send_streams(pipe, streams)
+def _send_blocks(pipe: BinaryIO, path: Path, start: int, end: int | None) -> None:
+    """Parse a part of ``path`` (see :func:`_part_blocks`) whole, so the
+    children parse at once rather than wait on a full pipe, then send each of
+    its blocks down ``pipe``: its id length and rows as native int64 words,
+    its id, its anchors and its scores."""
+    for video_id, anchors, scores in list(_part_blocks(path, start, end)):
+        pipe.write(np.array([len(video_id), len(anchors)], dtype=np.int64).tobytes())
+        pipe.write(video_id)
+        pipe.write(anchors)
+        pipe.write(scores)
 
 
-def _send_streams(pipe: BinaryIO, streams: list[PredictionStream]) -> None:
-    """Write ``streams`` as native int64 words: their count, then each one's
-    id length and rows; then the UTF-8 ids; then each one's anchors and
-    scores."""
-    ids = [stream.video_id.encode() for stream in streams]
-    sizes = [n for video_id, stream in zip(ids, streams) for n in (len(video_id), len(stream))]
-    pipe.write(np.array([len(streams), *sizes], dtype=np.int64).tobytes())
-    pipe.write(b"".join(ids))
-    for stream in streams:
-        pipe.write(stream.anchor_frames)
-        pipe.write(stream.scores)
-
-
-def _receive_part(pid: int, pipe: BinaryIO) -> list[PredictionStream] | None:
-    """The streams the child ``pid`` sends down ``pipe`` (see
-    :func:`_send_streams`), each read straight into its own arrays, or None
-    if the pipe ends early or the child fails. The child is reaped."""
-    try:
-        (count,) = _read_array(pipe, np.int64, 1)
-        sizes = _read_array(pipe, np.int64, 2 * count).reshape(-1, 2).tolist()
-        ids = _read_array(pipe, np.uint8, sum(id_size for id_size, _ in sizes)).tobytes()
-        streams, pos = [], 0
-        for id_size, rows in sizes:
-            anchors = _read_array(pipe, np.int64, rows)
-            streams.append(PredictionStream(ids[pos:pos + id_size].decode(), anchors,
-                                            _read_array(pipe, np.float64, rows)))
-            pos += id_size
-    except (EOFError, ValueError):  # cut short, or not what the child sends
-        streams = None
-    finally:
-        status = _reap(pid, pipe, stop=False)
-    return streams if status == 0 else None
+def _receive_blocks(pipe: BinaryIO) -> Iterator[_Block]:
+    """The blocks sent down ``pipe`` (see :func:`_send_blocks`) until it
+    ends, each read straight into its own arrays; EOFError if it ends inside
+    a block."""
+    while pipe.peek(1):
+        id_size, rows = _read_array(pipe, np.int64, 2).tolist()
+        yield (_read_array(pipe, np.uint8, id_size).tobytes(),
+               _read_array(pipe, np.int64, rows), _read_array(pipe, np.float64, rows))
 
 
 def _read_array(pipe: BinaryIO, dtype: type, size: int) -> np.ndarray:
@@ -551,67 +521,62 @@ def _canonical_runs(pieces: Iterable[bytes]) -> Iterator[bytes]:
         raise ValueError("not canonical: no header or no final newline")
 
 
-def _load_canonical_predictions(pieces: Iterable[bytes]) -> list[PredictionStream] | None:
+# A block: the UTF-8 id and the anchors and scores of rows of one video.
+_Block = tuple[bytes, np.ndarray, np.ndarray]
+
+
+def _canonical_blocks(pieces: Iterable[bytes]) -> Iterator[_Block]:
     """Bulk parse of a canonical prediction file given as byte pieces cut
-    anywhere, or None to use the row loop.
+    anywhere: one block per video per run of whole lines.
 
     Canonical means the header line, ``\\n`` line endings, no quote and no
     ``\\r`` anywhere, and each video's rows in one block. Every row is
     checked to have three fields and ASCII numerals before ``np.loadtxt``
-    parses the anchor and score columns of a run of whole lines (scores with
-    CPython's own float parser, so they match ``float()`` bit for bit). Each
-    video's rows are copied out of the run's table, and a video whose block
-    goes on into the next run is joined when it ends. Score range and anchor
-    order are left to :class:`PredictionStream`. Returns None, never raises,
-    on anything the row loop might treat differently or reject.
+    parses the anchor and score columns of a run (scores with CPython's own
+    float parser, so they match ``float()`` bit for bit), and each block's
+    rows are copied out of the run's table. Raises ValueError on anything
+    the row loop might treat differently or reject; the id's encoding, score
+    range, anchor order and the join of a video's blocks are left to
+    :func:`_streams`.
     """
-    streams: list[PredictionStream] = []
-    seen: set[bytes] = set()
-    video_id: bytes | None = None  # the open video, whose block may go on
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    try:
-        for run in _canonical_runs(pieces):
-            ids: list[bytes] = []  # the id of each block in the run
-            ends: list[int] = []  # the rows of the run up to each block's end
-            pos = rows = 0
-            while pos < len(run):
-                block = _CANONICAL_BLOCK.match(run, pos)
-                if block is None:
-                    return None
-                rows += run.count(b"\n", pos, block.end())
-                if ids and ids[-1] == block.group(1):  # the block goes on
-                    ends[-1] = rows
-                else:
-                    ids.append(block.group(1))
-                    ends.append(rows)
-                pos = block.end()
-            table = np.loadtxt(
-                io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None,
-                dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
-            )
-            if len(table) != rows:
-                return None
-            for block_id, lo, hi in zip(ids, [0, *ends], ends):
-                if block_id != video_id:
-                    if parts:
-                        streams.append(_joined_stream(video_id, parts))
-                    if block_id in seen:
-                        return None
-                    seen.add(block_id)
-                    video_id, parts = block_id, []
-                parts.append((table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy()))
-            del table  # freed before the next piece is read
-        if parts:
-            streams.append(_joined_stream(video_id, parts))
-        return streams
-    except ValueError:  # not canonical, unparsable number, id not UTF-8, score range, anchor order
-        return None
+    for run in _canonical_runs(pieces):
+        ids: list[bytes] = []  # the id of each block in the run
+        ends: list[int] = []  # the rows of the run up to each block's end
+        pos = rows = 0
+        while pos < len(run):
+            block = _CANONICAL_BLOCK.match(run, pos)
+            if block is None:
+                raise ValueError("not canonical: a row")
+            rows += run.count(b"\n", pos, block.end())
+            if ids and ids[-1] == block.group(1):  # the block goes on
+                ends[-1] = rows
+            else:
+                ids.append(block.group(1))
+                ends.append(rows)
+            pos = block.end()
+        table = np.loadtxt(
+            io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None,
+            dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
+        )
+        if len(table) != rows:
+            raise ValueError("not canonical: a row loadtxt reads differently")
+        for block_id, lo, hi in zip(ids, [0, *ends], ends):
+            yield block_id, table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy()
+        del table  # freed before the next piece is read
 
 
-def _joined_stream(video_id: bytes, parts: list[tuple[np.ndarray, np.ndarray]]) -> PredictionStream:
-    """The stream of one video's ``(anchors, scores)`` parts; one part is not copied."""
-    anchors, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return PredictionStream(video_id.decode("utf-8"), anchors, scores)
+def _streams(blocks: Iterable[_Block]) -> list[PredictionStream]:
+    """The streams of ``blocks`` in file order, the consecutive blocks of one
+    id joined into one stream (one block is not copied); ValueError if an id
+    comes back after another or is not UTF-8, or a stream is not valid."""
+    streams: dict[bytes, PredictionStream] = {}
+    for video_id, run in itertools.groupby(blocks, key=lambda block: block[0]):
+        if video_id in streams:
+            raise ValueError("not canonical: an id comes back")
+        parts = [block[1:] for block in run]
+        anchors, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        streams[video_id] = PredictionStream(video_id.decode("utf-8"), anchors, scores)
+    return list(streams.values())
 
 
 def _load_prediction_rows(path: Path) -> list[PredictionStream]:

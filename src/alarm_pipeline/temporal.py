@@ -103,13 +103,16 @@ def width_to_frames(width_seconds: float, fps: float) -> int:
     """Convert a filter width in seconds to whole frames (round half up, min 1).
 
     A 1e-9 nudge keeps products like 0.15 * 30 (stored as 4.4999...) from
-    rounding the wrong way.
+    rounding the wrong way. Raises ValueError if the frames overflow a float.
     """
     if not (0 < width_seconds < math.inf):
         raise ValueError(f"width_seconds must be finite and > 0, got {width_seconds}")
     if not (fps > 0):
         raise ValueError(f"fps must be > 0, got {fps}")
-    return max(1, int(math.floor(width_seconds * fps + 0.5 + 1e-9)))
+    frames = width_seconds * fps + 0.5 + 1e-9
+    if frames == math.inf:
+        raise ValueError(f"width_seconds {width_seconds} at fps {fps} is more frames than a float holds")
+    return max(1, math.floor(frames))
 
 
 def segment_cumsum(scores: np.ndarray, starts: Sequence[int] | np.ndarray) -> np.ndarray:

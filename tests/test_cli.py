@@ -300,6 +300,19 @@ def test_huge_widths_give_whole_video_width(tmp_path, corpus_files, capsys):
     assert rows["29.7"] == rows["1e300:1e300:1"] and len(rows["29.7"]) == 4
 
 
+def test_width_beyond_a_float_of_frames_exits_one(tmp_path, corpus_files, capsys):
+    # 1e307 s at 30 fps is more frames than a float holds; the width is
+    # turned into frames once the corpus gives the fps.
+    ann, pred = corpus_files
+    data = ["--annotations", str(ann), "--predictions", str(pred), "--out", str(tmp_path / "out")]
+    for args in (["evaluate", "--w-seconds", "1e307"],
+                 ["sweep", "--w-grid", "1e307", "--t-grid", "0.5"]):
+        capsys.readouterr()
+        assert main([*args, *data]) == 1, args
+        assert capsys.readouterr() == (
+            "", "error: width_seconds 1e+307 at fps 30.0 is more frames than a float holds\n")
+
+
 # -- config files ------------------------------------------------------------------
 
 

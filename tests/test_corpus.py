@@ -13,10 +13,11 @@ from alarm_pipeline import corpus
 from alarm_pipeline.cli import main
 from alarm_pipeline.corpus import (
     _ROWS_PER_WRITE,
-    _load_canonical_predictions,
+    _canonical_blocks,
     _load_parts,
     _load_prediction_rows,
     _part_starts,
+    _streams,
     PredictionStream,
     StackConfig,
     VideoAnnotation,
@@ -283,6 +284,15 @@ def pieces(data, cuts):
     return [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def bulk_parse(pieces):
+    """The one-part bulk parse of ``pieces``, or None where it leaves the
+    file to the row loop."""
+    try:
+        return _streams(_canonical_blocks(pieces))
+    except ValueError:
+        return None
+
+
 def splits(data):
     """``data`` whole, in one-byte pieces, and in two pieces cut at every offset."""
     yield [data]
@@ -329,7 +339,7 @@ def test_prediction_loader_errors(tmp_path):
     for text, message, line in cases:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         for split in splits(path.read_bytes()):
-            assert _load_canonical_predictions(split) is None, (text, split)
+            assert bulk_parse(split) is None, (text, split)
         with pytest.raises(CorpusFormatError, match=message) as err:
             load_predictions(path)
         assert err.value.line == line, text
@@ -369,10 +379,10 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     assert loaded[1].scores.tolist() == [0.2, 0.4]
 
     canonical = HEADER + "a,9,0.1\na,10,0.3\nb,9,0.2\nb,10,0.4\n"
-    bulk = _load_canonical_predictions([canonical.encode()])
+    bulk = bulk_parse([canonical.encode()])
     assert stream_bits(bulk) == stream_bits(loaded)
     for split in splits(canonical.encode()):
-        assert stream_bits(_load_canonical_predictions(split)) == stream_bits(bulk), split
+        assert stream_bits(bulk_parse(split)) == stream_bits(bulk), split
     variants = [  # each read row by row into the same streams
         HEADER + "a,9,0.1\nb,9,0.2\na,10,0.3\nb,10,0.4\n",  # interleaved
         canonical[:-1],  # no final newline
@@ -385,7 +395,7 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     for text in variants:
         path.write_bytes(text.encode())
         for split in splits(path.read_bytes()):
-            assert _load_canonical_predictions(split) is None, (text, split)
+            assert bulk_parse(split) is None, (text, split)
         assert stream_bits(load_predictions(path)) == stream_bits(bulk), text
 
 
@@ -425,7 +435,7 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
         *([cut] for cut in range(1, first_rows)),
     ]
     for cuts in cut_sets:
-        bulk = _load_canonical_predictions(pieces(text, cuts))
+        bulk = bulk_parse(pieces(text, cuts))
         assert (bulk is None) == quoted, cuts
         if bulk is not None:
             assert stream_bits(bulk) == rows, cuts
@@ -437,12 +447,12 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
 def test_bulk_loader_empty_and_header_only_files(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_bytes(b"")
-    assert _load_canonical_predictions([]) is None
+    assert bulk_parse([]) is None
     with pytest.raises(CorpusFormatError, match="empty prediction file"):
         load_predictions(path)
     path.write_bytes(HEADER.encode())
     for split in splits(HEADER.encode()):
-        assert _load_canonical_predictions(split) == [], split
+        assert bulk_parse(split) == [], split
     assert load_predictions(path) == []
 
 
@@ -570,29 +580,42 @@ PART_FILES = [  # (file text, whether the one-part parse gives streams)
 ]
 
 
-def test_parts_give_the_one_part_parse(tmp_path):
+def load_parts(path, starts):
+    """The bulk parse of ``path`` in the parts that begin at ``starts``, or
+    None where it leaves the file to the row loop."""
+    try:
+        return _load_parts(path, starts)
+    except (ValueError, EOFError):
+        return None
+
+
+def test_parts_give_the_one_part_parse(tmp_path, monkeypatch):
     # Cut at every line start into 2, 3 and 4 parts (a file the one-part
     # parse refuses: 2 and 3), so blocks are cut in two and three, parts hold
-    # one line, and the first part may be the header.
+    # one line, and the first part may be the header. Pieces of 1 and 7
+    # bytes cut the lines into runs of one or two as well, so one file is
+    # cut between runs and between parts at once.
     path = tmp_path / "pred.csv"
-    for text, canonical in PART_FILES:
-        path.write_text(text)
-        one_part = _load_parts(path, [0])
-        assert (one_part is not None) == canonical, text
-        if canonical:
-            assert stream_bits(one_part) == stream_bits(_load_prediction_rows(path))
-        starts = line_starts(path.read_bytes())
-        cut_counts = (1, 2, 3) if canonical else (1, 2)
-        for cuts in itertools.chain.from_iterable(itertools.combinations(starts, n)
-                                                  for n in cut_counts):
-            parts = _load_parts(path, [0, *cuts])
-            assert_no_children()
+    for read_bytes in (1, 7, 1 << 20):
+        monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
+        for text, canonical in PART_FILES:
+            path.write_text(text)
+            one_part = load_parts(path, [0])
+            assert (one_part is not None) == canonical, text
             if canonical:
-                assert stream_bits(parts) == stream_bits(one_part), cuts
-                assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
-                           and s.anchor_frames.flags.writeable for s in parts)
-            else:
-                assert parts is None, (text, cuts)
+                assert stream_bits(one_part) == stream_bits(_load_prediction_rows(path))
+            starts = line_starts(path.read_bytes())
+            cut_counts = (1, 2, 3) if canonical else (1, 2)
+            for cuts in itertools.chain.from_iterable(itertools.combinations(starts, n)
+                                                      for n in cut_counts):
+                parts = load_parts(path, [0, *cuts])
+                assert_no_children()
+                if canonical:
+                    assert stream_bits(parts) == stream_bits(one_part), (read_bytes, cuts)
+                    assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
+                               and s.anchor_frames.flags.writeable for s in parts)
+                else:
+                    assert parts is None, (read_bytes, text, cuts)
 
 
 def test_part_starts(tmp_path, monkeypatch):
@@ -625,15 +648,15 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
         return _load_prediction_rows(path)
 
     monkeypatch.setattr(corpus, "_load_prediction_rows", rows)
-    send = corpus._send_streams
+    send = corpus._send_blocks
 
-    def send_then_fail(pipe, streams):
-        send(pipe, streams)
+    def send_then_fail(pipe, *part):
+        send(pipe, *part)
         raise RuntimeError("the child fails after sending everything")
 
-    def send_short(pipe, streams):
+    def send_short(pipe, *part):
         buffer = io.BytesIO()
-        send(buffer, streams)
+        send(buffer, *part)
         pipe.write(buffer.getvalue()[:-1])
 
     path = tmp_path / "pred.csv"
@@ -646,7 +669,7 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
     for text, child_sends in cases:
         path.write_text(text)
         want = stream_bits(_load_prediction_rows(path))
-        monkeypatch.setattr(corpus, "_send_streams", child_sends)
+        monkeypatch.setattr(corpus, "_send_blocks", child_sends)
         for cpus in (2, 3, 4):
             use_cpus(monkeypatch, cpus)
             rows_calls.clear()
@@ -654,7 +677,7 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
             assert rows_calls == [path]
             assert_no_children()
     # With no process to fork, this one parses every part.
-    monkeypatch.setattr(corpus, "_send_streams", send)
+    monkeypatch.setattr(corpus, "_send_blocks", send)
 
     def no_fork():
         raise BlockingIOError("no process to spare")
@@ -665,10 +688,38 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
     assert rows_calls == []
 
 
+def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
+    # The join stops late in the second part's blocks, while the children
+    # after it still wait to send more than a pipe holds; they are stopped
+    # and reaped, and the row loop reads the file.
+    monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 12)
+    use_cpus(monkeypatch, 4)
+    videos = [(f"v{i}", range(3000)) for i in range(8)]  # 6,000 rows, 96 KB of arrays a part
+    path = tmp_path / "pred.csv"
+    cases = [  # (the last 100 rows of v3, the row loop's result)
+        (("v0", range(3000, 3100)), "v0 comes back"),
+        (("v3", range(2901, 3001)), "anchor 2899 is followed by 2901"),
+    ]
+    for late, result in cases:
+        rows = [*videos[:3], ("v3", range(2900)), late, *videos[4:]]
+        path.write_text(HEADER + "".join(f"{v},{a},0.5\n" for v, anchors in rows for a in anchors))
+        data = path.read_bytes()
+        starts = _part_starts(path)
+        assert len(starts) == 4 and starts[1] < data.index(f"{late[0]},{late[1][0]},".encode()) < starts[2]
+        if result == "v0 comes back":
+            want = stream_bits(_load_prediction_rows(path))
+            assert [v for v, *_ in want] == [f"v{i}" for i in range(8)]
+            assert stream_bits(load_predictions(path)) == want
+        else:
+            with pytest.raises(CorpusFormatError, match=result):
+                load_predictions(path)
+        assert_no_children()
+
+
 def test_parts_reap_children_when_the_parse_raises(tmp_path, monkeypatch):
     path = tmp_path / "pred.csv"
     path.write_text(HEADER + PART_ROWS)
-    parse = corpus._load_canonical_predictions
+    parse = corpus._canonical_blocks
     parent = os.getpid()
 
     def parse_or_raise(pieces):  # raises in this process, not in the children
@@ -676,7 +727,7 @@ def test_parts_reap_children_when_the_parse_raises(tmp_path, monkeypatch):
             raise MemoryError("the first part fails")
         return parse(pieces)
 
-    monkeypatch.setattr(corpus, "_load_canonical_predictions", parse_or_raise)
+    monkeypatch.setattr(corpus, "_canonical_blocks", parse_or_raise)
     use_cpus(monkeypatch, 4)
     with pytest.raises(MemoryError, match="the first part fails"):
         load_predictions(path)
