@@ -4,9 +4,18 @@ The reference is the per-video path the chunked one replaces: one
 ``decision_counts(gate_filter(...))`` per video and width, summed. Scores are
 quantized to a 0.05 step and thresholds sit on the same step, so filtered
 values land exactly on T and the strict ``<`` is exercised.
+
+The chunks of a database are counted on the usable CPUs, so the property
+tests pin one CPU where they are not about CPUs, and the tests at the end
+count on 1 to 4 CPUs, with children that fail in each way they can.
 """
 
+import contextlib
+import functools
+import io
 import math
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from alarm_pipeline import tuning
 from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from alarm_pipeline.metrics import AlarmCounts, ConfusionCounts
 from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import (
     DecisionLayout,
@@ -27,6 +37,8 @@ from alarm_pipeline.temporal import (
     segment_cumsum,
     width_to_frames,
 )
+
+from test_corpus import assert_no_children, count_forks
 
 STEPS = 20  # scores and thresholds are multiples of 1/STEPS
 # 1 frame at both rates, then widths up to longer than any drawn video.
@@ -68,8 +80,18 @@ def databases(draw):
     return [draw(video(i, stack_length)) for i in range(n)], StackConfig(stack_length)
 
 
+WIDTHS = [functools.partial(width_to_frames, w) for w in W_SECONDS]
+
+
 def widths_at(fps):
-    return [width_to_frames(w, fps) for w in W_SECONDS]
+    return [width(fps) for width in WIDTHS]
+
+
+@contextlib.contextmanager
+def usable_cpus(count):
+    """Let the counts run on ``count`` processes."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
+        yield
 
 
 def per_video_counts(videos, t_values, stack_cfg):
@@ -104,11 +126,16 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
             self.calls.append(filtered.copy())
             return super().counts(filtered)
 
-    with mock.patch.object(tuning, "CHUNK_STACKS", cap), \
-            mock.patch.object(tuning, "DecisionLayout", Recording):
-        got = tuning._database_counts(videos, widths_at, t_values, stack_cfg)
+    want = per_video_counts(videos, t_values, stack_cfg)
+    with mock.patch.object(tuning, "CHUNK_STACKS", cap):
+        for cpus in (2, 3):  # the children's shares are not recorded
+            with usable_cpus(cpus):
+                assert np.array_equal(
+                    tuning._database_counts(videos, WIDTHS, t_values, stack_cfg), want)
+        with usable_cpus(1), mock.patch.object(tuning, "DecisionLayout", Recording):
+            got = tuning._database_counts(videos, WIDTHS, t_values, stack_cfg)
         chunks = list(tuning._chunks(videos))
-    assert np.array_equal(got, per_video_counts(videos, t_values, stack_cfg))
+    assert np.array_equal(got, want)
 
     # Every video sits in exactly one chunk of its own fps, in corpus order
     # within that fps; a chunk exceeds the cap only when it is one video.
@@ -140,7 +167,7 @@ def test_filter_counts_match_evaluate_video(db, w, k, cap):
     equals combining the per-video evaluations, on videos of mixed fps."""
     videos, stack_cfg = db
     cfg = FilterConfig(t_pred=k / STEPS, width_seconds=w)
-    with mock.patch.object(tuning, "CHUNK_STACKS", cap):
+    with mock.patch.object(tuning, "CHUNK_STACKS", cap), usable_cpus(1):
         stack, alarm = tuning.filter_counts(videos, cfg, stack_cfg)
     want = combine(evaluate_video(s, a, cfg, stack_cfg) for s, a in videos)
     assert (stack, alarm) == (want.stack_counts, want.alarm_counts)
@@ -166,8 +193,10 @@ def test_segmented_gate_filter_rejects_bad_starts():
             gate_filter(np.zeros(4), 2, starts)
 
 
-@pytest.mark.parametrize("cap", [1 << 20, 2_000])
-def test_tune_baseline_is_identity_filter_sensitivity(cap):
+def noisy_corpus():
+    """Two databases of synth videos at 25 and 30 fps, with noise, and a
+    model that sees no fall in every third video: 4 and 5 chunks at a cap of
+    1,000 stacks."""
     rng = np.random.default_rng(5)
     corpus = {}
     for db, fps, frames, seed in (("a", 25.0, 300, 1), ("a", 30.0, 900, 2),
@@ -181,6 +210,12 @@ def test_tune_baseline_is_identity_filter_sensitivity(cap):
                 noisy = np.maximum(noisy, 0.6)
             corpus.setdefault(db, []).append(
                 (PredictionStream(stream.video_id, stream.anchor_frames, noisy), annotation))
+    return corpus
+
+
+@pytest.mark.parametrize("cap", [1 << 20, 2_000])
+def test_tune_baseline_is_identity_filter_sensitivity(cap):
+    corpus = noisy_corpus()
     with mock.patch.object(tuning, "CHUNK_STACKS", cap):
         result = tuning.tune(corpus, w_values=[0.2], t_values=[0.5], min_alarm_precision=0.0,
                              max_sensitivity_drop_points=math.inf)
@@ -188,3 +223,118 @@ def test_tune_baseline_is_identity_filter_sensitivity(cap):
         direct = combine(evaluate_video(s, a, identity_filter(0.5)) for s, a in videos).se_a
         assert 0.0 < direct < 1.0
         assert result.constraints.baseline_se_a[db] == direct
+
+
+# -- counting on the usable CPUs --------------------------------------------------
+
+T_VALUES = [0.2, 0.4, 0.5, 0.7]
+
+
+def test_no_video_gives_zero_counts():
+    assert tuning.filter_counts([], identity_filter()) == (ConfusionCounts(), AlarmCounts())
+    got = tuning._database_counts([], WIDTHS, T_VALUES, StackConfig())
+    assert got.dtype == np.int64 and got.shape == (len(WIDTHS), len(T_VALUES), 7) and not got.any()
+
+
+def test_counts_are_the_same_on_any_number_of_cpus(monkeypatch):
+    corpus = noisy_corpus()
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1000)
+    forks = count_forks(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        with usable_cpus(cpus):
+            forks.clear()
+            grid = tuning.sweep(corpus, W_SECONDS, T_VALUES)
+            assert len(forks) == 2 * (cpus - 1), cpus  # one share per CPU in each database
+            result = tuning.tune(corpus, W_SECONDS, T_VALUES, min_alarm_precision=0.0,
+                                 max_sensitivity_drop_points=math.inf)
+            counts = [tuning.filter_counts(videos, FilterConfig(0.4, width_seconds=0.3))
+                      for videos in corpus.values()]
+            assert_no_children()
+        outcomes.append((grid.counts.tolist(), result, counts))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    # One chunk is counted in this process.
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1 << 20)
+    with usable_cpus(3):
+        forks.clear()
+        tuning.filter_counts(corpus["a"][:3], identity_filter())
+        assert not forks
+
+
+def test_failed_children_are_counted_in_process(monkeypatch):
+    videos = noisy_corpus()["b"]
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1000)
+    with usable_cpus(1):
+        want = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+    send = tuning._send_counts
+
+    def send_then_fail(pipe, *share):
+        send(pipe, *share)
+        raise RuntimeError("the child fails after sending its counts")
+
+    def send_short(pipe, *share):
+        buffer = io.BytesIO()
+        send(buffer, *share)
+        pipe.write(buffer.getvalue()[:-1])
+
+    for child_sends in (send_then_fail, send_short):
+        monkeypatch.setattr(tuning, "_send_counts", child_sends)
+        for cpus in (2, 3):
+            with usable_cpus(cpus):
+                got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+            assert_no_children()
+            assert np.array_equal(got, want), (child_sends, cpus)
+    monkeypatch.setattr(tuning, "_send_counts", send)
+    # With no process to fork, or none after the first child, this one counts the rest.
+    fork = os.fork
+    for spare in (0, 1):
+        forks = [spare]
+
+        def fork_while_spare():
+            if not forks[0]:
+                raise BlockingIOError("no process to spare")
+            forks[0] -= 1
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_while_spare)
+        with usable_cpus(3):
+            got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+        assert_no_children()
+        assert np.array_equal(got, want), spare
+
+
+def test_children_are_stopped_when_this_process_raises(monkeypatch):
+    videos = noisy_corpus()["b"]
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1000)
+    count = tuning._chunk_counts
+    parent = os.getpid()
+
+    def count_or_raise(*args):  # raises in this process; the children wait to be stopped
+        if os.getpid() == parent:
+            raise MemoryError("this process fails")
+        time.sleep(60)
+        return count(*args)
+
+    monkeypatch.setattr(tuning, "_chunk_counts", count_or_raise)
+    start = time.monotonic()
+    with usable_cpus(3), pytest.raises(MemoryError, match="this process fails"):
+        tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+    assert_no_children()
+    assert time.monotonic() - start < 30
+
+
+def test_the_first_failing_chunk_raises_on_any_number_of_cpus(monkeypatch):
+    # Five videos of one chunk each; the second and third have a stack that
+    # leaves their frames. One process meets the second first, and so must
+    # every split: at 2 CPUs the second is this process's own and the third a
+    # child's, at 3 both are one child's, at 4 each is a child's.
+    videos = []
+    for i in range(5):
+        frame_count = 20 if i in (1, 2) else 40
+        stream = PredictionStream(f"v{i}", np.arange(9, 39), np.full(30, 0.5))
+        videos.append((stream, VideoAnnotation(f"v{i}", "db", 30.0, frame_count, ((12, 15),))))
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)
+    for cpus in (1, 2, 3, 4):
+        with usable_cpus(cpus), pytest.raises(IndexError, match="of 'v1'"):
+            tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+        assert_no_children()

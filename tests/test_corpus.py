@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from alarm_pipeline import corpus
+from alarm_pipeline import corpus, tuning
 from alarm_pipeline.cli import main
 from alarm_pipeline.corpus import (
     _ROWS_PER_WRITE,
@@ -29,6 +29,8 @@ from alarm_pipeline.corpus import (
     stack_label_masks,
 )
 from alarm_pipeline.errors import CorpusFormatError, InfeasibleError
+from alarm_pipeline.synth import SynthSpec, generate
+from alarm_pipeline.temporal import combine, evaluate_video, identity_filter
 
 from _oracles import naive_label
 
@@ -942,6 +944,11 @@ def test_forks_leave_one_thread(tmp_path, monkeypatch):
     path.write_text(HEADER + PART_ROWS)
     assert stream_bits(load_predictions(path)) == stream_bits(_load_prediction_rows(path))
     assert threads == [1, 1]
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)  # a chunk per video
+    videos = list(generate(SynthSpec(video_count=2, frames_per_video=60)).pairs())
+    want = combine(evaluate_video(s, a, identity_filter()) for s, a in videos)
+    assert tuning.filter_counts(videos, identity_filter()) == (want.stack_counts, want.alarm_counts)
+    assert threads == [1, 1, 1]
     assert_no_children()
 
 
