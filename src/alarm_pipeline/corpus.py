@@ -9,23 +9,23 @@ intervals are inclusive on both ends and 0-based throughout.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
-import os
 import random
 import re
-import signal
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CorpusFormatError, InfeasibleError
+from .forks import fork_map, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -330,21 +330,18 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     row.
 
     The bulk parse runs on the usable CPUs: the file is cut at line starts
-    into ``min(usable CPUs, size // _PART_BYTES)`` parts (one where the
-    usable CPUs are unknown). A part is parsed into raw blocks, one per
-    video per run of lines: this process parses the first part, and a forked
-    child parses each other part whole before it sends its blocks down a
-    pipe. One join takes the blocks in file order and makes the consecutive
-    blocks of one id a stream, so a video cut between runs and one cut
-    between parts are the same case. An id that comes back, a part that is
-    not canonical or a child that fails sends the file to the row loop, so
-    the result and the errors are those of a one-part parse. Every child is
-    reaped before this returns or raises.
+    into ``min(usable CPUs, size // _PART_BYTES)`` parts, and
+    :func:`~alarm_pipeline.forks.fork_map` parses each part whole into raw
+    blocks, one per video per run of lines. One join takes the blocks in
+    file order and makes the consecutive blocks of one id a stream, so a
+    video cut between runs and one cut between parts are the same case. An
+    id that comes back or a part that is not canonical sends the file to the
+    row loop, so the result and the errors are those of a one-part parse.
     """
     path = Path(path)
     try:
         return _load_parts(path, _part_starts(path))
-    except (ValueError, EOFError):  # the bulk parse leaves the file to the row loop
+    except ValueError:  # the bulk parse leaves the file to the row loop
         return _load_prediction_rows(path)
 
 
@@ -357,7 +354,7 @@ def _part_starts(path: Path) -> list[int]:
     """Offsets of the line starts where the parts of ``path`` begin, the
     first 0; see :func:`load_predictions` for how many there are."""
     size = path.stat().st_size
-    parts = min(_usable_cpus(), size // _PART_BYTES)
+    parts = min(usable_cpus(), size // _PART_BYTES)
     starts = [0]
     if parts < 2:
         return starts
@@ -379,25 +376,19 @@ def _part_starts(path: Path) -> list[int]:
 
 def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream]:
     """The bulk parse of ``path`` in the parts that begin at ``starts``,
-    joined in file order; raises ValueError or EOFError to use the row loop."""
-    ends = [*starts[1:], None]
-    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> pid, pipe
-    try:
-        for i in range(1, len(starts)):
-            try:
-                children[i] = _fork(_send_blocks, path, starts[i], ends[i])
-            except OSError:  # no process to spare: this one parses the rest
-                break
-        streams = _streams(itertools.chain.from_iterable(
-            _receive_blocks(children[i][1]) if i in children else _part_blocks(path, start, ends[i])
-            for i, start in enumerate(starts)))
-        while children:  # each child must have sent its whole part
-            if _reap(*children.popitem()[1], stop=False):
-                raise ValueError("a child failed")
-        return streams
-    finally:
-        for pid, pipe in children.values():  # stop and reap the children left
-            _reap(pid, pipe)
+    joined in file order; raises ValueError to use the row loop."""
+    parts = zip(starts, [*starts[1:], None])
+    with contextlib.closing(fork_map(lambda part: list(_part_blocks(path, *part)), parts)) as lists:
+        return _streams(_drained(lists))
+
+
+def _drained(lists: Iterable[list[_Block]]) -> Iterator[_Block]:
+    """The blocks of ``lists`` in order, each taken out of its list, so a
+    block is freed once :func:`_streams` has joined it."""
+    for blocks in lists:
+        blocks.reverse()
+        while blocks:
+            yield blocks.pop()
 
 
 def _part_blocks(path: Path, start: int, end: int | None) -> Iterator[_Block]:
@@ -410,79 +401,6 @@ def _part_blocks(path: Path, start: int, end: int | None) -> Iterator[_Block]:
             _READ_BYTES if end is None else min(_READ_BYTES, end - handle.tell())), b"")
         yield from _canonical_blocks(
             pieces if start == 0 else itertools.chain([_CANONICAL_HEADER], pieces))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where Python cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _fork(send: Callable[..., None], *args) -> tuple[int, BinaryIO]:
-    """Fork a child that calls ``send(pipe, *args)`` with the write end of a
-    pipe; returns the child's pid and the pipe's read end. The child leaves
-    through ``os._exit``, with 0 only once ``send`` has returned."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child leaves through os._exit, never through the caller
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                send(pipe, *args)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _reap(pid: int, pipe: BinaryIO, stop: bool = True) -> int:
-    """Close ``pipe``, so a child still writing to it stops, kill the child
-    ``pid`` first if ``stop``, and reap it; returns its exit code."""
-    pipe.close()
-    if stop:
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _send_blocks(pipe: BinaryIO, path: Path, start: int, end: int | None) -> None:
-    """Parse a part of ``path`` (see :func:`_part_blocks`) whole, so the
-    children parse at once rather than wait on a full pipe, then send each of
-    its blocks down ``pipe``: its id length and rows as native int64 words,
-    its id, its anchors and its scores."""
-    for video_id, anchors, scores in list(_part_blocks(path, start, end)):
-        pipe.write(np.array([len(video_id), len(anchors)], dtype=np.int64).tobytes())
-        pipe.write(video_id)
-        pipe.write(anchors)
-        pipe.write(scores)
-
-
-def _receive_blocks(pipe: BinaryIO) -> Iterator[_Block]:
-    """The blocks sent down ``pipe`` (see :func:`_send_blocks`) until it
-    ends, each read straight into its own arrays; EOFError if it ends inside
-    a block."""
-    while pipe.peek(1):
-        id_size, rows = _read_array(pipe, np.int64, 2).tolist()
-        yield (_read_array(pipe, np.uint8, id_size).tobytes(),
-               _read_array(pipe, np.int64, rows), _read_array(pipe, np.float64, rows))
-
-
-def _read_array(pipe: BinaryIO, dtype: type, size: int) -> np.ndarray:
-    """A new array of ``size`` items of ``dtype`` read from ``pipe`` into
-    its own memory; EOFError if the pipe ends first."""
-    out = np.empty(size, dtype=dtype)
-    view = memoryview(out).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise EOFError("pipe ended early")
-        view = view[got:]
-    return out
 
 
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
@@ -575,6 +493,7 @@ def _streams(blocks: Iterable[_Block]) -> list[PredictionStream]:
             raise ValueError("not canonical: an id comes back")
         parts = [block[1:] for block in run]
         anchors, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        del parts  # the joined blocks are freed before the stream's checks
         streams[video_id] = PredictionStream(video_id.decode("utf-8"), anchors, scores)
     return list(streams.values())
 
@@ -649,43 +568,19 @@ _Piece = list[tuple[PredictionStream, int, int]]
 def save_predictions(streams: Iterable[PredictionStream], path: str | Path) -> None:
     """Write prediction streams as canonical CSV (shortest round-trip floats).
 
-    The streams are listed first, as pieces of ``_ROWS_PER_WRITE`` rows in
-    file order, because forked children must see them all at the fork; a
-    piece may end one video and start the next, and a long video spans
+    The rows are cut in file order into pieces of ``_ROWS_PER_WRITE`` rows;
+    a piece may end one video and start the next, and a long video spans
     several. Each piece is formatted as one string, with each id quoted once
     by the same ``csv.writer`` dialect, so the bytes equal a row-by-row write
-    and peak memory is about one piece per process.
-
-    The pieces are formatted on the usable CPUs: with ``P = min(usable CPUs,
-    pieces)``, this process formats the pieces ``i`` with ``i % P == 0`` and
-    a forked child ``c`` those with ``i % P == c``, sending each down a pipe;
-    this process writes them all in order. A piece a child did not send, as
-    its fork, its pipe or the child itself failed, is formatted here, so the
-    bytes are always the same. Every child is reaped before this returns or
-    raises.
+    and peak memory is about one piece per process. The pieces are formatted
+    on the usable CPUs by :func:`~alarm_pipeline.forks.fork_map` and written
+    in order, so the bytes are the same on any number of CPUs.
     """
-    pieces = list(_pieces(streams, _ROWS_PER_WRITE))
-    workers = min(_usable_cpus(), len(pieces))
-    children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> pid, pipe
-    try:
-        for c in range(1, workers):
-            try:
-                children[c] = _fork(_send_pieces, pieces[c::workers])
-            except OSError:  # no process to spare: this one formats the rest
-                break
-        with Path(path).open("wb") as handle:
-            handle.write(_CANONICAL_HEADER)
-            for i, piece in enumerate(pieces):
-                child = children.get(i % workers)
-                data = _receive_piece(child[1]) if child else None
-                if data is None:
-                    if child:  # the child failed: this one formats its pieces from here on
-                        _reap(*children.pop(i % workers))
-                    data = _format_piece(piece)
-                handle.write(data)
-    finally:
-        for pid, pipe in children.values():
-            _reap(pid, pipe)
+    pieces = list(_pieces(streams, _ROWS_PER_WRITE))  # a failing iterable leaves the file alone
+    with Path(path).open("wb") as handle, \
+            contextlib.closing(fork_map(_format_piece, pieces)) as formatted:
+        handle.write(_CANONICAL_HEADER)
+        handle.writelines(formatted)
 
 
 def _pieces(streams: Iterable[PredictionStream], rows: int) -> Iterator[_Piece]:
@@ -715,28 +610,6 @@ def _format_piece(piece: _Piece) -> bytes:
         rows = zip(stream.anchor_frames[lo:hi].tolist(), stream.scores[lo:hi].tolist())
         lines += [f"{video_id},{a},{s!r}\n" for a, s in rows]
     return "".join(lines).encode()
-
-
-def _send_pieces(pipe: BinaryIO, pieces: list[_Piece]) -> None:
-    """Format each of ``pieces`` and send it down ``pipe``."""
-    for piece in pieces:
-        _send_piece(pipe, _format_piece(piece))
-
-
-def _send_piece(pipe: BinaryIO, data: bytes) -> None:
-    """Write ``data`` down ``pipe`` after its length as a native int64."""
-    pipe.write(np.int64(len(data)).tobytes())
-    pipe.write(data)
-
-
-def _receive_piece(pipe: BinaryIO) -> np.ndarray | None:
-    """The bytes of the next piece sent down ``pipe`` (see
-    :func:`_send_piece`), or None if the pipe ends first."""
-    try:
-        (size,) = _read_array(pipe, np.int64, 1)
-        return _read_array(pipe, np.uint8, size)
-    except EOFError:
-        return None
 
 
 def _csv_field(value: str) -> str:

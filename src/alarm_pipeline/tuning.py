@@ -17,26 +17,27 @@ sums keep each video's counts exactly what it would give alone. A chunk
 holds at most ``CHUNK_STACKS`` stacks, since the kernel's memory grows with
 stacks and not with thresholds.
 
-A database's chunks are counted on the usable CPUs: this process and forked
-children each sum a run of them, and the children send their sums back over
-pipes. The counts are integer sums, so every result is the same on any
-number of CPUs; a run whose child fails is counted in process.
+A database's chunks are counted on the usable CPUs by
+:func:`~alarm_pipeline.forks.fork_map`. The counts are integer sums, so
+every result is the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (PredictionStream, StackConfig, VideoAnnotation, _fork, _read_array, _reap,
-                     _usable_cpus, fall_stack_ranges, stack_label_masks)
+from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
+                     stack_label_masks)
 from .errors import InfeasibleError
+from .forks import fork_map
 from .metrics import AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
 from .temporal import (
     DecisionLayout,
@@ -205,63 +206,16 @@ def _database_counts(
     videos; ``widths[w](fps)`` gives filter width ``w`` in frames at that fps.
     No video gives zero counts.
 
-    The chunks are counted on the usable CPUs: with ``P = min(usable CPUs,
-    chunks)``, the chunks are cut in order into ``P`` shares of as equal a
-    count as can be; this process sums the first, and a forked child sums
-    each other one and sends its sum down a pipe. The counts are integer
-    sums, so they are the same on any number of CPUs. A share a child did
-    not send, as its fork, its pipe or the child itself failed, is counted
-    here after the shares before it, so the result and the error of the
-    first failing chunk are those of one process. Every child is reaped
-    before this returns or raises.
+    The chunks are counted by :func:`~alarm_pipeline.forks.fork_map`, dealt
+    round-robin to this process and forked children, so the sum and the
+    error of the first failing chunk are those of one process.
     """
-    chunks = list(_chunks(videos))
-    workers = max(1, min(_usable_cpus(), len(chunks)))
-    cuts = [len(chunks) * c // workers for c in range(workers + 1)]
-    shares = [chunks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    children: dict[int, tuple[int, BinaryIO]] = {}  # share -> pid, pipe
-    try:
-        for c in range(1, workers):
-            try:
-                children[c] = _fork(_send_counts, shares[c], widths, t_values, stack_cfg)
-            except OSError:  # no process to spare: this one counts the rest
-                break
-        total = _share_counts(shares[0], widths, t_values, stack_cfg)
-        for c in range(1, workers):
-            share = None
-            if c in children:
-                try:
-                    share = _read_array(children[c][1], np.int64, total.size).reshape(total.shape)
-                except EOFError:  # the pipe ended early
-                    pass
-                if _reap(*children.pop(c), stop=False):  # the child failed
-                    share = None
-            if share is None:
-                share = _share_counts(shares[c], widths, t_values, stack_cfg)
-            total += share
-        return total
-    finally:
-        for pid, pipe in children.values():  # stop and reap the children left
-            _reap(pid, pipe)
+    def count(chunk: tuple[float, Sequence[tuple[PredictionStream, VideoAnnotation]]]) -> np.ndarray:
+        fps, chunk_videos = chunk
+        return _chunk_counts(chunk_videos, [width(fps) for width in widths], t_values, stack_cfg)
 
-
-def _share_counts(
-    chunks: Sequence[tuple[float, Sequence[tuple[PredictionStream, VideoAnnotation]]]],
-    widths: Sequence[Callable[[float], int]],
-    t_values: Sequence[float],
-    stack_cfg: StackConfig,
-) -> np.ndarray:
-    """Summed (nW, nT, 7) counts of ``chunks``, each (fps, videos) as
-    :func:`_chunks` gives them, counted in chunk order."""
-    total = np.zeros((len(widths), len(t_values), 7), dtype=np.int64)
-    for fps, chunk in chunks:
-        total += _chunk_counts(chunk, [width(fps) for width in widths], t_values, stack_cfg)
-    return total
-
-
-def _send_counts(pipe: BinaryIO, *share) -> None:
-    """Send the :func:`_share_counts` of ``share`` down ``pipe`` as native int64."""
-    pipe.write(_share_counts(*share).tobytes())
+    with contextlib.closing(fork_map(count, _chunks(videos))) as counts:
+        return sum(counts, np.zeros((len(widths), len(t_values), 7), dtype=np.int64))
 
 
 def filter_counts(

@@ -1,6 +1,9 @@
-"""Setup shared by every test module."""
+"""Setup and helpers shared by every test module."""
 
+import os
 import warnings
+
+import pytest
 
 # When a property test fails, hypothesis imports hypothesis.extra._patching to
 # suggest a patch. That imports libcst, which warns that
@@ -15,3 +18,28 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: hypothesis suggests no patch
         pass
+
+
+def use_cpus(monkeypatch, count):
+    """Let every step that forks see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one at each fork this process makes."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -7,12 +7,11 @@ values land exactly on T and the strict ``<`` is exercised.
 
 The chunks of a database are counted on the usable CPUs, so the property
 tests pin one CPU where they are not about CPUs, and the tests at the end
-count on 1 to 4 CPUs, with children that fail in each way they can.
+count on 1 to 4 CPUs, with a child that fails and forks that fail; the tests
+of ``forks.fork_map`` cover every other way a child can fail.
 """
 
-import contextlib
 import functools
-import io
 import math
 import os
 import time
@@ -38,7 +37,7 @@ from alarm_pipeline.temporal import (
     width_to_frames,
 )
 
-from test_corpus import assert_no_children, count_forks
+from conftest import assert_no_children, count_forks, use_cpus
 
 STEPS = 20  # scores and thresholds are multiples of 1/STEPS
 # 1 frame at both rates, then widths up to longer than any drawn video.
@@ -87,13 +86,6 @@ def widths_at(fps):
     return [width(fps) for width in WIDTHS]
 
 
-@contextlib.contextmanager
-def usable_cpus(count):
-    """Let the counts run on ``count`` processes."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
-        yield
-
-
 def per_video_counts(videos, t_values, stack_cfg):
     """The reference: per-video kernel calls, summed."""
     total = 0
@@ -127,13 +119,15 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
             return super().counts(filtered)
 
     want = per_video_counts(videos, t_values, stack_cfg)
-    with mock.patch.object(tuning, "CHUNK_STACKS", cap):
-        for cpus in (2, 3):  # the children's shares are not recorded
-            with usable_cpus(cpus):
-                assert np.array_equal(
-                    tuning._database_counts(videos, WIDTHS, t_values, stack_cfg), want)
-        with usable_cpus(1), mock.patch.object(tuning, "DecisionLayout", Recording):
-            got = tuning._database_counts(videos, WIDTHS, t_values, stack_cfg)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tuning, "CHUNK_STACKS", cap)
+        for cpus in (2, 3):  # the children's chunks are not recorded
+            use_cpus(monkeypatch, cpus)
+            assert np.array_equal(
+                tuning._database_counts(videos, WIDTHS, t_values, stack_cfg), want)
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(tuning, "DecisionLayout", Recording)
+        got = tuning._database_counts(videos, WIDTHS, t_values, stack_cfg)
         chunks = list(tuning._chunks(videos))
     assert np.array_equal(got, want)
 
@@ -167,7 +161,9 @@ def test_filter_counts_match_evaluate_video(db, w, k, cap):
     equals combining the per-video evaluations, on videos of mixed fps."""
     videos, stack_cfg = db
     cfg = FilterConfig(t_pred=k / STEPS, width_seconds=w)
-    with mock.patch.object(tuning, "CHUNK_STACKS", cap), usable_cpus(1):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tuning, "CHUNK_STACKS", cap)
+        use_cpus(monkeypatch, 1)
         stack, alarm = tuning.filter_counts(videos, cfg, stack_cfg)
     want = combine(evaluate_video(s, a, cfg, stack_cfg) for s, a in videos)
     assert (stack, alarm) == (want.stack_counts, want.alarm_counts)
@@ -241,50 +237,45 @@ def test_counts_are_the_same_on_any_number_of_cpus(monkeypatch):
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1000)
     forks = count_forks(monkeypatch)
     outcomes = []
-    for cpus in (1, 2, 3):
-        with usable_cpus(cpus):
-            forks.clear()
-            grid = tuning.sweep(corpus, W_SECONDS, T_VALUES)
-            assert len(forks) == 2 * (cpus - 1), cpus  # one share per CPU in each database
-            result = tuning.tune(corpus, W_SECONDS, T_VALUES, min_alarm_precision=0.0,
-                                 max_sensitivity_drop_points=math.inf)
-            counts = [tuning.filter_counts(videos, FilterConfig(0.4, width_seconds=0.3))
-                      for videos in corpus.values()]
-            assert_no_children()
+    for cpus in (1, 2, 3, 4):
+        use_cpus(monkeypatch, cpus)
+        forks.clear()
+        grid = tuning.sweep(corpus, W_SECONDS, T_VALUES)
+        assert len(forks) == 2 * (cpus - 1), cpus  # a child per CPU but one in each database
+        result = tuning.tune(corpus, W_SECONDS, T_VALUES, min_alarm_precision=0.0,
+                             max_sensitivity_drop_points=math.inf)
+        counts = [tuning.filter_counts(videos, FilterConfig(0.4, width_seconds=0.3))
+                  for videos in corpus.values()]
+        assert_no_children()
         outcomes.append((grid.counts.tolist(), result, counts))
-    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
     # One chunk is counted in this process.
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1 << 20)
-    with usable_cpus(3):
-        forks.clear()
-        tuning.filter_counts(corpus["a"][:3], identity_filter())
-        assert not forks
+    use_cpus(monkeypatch, 3)
+    forks.clear()
+    tuning.filter_counts(corpus["a"][:3], identity_filter())
+    assert not forks
 
 
 def test_failed_children_are_counted_in_process(monkeypatch):
     videos = noisy_corpus()["b"]
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1000)
-    with usable_cpus(1):
-        want = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
-    send = tuning._send_counts
+    use_cpus(monkeypatch, 1)
+    want = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+    count, parent = tuning._chunk_counts, os.getpid()
 
-    def send_then_fail(pipe, *share):
-        send(pipe, *share)
-        raise RuntimeError("the child fails after sending its counts")
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails before it sends a count")
+        return count(*args)
 
-    def send_short(pipe, *share):
-        buffer = io.BytesIO()
-        send(buffer, *share)
-        pipe.write(buffer.getvalue()[:-1])
-
-    for child_sends in (send_then_fail, send_short):
-        monkeypatch.setattr(tuning, "_send_counts", child_sends)
-        for cpus in (2, 3):
-            with usable_cpus(cpus):
-                got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
-            assert_no_children()
-            assert np.array_equal(got, want), (child_sends, cpus)
-    monkeypatch.setattr(tuning, "_send_counts", send)
+    monkeypatch.setattr(tuning, "_chunk_counts", fail_in_child)
+    for cpus in (2, 3):
+        use_cpus(monkeypatch, cpus)
+        got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+        assert_no_children()
+        assert np.array_equal(got, want), cpus
+    monkeypatch.setattr(tuning, "_chunk_counts", count)
     # With no process to fork, or none after the first child, this one counts the rest.
     fork = os.fork
     for spare in (0, 1):
@@ -297,8 +288,8 @@ def test_failed_children_are_counted_in_process(monkeypatch):
             return fork()
 
         monkeypatch.setattr(os, "fork", fork_while_spare)
-        with usable_cpus(3):
-            got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
+        use_cpus(monkeypatch, 3)
+        got = tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
         assert_no_children()
         assert np.array_equal(got, want), spare
 
@@ -316,8 +307,9 @@ def test_children_are_stopped_when_this_process_raises(monkeypatch):
         return count(*args)
 
     monkeypatch.setattr(tuning, "_chunk_counts", count_or_raise)
+    use_cpus(monkeypatch, 3)
     start = time.monotonic()
-    with usable_cpus(3), pytest.raises(MemoryError, match="this process fails"):
+    with pytest.raises(MemoryError, match="this process fails"):
         tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
     assert_no_children()
     assert time.monotonic() - start < 30
@@ -326,8 +318,8 @@ def test_children_are_stopped_when_this_process_raises(monkeypatch):
 def test_the_first_failing_chunk_raises_on_any_number_of_cpus(monkeypatch):
     # Five videos of one chunk each; the second and third have a stack that
     # leaves their frames. One process meets the second first, and so must
-    # every split: at 2 CPUs the second is this process's own and the third a
-    # child's, at 3 both are one child's, at 4 each is a child's.
+    # every split: at 2 CPUs the second is a child's and the third this
+    # process's own, at 3 and 4 each is another child's.
     videos = []
     for i in range(5):
         frame_count = 20 if i in (1, 2) else 40
@@ -335,6 +327,7 @@ def test_the_first_failing_chunk_raises_on_any_number_of_cpus(monkeypatch):
         videos.append((stream, VideoAnnotation(f"v{i}", "db", 30.0, frame_count, ((12, 15),))))
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)
     for cpus in (1, 2, 3, 4):
-        with usable_cpus(cpus), pytest.raises(IndexError, match="of 'v1'"):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(IndexError, match="of 'v1'"):
             tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
         assert_no_children()

@@ -33,6 +33,7 @@ from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import combine, evaluate_video, identity_filter
 
 from _oracles import naive_label
+from conftest import assert_no_children, count_forks, use_cpus
 
 
 def make_annotation(intervals=((100, 130),), frame_count=300, **kwargs):
@@ -551,15 +552,9 @@ def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
 # -- the bulk parse in parts ----------------------------------------------------
 
 
-def assert_no_children():
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def use_cpus(monkeypatch, count, part_bytes=1):
+def use_parts(monkeypatch, count, part_bytes=1):
     """Let load_predictions cut a file into ``count`` parts of ``part_bytes`` or more."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    use_cpus(monkeypatch, count)
     monkeypatch.setattr("alarm_pipeline.corpus._PART_BYTES", part_bytes)
 
 
@@ -587,7 +582,7 @@ def load_parts(path, starts):
     None where it leaves the file to the row loop."""
     try:
         return _load_parts(path, starts)
-    except (ValueError, EOFError):
+    except ValueError:
         return None
 
 
@@ -626,16 +621,16 @@ def test_part_starts(tmp_path, monkeypatch):
     data = path.read_bytes()
     assert _part_starts(path) == [0]  # smaller than _PART_BYTES
     for cpus in (2, 3, 4, 64):
-        use_cpus(monkeypatch, cpus)
+        use_parts(monkeypatch, cpus)
         starts = _part_starts(path)
         assert len(starts) == min(cpus, len(data.splitlines())), cpus
         assert starts[0] == 0 and set(starts[1:]) <= set(line_starts(data))
         assert starts == sorted(set(starts))
-        use_cpus(monkeypatch, cpus, part_bytes=len(data) // 2)
+        use_parts(monkeypatch, cpus, part_bytes=len(data) // 2)
         assert len(_part_starts(path)) == 2
-        use_cpus(monkeypatch, cpus, part_bytes=len(data) + 1)
+        use_parts(monkeypatch, cpus, part_bytes=len(data) + 1)
         assert _part_starts(path) == [0]
-    use_cpus(monkeypatch, 1)
+    use_parts(monkeypatch, 1)
     assert _part_starts(path) == [0]
     monkeypatch.delattr(os, "sched_getaffinity")  # the usable CPUs are unknown
     assert _part_starts(path) == [0]
@@ -650,44 +645,44 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
         return _load_prediction_rows(path)
 
     monkeypatch.setattr(corpus, "_load_prediction_rows", rows)
-    send = corpus._send_blocks
-
-    def send_then_fail(pipe, *part):
-        send(pipe, *part)
-        raise RuntimeError("the child fails after sending everything")
-
-    def send_short(pipe, *part):
-        buffer = io.BytesIO()
-        send(buffer, *part)
-        pipe.write(buffer.getvalue()[:-1])
-
     path = tmp_path / "pred.csv"
-    cases = [  # (file text, what the child sends)
-        (HEADER + "a,9,0.5\nb,9,1.0\nc,3,0.3\nd,3,0.3\nb,10,0.5\na,10,0.5\n", send),  # ids repeat
-        (HEADER + PART_ROWS.replace("c,", '"c",'), send),  # quoted ids in the child's part
-        (HEADER + PART_ROWS, send_then_fail),  # the child exits non-zero
-        (HEADER + PART_ROWS, send_short),  # the pipe ends early
-    ]
-    for text, child_sends in cases:
+    for text in (HEADER + "a,9,0.5\nb,9,1.0\nc,3,0.3\nd,3,0.3\nb,10,0.5\na,10,0.5\n",  # ids repeat
+                 HEADER + PART_ROWS.replace("c,", '"c",')):  # quoted ids in a child's part
         path.write_text(text)
         want = stream_bits(_load_prediction_rows(path))
-        monkeypatch.setattr(corpus, "_send_blocks", child_sends)
         for cpus in (2, 3, 4):
-            use_cpus(monkeypatch, cpus)
+            use_parts(monkeypatch, cpus)
             rows_calls.clear()
             assert stream_bits(load_predictions(path)) == want, (text, cpus)
             assert rows_calls == [path]
             assert_no_children()
-    # With no process to fork, this one parses every part.
-    monkeypatch.setattr(corpus, "_send_blocks", send)
+    # A child that fails before it sends its part costs this process a parse
+    # of that part, and one that exits non-zero after sending it costs
+    # nothing; neither, nor a fork that fails, calls the row loop.
+    path.write_text(HEADER + PART_ROWS)
+    want = stream_bits(_load_prediction_rows(path))
+    part_blocks, parent, exit_ = corpus._part_blocks, os.getpid(), os._exit
+
+    def fail_in_child(*part):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails before it sends its part")
+        return part_blocks(*part)
 
     def no_fork():
         raise BlockingIOError("no process to spare")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    rows_calls.clear()
-    assert stream_bits(load_predictions(path)) == want
-    assert rows_calls == []
+    failures = [(corpus, "_part_blocks", fail_in_child),
+                (os, "_exit", lambda status: exit_(1)),  # only children call it
+                (os, "fork", no_fork)]
+    for module, name, failing in failures:
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, failing)
+            for cpus in (2, 3, 4):
+                use_parts(patched, cpus)
+                rows_calls.clear()
+                assert stream_bits(load_predictions(path)) == want, (name, cpus)
+                assert rows_calls == []
+                assert_no_children()
 
 
 def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
@@ -695,7 +690,7 @@ def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
     # after it still wait to send more than a pipe holds; they are stopped
     # and reaped, and the row loop reads the file.
     monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 12)
-    use_cpus(monkeypatch, 4)
+    use_parts(monkeypatch, 4)
     videos = [(f"v{i}", range(3000)) for i in range(8)]  # 6,000 rows, 96 KB of arrays a part
     path = tmp_path / "pred.csv"
     cases = [  # (the last 100 rows of v3, the row loop's result)
@@ -730,7 +725,7 @@ def test_parts_reap_children_when_the_parse_raises(tmp_path, monkeypatch):
         return parse(pieces)
 
     monkeypatch.setattr(corpus, "_canonical_blocks", parse_or_raise)
-    use_cpus(monkeypatch, 4)
+    use_parts(monkeypatch, 4)
     with pytest.raises(MemoryError, match="the first part fails"):
         load_predictions(path)
     assert_no_children()
@@ -745,7 +740,7 @@ def test_cli_evaluate_on_parts(tmp_path, monkeypatch, capsys):
             "--t-pred", "0.4", "--out", str(tmp_path / "out")]
     outputs = []
     for cpus in (1, 2, 4):
-        use_cpus(monkeypatch, cpus)
+        use_parts(monkeypatch, cpus)
         capsys.readouterr()
         assert main(args) == 0
         assert_no_children()
@@ -809,20 +804,6 @@ def use_pieces(monkeypatch, cpus, rows=3):
     monkeypatch.setattr(corpus, "_ROWS_PER_WRITE", rows)
 
 
-def count_forks(monkeypatch):
-    """A list that grows by one at each fork this process makes."""
-    fork, forks = os.fork, []
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
 def test_pieces_cut_the_rows_in_file_order():
     for rows in (1, 3, 7, 36, 1000):
         pieces = list(corpus._pieces(WRITE_STREAMS, rows))
@@ -859,31 +840,26 @@ def test_write_in_pieces_gives_the_same_bytes(tmp_path, monkeypatch):
 def test_write_in_pieces_survives_failing_children(tmp_path, monkeypatch):
     path = tmp_path / "pred.csv"
     want = reference_csv(WRITE_STREAMS)
-    send = corpus._send_piece
-    sent = [0]  # the pieces a child has sent: each counts in its own copy
+    format_piece, parent = corpus._format_piece, os.getpid()
+    sent = [0]  # the pieces a child has formatted: each counts in its own copy
 
     def fail_after(k):
-        def send_or_fail(pipe, data):
-            if sent[0] == k:
-                raise RuntimeError(f"the child fails after {k} pieces")
-            sent[0] += 1
-            send(pipe, data)
-        return send_or_fail
+        def format_or_fail(piece):
+            if os.getpid() != parent:
+                if sent[0] == k:
+                    raise RuntimeError(f"the child fails after {k} pieces")
+                sent[0] += 1
+            return format_piece(piece)
+        return format_or_fail
 
-    def send_half(pipe, data):
-        buffer = io.BytesIO()
-        send(buffer, data)
-        pipe.write(buffer.getvalue()[:len(buffer.getvalue()) // 2])
-        raise RuntimeError("the pipe ends in the middle of a piece")
-
-    for child_sends in (fail_after(0), fail_after(1), fail_after(2), send_half):
-        monkeypatch.setattr(corpus, "_send_piece", child_sends)
+    for k in (0, 1, 2):
+        monkeypatch.setattr(corpus, "_format_piece", fail_after(k))
         for cpus in (2, 3, 4):
             use_pieces(monkeypatch, cpus)
             save_predictions(WRITE_STREAMS, path)
             assert_no_children()
-            assert path.read_bytes() == want, cpus
-    monkeypatch.setattr(corpus, "_send_piece", send)
+            assert path.read_bytes() == want, (k, cpus)
+    monkeypatch.setattr(corpus, "_format_piece", format_piece)
     # With no process to fork, or none after the first child, this one formats the rest.
     fork = os.fork
     for spare in (0, 1):
@@ -942,6 +918,7 @@ def test_forks_leave_one_thread(tmp_path, monkeypatch):
     save_predictions(WRITE_STREAMS, path)
     assert threads == [1]
     path.write_text(HEADER + PART_ROWS)
+    use_parts(monkeypatch, 2)
     assert stream_bits(load_predictions(path)) == stream_bits(_load_prediction_rows(path))
     assert threads == [1, 1]
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)  # a chunk per video
