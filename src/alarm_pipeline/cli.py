@@ -447,6 +447,11 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
                     f"counts entry {i} key {key!r} must be {expected}, got {json.dumps(value)}",
                     path=path_text,
                 )
+        if any(name == record["database_id"] for name, _ in rows):  # report.json would keep one
+            raise CorpusFormatError(
+                f"counts entry {i} repeats database_id {json.dumps(record['database_id'])}",
+                path=path_text,
+            )
         counts = AlarmCounts(tp_a=record["tp_a"], fp_a=record["fp_a"], fn_a=record["fn_a"])
         report = MetricReport.from_counts(
             None, counts, betas, fbeta_input_decimals=COUNTS_FBETA_DECIMALS

@@ -62,8 +62,8 @@ class VideoAnnotation:
             raise ValueError("video_id must be non-empty")
         if not (0 < self.fps < math.inf):
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
-        if self.frame_count < 1:
-            raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
+        if not 1 <= self.frame_count < 2**63:  # every frame number then fits in int64
+            raise ValueError(f"frame_count must be >= 1 and below 2**63, got {self.frame_count}")
         intervals = tuple((int(s), int(e)) for s, e in self.fall_intervals)
         object.__setattr__(self, "fall_intervals", intervals)
         prev_end = -1
@@ -166,11 +166,16 @@ def fall_stack_ranges(
     overlaps each fall, as indices into ``anchor_frames``.
 
     A span ``[anchor - (L - 1), anchor]`` overlaps fall ``(s, e)`` when
-    ``s <= anchor < e + L``; with anchors advancing by 1 those stacks are one
-    index range, empty (``lo == hi``) when no span reaches the fall.
+    ``s <= anchor`` and ``anchor - (L - 1) <= e``; with anchors advancing by
+    1 those stacks are one index range, empty (``lo == hi``) when no span
+    reaches the fall. Nothing is added to a fall's bounds, so a fall at the
+    end of the int64 range does not wrap.
     """
     falls = np.asarray(fall_intervals, dtype=np.int64).reshape(-1, 2)
-    return np.asarray(anchor_frames, dtype=np.int64).searchsorted(falls + (0, stack_length))
+    anchors = np.asarray(anchor_frames, dtype=np.int64)
+    lo = anchors.searchsorted(falls[:, 0])
+    hi = (anchors - (stack_length - 1)).searchsorted(falls[:, 1], side="right")
+    return np.stack([lo, hi], axis=1)
 
 
 def assign_folds(groups: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldAssignment:
@@ -322,21 +327,23 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     Rows of one video may be interleaved with other videos but must keep
     strictly increasing anchor frames; violations are reported with the
     offending line number. A file in the layout :func:`save_predictions`
-    writes is parsed in bulk, ``_READ_BYTES`` at a time, so its peak memory
-    is about the returned arrays plus a few pieces of the file; any other
-    file, and any file the bulk parse finds fault with, is read row by row,
-    so both paths return the same streams and every error comes from the
-    row loop. The row loop streams the file too, into arrays of 16 bytes a
-    row.
+    writes is parsed in bulk, in reads of at most ``_READ_BYTES`` that each
+    end at a line end, so its peak memory is about the returned arrays plus
+    a few reads of the file; any other file, and any file the bulk parse
+    finds fault with, is read row by row, so both paths return the same
+    streams and every error comes from the row loop. A read that holds no
+    ``\\n`` (an empty file, a last line without one, a line longer than a
+    read) is such a fault. The row loop streams the file too, into arrays of
+    16 bytes a row.
 
     The bulk parse runs on the usable CPUs: the file is cut at line starts
-    into ``min(usable CPUs, size // _PART_BYTES)`` parts, and
+    into ``min(usable CPUs, size // _READ_BYTES)`` parts, and
     :func:`~alarm_pipeline.forks.fork_map` parses each part whole into raw
-    blocks, one per video per run of lines. One join takes the blocks in
-    file order and makes the consecutive blocks of one id a stream, so a
-    video cut between runs and one cut between parts are the same case. An
-    id that comes back or a part that is not canonical sends the file to the
-    row loop, so the result and the errors are those of a one-part parse.
+    blocks, one per video per read. One join takes the blocks in file order
+    and makes the consecutive blocks of one id a stream, so a video cut
+    between reads and one cut between parts are the same case. An id that
+    comes back or a part that is not canonical sends the file to the row
+    loop, so the result and the errors are those of a one-part parse.
     """
     path = Path(path)
     try:
@@ -345,16 +352,11 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
         return _load_prediction_rows(path)
 
 
-# The least bytes of the file per part; a child's fork and pipe transfer pay
-# off only on parts this large.
-_PART_BYTES = 1 << 20
-
-
 def _part_starts(path: Path) -> list[int]:
     """Offsets of the line starts where the parts of ``path`` begin, the
     first 0; see :func:`load_predictions` for how many there are."""
     size = path.stat().st_size
-    parts = min(usable_cpus(), size // _PART_BYTES)
+    parts = min(usable_cpus(), size // _READ_BYTES)
     starts = [0]
     if parts < 2:
         return starts
@@ -377,30 +379,44 @@ def _part_starts(path: Path) -> list[int]:
 def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream]:
     """The bulk parse of ``path`` in the parts that begin at ``starts``,
     joined in file order; raises ValueError to use the row loop."""
-    parts = zip(starts, [*starts[1:], None])
-    with contextlib.closing(fork_map(lambda part: list(_part_blocks(path, *part)), parts)) as lists:
+    parts = zip(starts, [*starts[1:], path.stat().st_size])
+    with contextlib.closing(fork_map(lambda part: _part_blocks(path, *part), parts)) as lists:
         return _streams(_drained(lists))
 
 
-def _drained(lists: Iterable[list[_Block]]) -> Iterator[_Block]:
+def _drained(lists: Iterable[list[_Block] | None]) -> Iterator[_Block]:
     """The blocks of ``lists`` in order, each taken out of its list, so a
-    block is freed once :func:`_streams` has joined it."""
+    block is freed once :func:`_streams` has joined it; ValueError at a
+    part that is not canonical (None)."""
     for blocks in lists:
+        if blocks is None:
+            raise ValueError("not canonical: a part")
         blocks.reverse()
         while blocks:
             yield blocks.pop()
 
 
-def _part_blocks(path: Path, start: int, end: int | None) -> Iterator[_Block]:
+def _part_blocks(path: Path, start: int, end: int) -> list[_Block] | None:
     """:func:`_canonical_blocks` of the lines in bytes ``[start, end)`` of
-    ``path`` (to its end if ``end`` is None), the header put before a part
-    that does not start the file."""
+    ``path``, or None where they are not canonical. Each read of at most
+    ``_READ_BYTES`` is cut back to its last ``\\n``, and the next read
+    starts there, so every read is whole lines. :func:`_canonical_blocks`
+    raises on a read with no line, so each pass moves on; an empty file
+    still gets its one read."""
+    blocks: list[_Block] = []
     with path.open("rb") as handle:
-        handle.seek(start)
-        pieces = iter(lambda: handle.read(
-            _READ_BYTES if end is None else min(_READ_BYTES, end - handle.tell())), b"")
-        yield from _canonical_blocks(
-            pieces if start == 0 else itertools.chain([_CANONICAL_HEADER], pieces))
+        pos = start
+        while True:
+            handle.seek(pos)
+            run = handle.read(min(_READ_BYTES, end - pos))
+            run = run[:run.rfind(b"\n") + 1]
+            try:
+                blocks += _canonical_blocks(run, header=pos == 0)
+            except ValueError:
+                return None
+            pos += len(run)
+            if pos == end:
+                return blocks
 
 
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
@@ -411,76 +427,54 @@ _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
 _CANONICAL_BLOCK = re.compile(
     rb"([^,\n]*),[0-9]+,[0-9.eE+-]+\n(?:\1,[0-9]+,[0-9.eE+-]+\n){0,1023}"
 )
-
-
-def _canonical_runs(pieces: Iterable[bytes]) -> Iterator[bytes]:
-    """The rows after the header, in runs of whole lines, from ``pieces`` cut
-    anywhere. Raises ValueError on a quote, a ``\\r``, a wrong or missing
-    header, or a last line without ``\\n``, all of which the row loop reads."""
-    header = True
-    rest: list[bytes] = []  # the pieces of a line not yet ended
-    for piece in pieces:
-        if b'"' in piece or b"\r" in piece:
-            raise ValueError("not canonical: quote or carriage return")
-        cut = piece.rfind(b"\n") + 1
-        if not cut:
-            rest.append(piece)
-            continue
-        run = b"".join([*rest, memoryview(piece)[:cut]])
-        rest = [piece[cut:]]
-        del piece  # the run holds its lines
-        if header:
-            if not run.startswith(_CANONICAL_HEADER):
-                raise ValueError("not canonical: header")
-            run, header = run[len(_CANONICAL_HEADER):], False
-        if run:
-            yield run
-    if header or any(rest):
-        raise ValueError("not canonical: no header or no final newline")
-
-
 # A block: the UTF-8 id and the anchors and scores of rows of one video.
 _Block = tuple[bytes, np.ndarray, np.ndarray]
 
 
-def _canonical_blocks(pieces: Iterable[bytes]) -> Iterator[_Block]:
-    """Bulk parse of a canonical prediction file given as byte pieces cut
-    anywhere: one block per video per run of whole lines.
+def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
+    """Bulk parse of ``run``, whole lines of a canonical prediction file
+    that start with the header line if ``header``: one block per video.
 
     Canonical means the header line, ``\\n`` line endings, no quote and no
     ``\\r`` anywhere, and each video's rows in one block. Every row is
     checked to have three fields and ASCII numerals before ``np.loadtxt``
-    parses the anchor and score columns of a run (scores with CPython's own
-    float parser, so they match ``float()`` bit for bit), and each block's
-    rows are copied out of the run's table. Raises ValueError on anything
-    the row loop might treat differently or reject; the id's encoding, score
-    range, anchor order and the join of a video's blocks are left to
+    parses the anchor and score columns of the run (scores with CPython's
+    own float parser, so they match ``float()`` bit for bit), and each
+    block's rows are copied out of the run's table. Raises ValueError on no
+    line, a quote, a ``\\r``, a wrong header, or anything else the row loop
+    might treat differently or reject; the id's encoding, score range,
+    anchor order and the join of a video's blocks are left to
     :func:`_streams`.
     """
-    for run in _canonical_runs(pieces):
-        ids: list[bytes] = []  # the id of each block in the run
-        ends: list[int] = []  # the rows of the run up to each block's end
-        pos = rows = 0
-        while pos < len(run):
-            block = _CANONICAL_BLOCK.match(run, pos)
-            if block is None:
-                raise ValueError("not canonical: a row")
-            rows += run.count(b"\n", pos, block.end())
-            if ids and ids[-1] == block.group(1):  # the block goes on
-                ends[-1] = rows
-            else:
-                ids.append(block.group(1))
-                ends.append(rows)
-            pos = block.end()
-        table = np.loadtxt(
-            io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None,
-            dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
-        )
-        if len(table) != rows:
-            raise ValueError("not canonical: a row loadtxt reads differently")
-        for block_id, lo, hi in zip(ids, [0, *ends], ends):
-            yield block_id, table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy()
-        del table  # freed before the next piece is read
+    if not run or b'"' in run or b"\r" in run:
+        raise ValueError("not canonical: no line, a quote or a carriage return")
+    if header and not run.startswith(_CANONICAL_HEADER):
+        raise ValueError("not canonical: header")
+    ids: list[bytes] = []  # the id of each block in the run
+    ends: list[int] = []  # the rows of the run up to each block's end
+    pos = len(_CANONICAL_HEADER) if header else 0
+    rows = 0
+    while pos < len(run):
+        block = _CANONICAL_BLOCK.match(run, pos)
+        if block is None:
+            raise ValueError("not canonical: a row")
+        rows += run.count(b"\n", pos, block.end())
+        if ids and ids[-1] == block.group(1):  # the block goes on
+            ends[-1] = rows
+        else:
+            ids.append(block.group(1))
+            ends.append(rows)
+        pos = block.end()
+    if not rows:
+        return []
+    table = np.loadtxt(
+        io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None, skiprows=int(header),
+        dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
+    )
+    if len(table) != rows:
+        raise ValueError("not canonical: a row loadtxt reads differently")
+    return [(block_id, table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy())
+            for block_id, lo, hi in zip(ids, [0, *ends], ends)]
 
 
 def _streams(blocks: Iterable[_Block]) -> list[PredictionStream]:

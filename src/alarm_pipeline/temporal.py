@@ -123,8 +123,8 @@ def segment_cumsum(scores: np.ndarray, starts: Sequence[int] | np.ndarray) -> np
     bit-for-bit those of the segment taken alone.
     """
     x = np.asarray(scores, dtype=np.float64)
-    bounds = np.append(starts, x.size)
-    return np.concatenate([np.cumsum(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    bounds = np.append(starts, x.size).tolist()
+    return np.concatenate([np.cumsum(x[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 def gate_filter(
@@ -156,25 +156,21 @@ def gate_filter(
     # A window longer than the stream is a prefix mean all the same; the
     # clamp keeps widths past 64 bits out of the array arithmetic.
     w = min(width_frames, x.size)
+    starts = np.asarray([0] if starts is None else starts, dtype=np.int64)  # one stream: one segment
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
+        raise ValueError("starts must be 1-D and begin with 0")
+    bounds = np.append(starts, x.size)
+    lengths = bounds[1:] - bounds[:-1]
+    if (lengths < 0).any():
+        raise ValueError("starts must not decrease or pass the end of scores")
+    if cumulative is None:
+        cumulative = segment_cumsum(x, starts)
     # Position j < w of a stream averages its first j + 1 samples; ``at``
     # lists those positions.
-    if starts is None:
-        if cumulative is None:
-            cumulative = np.cumsum(x)
-        j = at = np.arange(min(w, x.size))
-    else:
-        starts = np.asarray(starts, dtype=np.int64)
-        if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
-            raise ValueError("starts must be 1-D and begin with 0")
-        lengths = np.diff(starts, append=x.size)
-        if np.any(lengths < 0):
-            raise ValueError("starts must not decrease or pass the end of scores")
-        if cumulative is None:
-            cumulative = segment_cumsum(x, starts)
-        prefix = np.minimum(lengths, w)
-        offsets = np.cumsum(prefix) - prefix
-        j = np.arange(offsets[-1] + prefix[-1]) - np.repeat(offsets, prefix)
-        at = np.repeat(starts, prefix) + j
+    prefix = np.minimum(lengths, w)
+    offsets = np.cumsum(prefix) - prefix
+    j = np.arange(offsets[-1] + prefix[-1]) - np.repeat(offsets, prefix)
+    at = np.repeat(starts, prefix) + j
     out = np.empty_like(x)
     if x.size > w:
         out[w:] = (cumulative[w:] - cumulative[:-w]) / w

@@ -138,6 +138,13 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
     assert main(["evaluate", "--counts-only", str(counts)]) == 1
     assert capsys.readouterr() == (
         "", f"error: {counts}: counts entry 0 key 'database_id' must be a string, got null\n")
+    # a repeated id printed two rows, both in Avg., while report.json kept the second
+    counts.write_text(json.dumps([good, {**good, "database_id": "y"}, {**good, "tp_a": 1}]))
+    out = tmp_path / "rep"
+    assert main(["evaluate", "--counts-only", str(counts), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {counts}: counts entry 2 repeats database_id \"x\"\n")
+    assert not out.exists()
 
 
 def test_evaluate_pairing_policy(tmp_path, corpus_files):
@@ -311,6 +318,25 @@ def test_width_beyond_a_float_of_frames_exits_one(tmp_path, corpus_files, capsys
         assert main([*args, *data]) == 1, args
         assert capsys.readouterr() == (
             "", "error: width_seconds 1e+307 at fps 30.0 is more frames than a float holds\n")
+
+
+def test_frame_count_beyond_int64_exits_one(tmp_path, capsys):
+    # A fall at frame 1e20 once made evaluate, sweep and tune die with an
+    # OverflowError in fall_stack_ranges, while offsets ran.
+    ann, pred = tmp_path / "ann.jsonl", tmp_path / "pred.csv"
+    record = {"video_id": "v", "database_id": "db", "fps": 30.0, "frame_count": 10**23,
+              "fall_intervals": [[10**20, 10**20 + 5]]}
+    ann.write_text(json.dumps(record) + "\n")
+    pred.write_text("video_id,anchor_frame,score\nv,9,0.5\n")
+    data = ["--annotations", str(ann), "--predictions", str(pred), "--out", str(tmp_path / "out")]
+    for args in (["evaluate"], ["offsets"], ["sweep"], ["tune"]):
+        capsys.readouterr()
+        assert main([*args, *data]) == 1, args
+        assert capsys.readouterr() == ("", f"error: {ann}:1: record 'v': frame_count must be >= 1 "
+                                           f"and below 2**63, got {10**23}\n"), args
+    record.update(frame_count=2**63 - 1, fall_intervals=[[2**63 - 7, 2**63 - 5]])
+    ann.write_text(json.dumps(record) + "\n")
+    assert load_annotations(ann)[0].frame_count == 2**63 - 1
 
 
 # -- config files ------------------------------------------------------------------

@@ -13,11 +13,9 @@ from alarm_pipeline import corpus, tuning
 from alarm_pipeline.cli import main
 from alarm_pipeline.corpus import (
     _ROWS_PER_WRITE,
-    _canonical_blocks,
     _load_parts,
     _load_prediction_rows,
     _part_starts,
-    _streams,
     PredictionStream,
     StackConfig,
     VideoAnnotation,
@@ -281,27 +279,33 @@ def stream_bits(streams):
     ]
 
 
-def pieces(data, cuts):
-    """``data`` cut at each of the sorted offsets ``cuts``."""
-    bounds = [0, *cuts, len(data)]
-    return [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def bulk_parse(pieces):
-    """The one-part bulk parse of ``pieces``, or None where it leaves the
-    file to the row loop."""
+def load_parts(path, starts):
+    """The bulk parse of ``path`` in the parts that begin at ``starts``, or
+    None where it leaves the file to the row loop."""
     try:
-        return _streams(_canonical_blocks(pieces))
+        return _load_parts(path, starts)
     except ValueError:
         return None
 
 
-def splits(data):
-    """``data`` whole, in one-byte pieces, and in two pieces cut at every offset."""
-    yield [data]
-    yield pieces(data, range(1, len(data)))
-    for cut in range(len(data) + 1):
-        yield pieces(data, [cut])
+def bulk_parse(path, read_bytes=1 << 20):
+    """The one-part bulk parse of ``path`` in reads of at most
+    ``read_bytes``, or None where it leaves the file to the row loop."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(corpus, "_READ_BYTES", read_bytes)
+        return load_parts(path, [0])
+
+
+def longest_line(data):
+    """The bytes of the longest line of ``data``, its ``\\n`` included."""
+    return max(len(line) + 1 for line in data.split(b"\n"))
+
+
+def read_sizes(data):
+    """Read sizes of at least one line of ``data``: reads of one line, reads
+    that cut lines, and one read of the whole file."""
+    longest = longest_line(data)
+    return sorted({longest + extra for extra in (0, 1, 7, longest, len(data))})
 
 
 def reference_csv(streams):
@@ -341,8 +345,8 @@ def test_prediction_loader_errors(tmp_path):
     ]
     for text, message, line in cases:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
-        for split in splits(path.read_bytes()):
-            assert bulk_parse(split) is None, (text, split)
+        for read_bytes in read_sizes(path.read_bytes()):
+            assert bulk_parse(path, read_bytes) is None, (text, read_bytes)
         with pytest.raises(CorpusFormatError, match=message) as err:
             load_predictions(path)
         assert err.value.line == line, text
@@ -382,10 +386,11 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     assert loaded[1].scores.tolist() == [0.2, 0.4]
 
     canonical = HEADER + "a,9,0.1\na,10,0.3\nb,9,0.2\nb,10,0.4\n"
-    bulk = bulk_parse([canonical.encode()])
+    path.write_text(canonical)
+    bulk = bulk_parse(path)
     assert stream_bits(bulk) == stream_bits(loaded)
-    for split in splits(canonical.encode()):
-        assert stream_bits(bulk_parse(split)) == stream_bits(bulk), split
+    for read_bytes in read_sizes(canonical.encode()):
+        assert stream_bits(bulk_parse(path, read_bytes)) == stream_bits(bulk), read_bytes
     variants = [  # each read row by row into the same streams
         HEADER + "a,9,0.1\nb,9,0.2\na,10,0.3\nb,10,0.4\n",  # interleaved
         canonical[:-1],  # no final newline
@@ -397,8 +402,8 @@ def test_prediction_loader_allows_interleaved_videos(tmp_path):
     ]
     for text in variants:
         path.write_bytes(text.encode())
-        for split in splits(path.read_bytes()):
-            assert bulk_parse(split) is None, (text, split)
+        for read_bytes in read_sizes(path.read_bytes()):
+            assert bulk_parse(path, read_bytes) is None, (text, read_bytes)
         assert stream_bits(load_predictions(path)) == stream_bits(bulk), text
 
 
@@ -426,22 +431,13 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
     rows = stream_bits(_load_prediction_rows(path))
     assert rows == stream_bits(streams)
     quoted = any(set(s.video_id) & set(',"\r') for s in streams)
-    # The bulk loader's result must not depend on where its pieces end.
-    row_ends = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")]
-    first_rows = row_ends[1] if len(row_ends) > 1 else len(text)
-    cut_sets = [
-        [],
-        sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=8))),
-        range(1, len(text)),  # one-byte pieces
-        row_ends,
-        # one cut inside the header, the first id or one of its numbers
-        *([cut] for cut in range(1, first_rows)),
-    ]
-    for cuts in cut_sets:
-        bulk = bulk_parse(pieces(text, cuts))
-        assert (bulk is None) == quoted, cuts
+    # The bulk loader's result must not depend on the read size, down to reads of one line.
+    sizes = [*read_sizes(text), data.draw(st.integers(longest_line(text), len(text) + 1))]
+    for read_bytes in sizes:
+        bulk = bulk_parse(path, read_bytes)
+        assert (bulk is None) == quoted, read_bytes
         if bulk is not None:
-            assert stream_bits(bulk) == rows, cuts
+            assert stream_bits(bulk) == rows, read_bytes
             assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
                        for s in bulk)
     assert stream_bits(load_predictions(path)) == rows
@@ -450,12 +446,12 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
 def test_bulk_loader_empty_and_header_only_files(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_bytes(b"")
-    assert bulk_parse([]) is None
+    assert bulk_parse(path) is None
     with pytest.raises(CorpusFormatError, match="empty prediction file"):
         load_predictions(path)
     path.write_bytes(HEADER.encode())
-    for split in splits(HEADER.encode()):
-        assert bulk_parse(split) == [], split
+    for read_bytes in read_sizes(HEADER.encode()):
+        assert bulk_parse(path, read_bytes) == [], read_bytes
     assert load_predictions(path) == []
 
 
@@ -552,10 +548,24 @@ def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
 # -- the bulk parse in parts ----------------------------------------------------
 
 
-def use_parts(monkeypatch, count, part_bytes=1):
-    """Let load_predictions cut a file into ``count`` parts of ``part_bytes`` or more."""
+def use_parts(monkeypatch, count, read_bytes=len(HEADER)):
+    """Let load_predictions read ``read_bytes`` at a time and cut a file into
+    ``count`` parts of at least that; the default is the header line, the
+    longest line of most files here."""
     use_cpus(monkeypatch, count)
-    monkeypatch.setattr("alarm_pipeline.corpus._PART_BYTES", part_bytes)
+    monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
+
+
+def count_row_loops(monkeypatch):
+    """A list that grows by the path at each call of the row loop."""
+    calls = []
+
+    def rows(path):
+        calls.append(path)
+        return _load_prediction_rows(path)
+
+    monkeypatch.setattr(corpus, "_load_prediction_rows", rows)
+    return calls
 
 
 def line_starts(data):
@@ -577,23 +587,15 @@ PART_FILES = [  # (file text, whether the one-part parse gives streams)
 ]
 
 
-def load_parts(path, starts):
-    """The bulk parse of ``path`` in the parts that begin at ``starts``, or
-    None where it leaves the file to the row loop."""
-    try:
-        return _load_parts(path, starts)
-    except ValueError:
-        return None
-
-
 def test_parts_give_the_one_part_parse(tmp_path, monkeypatch):
     # Cut at every line start into 2, 3 and 4 parts (a file the one-part
     # parse refuses: 2 and 3), so blocks are cut in two and three, parts hold
-    # one line, and the first part may be the header. Pieces of 1 and 7
-    # bytes cut the lines into runs of one or two as well, so one file is
-    # cut between runs and between parts at once.
+    # one line, and the first part may be the header. Reads of the header
+    # line, the longest, and of 7 bytes more cut the lines into reads of one
+    # to four as well, so one file is cut between reads and between parts
+    # at once.
     path = tmp_path / "pred.csv"
-    for read_bytes in (1, 7, 1 << 20):
+    for read_bytes in (len(HEADER), len(HEADER) + 7, 1 << 20):
         monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
         for text, canonical in PART_FILES:
             path.write_text(text)
@@ -619,18 +621,18 @@ def test_part_starts(tmp_path, monkeypatch):
     path = tmp_path / "pred.csv"
     path.write_text(HEADER + PART_ROWS)
     data = path.read_bytes()
-    assert _part_starts(path) == [0]  # smaller than _PART_BYTES
+    assert _part_starts(path) == [0]  # smaller than _READ_BYTES
     for cpus in (2, 3, 4, 64):
-        use_parts(monkeypatch, cpus)
+        use_parts(monkeypatch, cpus, read_bytes=1)
         starts = _part_starts(path)
         assert len(starts) == min(cpus, len(data.splitlines())), cpus
         assert starts[0] == 0 and set(starts[1:]) <= set(line_starts(data))
         assert starts == sorted(set(starts))
-        use_parts(monkeypatch, cpus, part_bytes=len(data) // 2)
+        use_parts(monkeypatch, cpus, read_bytes=len(data) // 2)
         assert len(_part_starts(path)) == 2
-        use_parts(monkeypatch, cpus, part_bytes=len(data) + 1)
+        use_parts(monkeypatch, cpus, read_bytes=len(data) + 1)
         assert _part_starts(path) == [0]
-    use_parts(monkeypatch, 1)
+    use_parts(monkeypatch, 1, read_bytes=1)
     assert _part_starts(path) == [0]
     monkeypatch.delattr(os, "sched_getaffinity")  # the usable CPUs are unknown
     assert _part_starts(path) == [0]
@@ -638,20 +640,16 @@ def test_part_starts(tmp_path, monkeypatch):
 
 
 def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
-    rows_calls = []
-
-    def rows(path):
-        rows_calls.append(path)
-        return _load_prediction_rows(path)
-
-    monkeypatch.setattr(corpus, "_load_prediction_rows", rows)
+    rows_calls = count_row_loops(monkeypatch)
     path = tmp_path / "pred.csv"
-    for text in (HEADER + "a,9,0.5\nb,9,1.0\nc,3,0.3\nd,3,0.3\nb,10,0.5\na,10,0.5\n",  # ids repeat
+    repeats = "a,9,0.5\nb,9,1.0\n" + "".join(f"{v},3,0.3\n" for v in "cdefghi") + "b,10,0.5\na,10,0.5\n"
+    for text in (HEADER + repeats,  # ids repeat
                  HEADER + PART_ROWS.replace("c,", '"c",')):  # quoted ids in a child's part
         path.write_text(text)
         want = stream_bits(_load_prediction_rows(path))
         for cpus in (2, 3, 4):
             use_parts(monkeypatch, cpus)
+            assert len(_part_starts(path)) == cpus
             rows_calls.clear()
             assert stream_bits(load_predictions(path)) == want, (text, cpus)
             assert rows_calls == [path]
@@ -685,12 +683,71 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
                 assert_no_children()
 
 
+def test_a_child_part_that_is_not_canonical_is_not_parsed_again(tmp_path, monkeypatch):
+    # A child whose part is not canonical sends None, so this process parses
+    # its own part only and then runs the row loop once.
+    rows_calls = count_row_loops(monkeypatch)
+    parsed, parse, parent = [], corpus._canonical_blocks, os.getpid()
+
+    def parse_and_note(run, header):
+        if os.getpid() == parent:
+            parsed.append(run)
+        return parse(run, header)
+
+    monkeypatch.setattr(corpus, "_canonical_blocks", parse_and_note)
+    path = tmp_path / "pred.csv"
+    path.write_text(HEADER + PART_ROWS.replace("c,5,", '"c",5,'))  # the last row quotes its id
+    want = stream_bits(_load_prediction_rows(path))
+    for cpus in (2, 3, 4):
+        use_parts(monkeypatch, cpus)
+        starts = _part_starts(path)
+        assert len(starts) == cpus
+        parsed.clear()
+        rows_calls.clear()
+        assert stream_bits(load_predictions(path)) == want, cpus
+        assert b"".join(parsed) == path.read_bytes()[:starts[1]], cpus
+        assert rows_calls == [path]
+        assert_no_children()
+
+
+def test_bulk_result_does_not_depend_on_the_read_size(tmp_path, monkeypatch):
+    # Reads from one line up to the whole file, in one part and in parts.
+    path = tmp_path / "pred.csv"
+    spec = SynthSpec(video_count=6, frames_per_video=200, score_noise=0.2, seed=4)
+    save_predictions(generate(spec).streams, path)
+    data = path.read_bytes()
+    want = stream_bits(_load_prediction_rows(path))
+    for read_bytes in [*read_sizes(data), 1 << 10, 4099]:
+        assert stream_bits(bulk_parse(path, read_bytes)) == want, read_bytes
+        for cpus in (2, 4):
+            use_parts(monkeypatch, cpus, read_bytes)
+            starts = _part_starts(path)
+            assert stream_bits(load_parts(path, starts)) == want, (read_bytes, cpus)
+            assert_no_children()
+
+
+def test_a_line_longer_than_a_read_goes_to_the_row_loop(tmp_path, monkeypatch):
+    rows_calls = count_row_loops(monkeypatch)
+    long_id = "v" * 100
+    path = tmp_path / "pred.csv"
+    later = "".join(f"x{row}" for row in PART_ROWS.splitlines(keepends=True))  # ids xa, xb, xc
+    path.write_text(HEADER + PART_ROWS + f"{long_id},9,0.5\n{long_id},10,0.25\n" + later)
+    want = stream_bits(_load_prediction_rows(path))
+    line = len(f"{long_id},10,0.25\n")
+    for cpus in (1, 2, 4):
+        for read_bytes, bulk in ((line - 1, False), (line, True)):
+            use_parts(monkeypatch, cpus, read_bytes)
+            rows_calls.clear()
+            assert stream_bits(load_predictions(path)) == want, (cpus, read_bytes)
+            assert rows_calls == ([] if bulk else [path]), (cpus, read_bytes)
+            assert_no_children()
+
+
 def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
     # The join stops late in the second part's blocks, while the children
     # after it still wait to send more than a pipe holds; they are stopped
     # and reaped, and the row loop reads the file.
-    monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 12)
-    use_parts(monkeypatch, 4)
+    use_parts(monkeypatch, 4, read_bytes=1 << 12)
     videos = [(f"v{i}", range(3000)) for i in range(8)]  # 6,000 rows, 96 KB of arrays a part
     path = tmp_path / "pred.csv"
     cases = [  # (the last 100 rows of v3, the row loop's result)
@@ -719,10 +776,10 @@ def test_parts_reap_children_when_the_parse_raises(tmp_path, monkeypatch):
     parse = corpus._canonical_blocks
     parent = os.getpid()
 
-    def parse_or_raise(pieces):  # raises in this process, not in the children
+    def parse_or_raise(*args, **kwargs):  # raises in this process, not in the children
         if os.getpid() == parent:
             raise MemoryError("the first part fails")
-        return parse(pieces)
+        return parse(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "_canonical_blocks", parse_or_raise)
     use_parts(monkeypatch, 4)
@@ -740,7 +797,8 @@ def test_cli_evaluate_on_parts(tmp_path, monkeypatch, capsys):
             "--t-pred", "0.4", "--out", str(tmp_path / "out")]
     outputs = []
     for cpus in (1, 2, 4):
-        use_parts(monkeypatch, cpus)
+        use_parts(monkeypatch, cpus, read_bytes=1 << 10)
+        assert len(_part_starts(data / "predictions.csv")) == cpus
         capsys.readouterr()
         assert main(args) == 0
         assert_no_children()

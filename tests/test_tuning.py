@@ -6,7 +6,8 @@ import pytest
 
 from alarm_pipeline import tuning
 from alarm_pipeline.cli import _json_text, _tuning_json, main
-from alarm_pipeline.corpus import save_annotations, save_predictions
+from alarm_pipeline.corpus import (PredictionStream, StackConfig, VideoAnnotation, save_annotations,
+                                   save_predictions)
 from alarm_pipeline.errors import InfeasibleError
 from alarm_pipeline.metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
 from alarm_pipeline.synth import SynthSpec, generate
@@ -19,6 +20,7 @@ from alarm_pipeline.tuning import (
     baseline_sensitivities,
     default_t_values,
     default_w_values,
+    filter_counts,
     per_database_argmax,
     snap_to_grid,
     sweep,
@@ -401,3 +403,16 @@ def test_tune_infeasible_raises():
     corpus = small_corpus(seed=6)
     with pytest.raises(InfeasibleError):
         tune(corpus, w_values=[0.05], t_values=[0.9], min_alarm_precision=0.999)
+
+
+def test_fall_at_the_int64_limit_is_counted_as_evaluate_video_counts():
+    # falls + (0, stack_length) once wrapped past 2**63 - 1, so filter_counts
+    # saw no stack over the fall: TP_a 0, FN_a 1.
+    top = 2**63 - 1
+    annotation = VideoAnnotation("v", "db", 30.0, top, ((top - 6, top - 4),))
+    stream = PredictionStream("v", np.arange(top - 20, top, dtype=np.int64), np.full(20, 0.1))
+    stack_cfg = StackConfig(stack_length=10)
+    want = evaluate_video(stream, annotation, identity_filter(), stack_cfg)
+    assert want.alarm_counts == AlarmCounts(tp_a=1, fp_a=0, fn_a=0)
+    assert filter_counts([(stream, annotation)], identity_filter(), stack_cfg) == (
+        want.stack_counts, want.alarm_counts)
