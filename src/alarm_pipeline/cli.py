@@ -39,9 +39,9 @@ from .corpus import (
 from .errors import CorpusFormatError, GenerationError, InfeasibleError, PipelineError
 from .metrics import DEFAULT_BETAS, AlarmCounts, MetricReport, check_beta, check_betas, macro_average
 from .synth import SynthSpec, generate
-from .temporal import FilterConfig, check_cutoffs, evaluate_video, offset_histogram
+from .temporal import FilterConfig, check_cutoffs, offset_histogram
 from .tuning import (Corpus, TuningConstraints, TuningResult, check_grids, default_t_values,
-                     default_w_values, filter_counts, sweep, tune)
+                     default_w_values, false_alarm_offsets, filter_counts, sweep, tune)
 
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
@@ -519,19 +519,23 @@ def cmd_tune(cfg: argparse.Namespace) -> int:
     return 0
 
 
+def _offset_text(offset_frames: float) -> str:
+    """An offset as its exact whole number of frames, or ``inf``."""
+    return "inf" if offset_frames == math.inf else str(int(offset_frames))
+
+
 def cmd_offsets(cfg: argparse.Namespace) -> int:
     filter_cfg = _filter_config(cfg)
     check_cutoffs(cfg.offset_cutoff, cfg.duration_cutoff)
     stack_cfg = StackConfig(stack_length=cfg.stack_length)
     corpus = _load_corpus(cfg)
-    evaluations = [evaluate_video(stream, annotation, filter_cfg, stack_cfg)
-                   for videos in corpus.values() for stream, annotation in videos]
-    records = [record for ev in evaluations for record in ev.fp_offsets]
-    summary = offset_histogram(records, cfg.offset_cutoff, cfg.duration_cutoff)
+    alarms = [alarm for videos in corpus.values()
+              for alarm in false_alarm_offsets(videos, filter_cfg, stack_cfg)]
+    summary = offset_histogram([record for _, record in alarms], cfg.offset_cutoff,
+                               cfg.duration_cutoff)
     lines = ["video_id,duration_frames,offset_frames"]
-    for ev in evaluations:
-        for record in ev.fp_offsets:
-            lines.append(f"{ev.video_id},{record.duration_frames},{record.offset_frames:g}")
+    lines += [f"{video_id},{record.duration_frames},{_offset_text(record.offset_frames)}"
+              for video_id, record in alarms]
     summary_json = dataclasses.asdict(summary)
     sys.stdout.write(_dumps(summary_json) + "\n")
     if cfg.out:

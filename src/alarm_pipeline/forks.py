@@ -1,6 +1,6 @@
 """One ordered map over forked children, shared by every step that runs on
-the usable CPUs: the prediction reader's parts, the writer's pieces and the
-sweep's chunk counts.
+the usable CPUs: the prediction reader's parts, the writer's pieces, the
+sweep's chunk counts and the chunks of ``offsets``' false alarms.
 
 A fork shares the already-loaded streams copy-on-write, so the tasks and the
 function are never pickled; only each result is, once, down a pipe. A child

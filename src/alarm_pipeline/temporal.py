@@ -102,8 +102,9 @@ class FpOffsetRecord:
 def width_to_frames(width_seconds: float, fps: float) -> int:
     """Convert a filter width in seconds to whole frames (round half up, min 1).
 
-    A 1e-9 nudge keeps products like 0.15 * 30 (stored as 4.4999...) from
-    rounding the wrong way. Raises ValueError if the frames overflow a float.
+    A 1e-9 nudge keeps products like 0.58 * 25 (14.499999999999998, where
+    the decimals make 14.5) from rounding the wrong way. Raises ValueError if
+    the frames overflow a float.
     """
     if not (0 < width_seconds < math.inf):
         raise ValueError(f"width_seconds must be finite and > 0, got {width_seconds}")
@@ -438,8 +439,10 @@ def evaluate_video(
     decisions against the derived stack labels; Transition-labeled stacks are
     excluded from those counts but their scores still flow through the alarm
     path. The alarm counts, events and false-alarm offsets come from
-    :func:`extract_alarms` and :func:`match_alarms`; corpus-wide counts are
-    cheaper through ``tuning.filter_counts``.
+    :func:`extract_alarms` and :func:`match_alarms`. Corpus-wide counts are
+    cheaper through ``tuning.filter_counts``, and ``offsets`` takes its
+    false alarms from ``tuning.false_alarm_offsets``; both run through the
+    chunks of whole videos and give what this gives per video.
     """
     if stream.video_id != annotation.video_id:
         raise ValueError(

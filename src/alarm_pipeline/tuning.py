@@ -17,9 +17,15 @@ sums keep each video's counts exactly what it would give alone. A chunk
 holds at most ``CHUNK_STACKS`` stacks, since the kernel's memory grows with
 stacks and not with thresholds.
 
-A database's chunks are counted on the usable CPUs by
-:func:`~alarm_pipeline.forks.fork_map`. The counts are integer sums, so
-every result is the same on any number of CPUs.
+``offsets`` reads its false alarms from the same chunks, through
+:func:`false_alarm_offsets`: one segmented gate filter and one
+:func:`~alarm_pipeline.temporal.extract_alarms` per chunk, and one
+``searchsorted`` that classifies every run and finds each false one's
+nearest falls. The records are then put back in corpus order.
+
+A database's chunks are mapped on the usable CPUs by
+:func:`~alarm_pipeline.forks.fork_map`. The counts are integer sums and the
+records are sorted back, so every result is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .metrics import AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
 from .temporal import (
     DecisionLayout,
     FilterConfig,
+    FpOffsetRecord,
+    extract_alarms,
     gate_filter,
     identity_filter,
     segment_cumsum,
@@ -133,25 +141,75 @@ class SweepGrid:
 CHUNK_STACKS = 1 << 16
 
 
-def _chunks(videos: Sequence[tuple[PredictionStream, VideoAnnotation]]):
-    """Runs of whole videos of one fps, as (fps, videos), each of at most
-    ``CHUNK_STACKS`` stacks; a longer video is a chunk by itself. A video's
-    stacks include the separator slot that :func:`_chunk_counts` appends to
-    it."""
-    by_fps: dict[float, list[tuple[PredictionStream, VideoAnnotation]]] = {}
-    for stream, annotation in videos:
-        by_fps.setdefault(annotation.fps, []).append((stream, annotation))
+def _chunk_positions(videos: Sequence[tuple[PredictionStream, VideoAnnotation]]):
+    """Runs of whole videos of one fps, as (fps, positions in ``videos``),
+    each of at most ``CHUNK_STACKS`` stacks; a longer video is a chunk by
+    itself. A video's stacks include the separator slot that
+    :func:`_lay_out` appends to it."""
+    by_fps: dict[float, list[int]] = {}
+    for i, (_, annotation) in enumerate(videos):
+        by_fps.setdefault(annotation.fps, []).append(i)
     for fps, group in by_fps.items():
-        chunk: list[tuple[PredictionStream, VideoAnnotation]] = []
+        chunk: list[int] = []
         stacks = 0
-        for stream, annotation in group:
-            size = len(stream) + 1
+        for i in group:
+            size = len(videos[i][0]) + 1
             if chunk and stacks + size > CHUNK_STACKS:
                 yield fps, chunk
                 chunk, stacks = [], 0
-            chunk.append((stream, annotation))
+            chunk.append(i)
             stacks += size
         yield fps, chunk
+
+
+def _chunks(videos: Sequence[tuple[PredictionStream, VideoAnnotation]]):
+    """The chunks of :func:`_chunk_positions`, as (fps, videos)."""
+    for fps, positions in _chunk_positions(videos):
+        yield fps, [videos[i] for i in positions]
+
+
+def _lay_out(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]], stack_length: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, scores, fall_ranges)`` of a chunk.
+
+    The videos' streams are laid end to end, each followed by one separator
+    slot (score 0), so video ``v`` holds slots ``starts[v]`` to
+    ``ends[v] - 1``, its separator last. :func:`_filter_chunk` makes a
+    separator never Fall, and it is neither a fall nor an eligible stack, so
+    no alarm run joins two videos. Each video's fall ranges are found on its
+    own anchors and offset by its first slot, so they hold only that video's
+    stacks and their starts never decrease along the chunk. Raises
+    IndexError, as :func:`stack_label_masks` does, if a stack leaves its
+    video's frames.
+    """
+    sizes = np.array([len(stream) + 1 for stream, _ in videos], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    scores = np.zeros(ends[-1])
+    ranges = []
+    for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
+        own = stream.anchor_frames
+        if own.size and not stack_length - 1 <= own[0] <= own[-1] < annotation.frame_count:
+            # Anchors advance by 1, so the first one outside the frames is
+            # the first anchor or else the frame count.
+            bad = own[0] if own[0] < stack_length - 1 else max(own[0], annotation.frame_count)
+            raise IndexError(
+                f"stack at anchor {bad} leaves frames [0, {annotation.frame_count}) "
+                f"of {annotation.video_id!r}"
+            )
+        scores[start:end - 1] = stream.scores
+        ranges.append(start + fall_stack_ranges(annotation.fall_intervals, own, stack_length))
+    return starts, ends, scores, np.concatenate(ranges)
+
+
+def _filter_chunk(scores: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
+                  cumulative: np.ndarray | None = None) -> np.ndarray:
+    """The chunk's scores gate-filtered per video, as :func:`gate_filter`
+    filters each video alone, with every separator slot +inf."""
+    filtered = gate_filter(scores, width, starts, cumulative)
+    filtered[ends - 1] = np.inf
+    return filtered
 
 
 def _chunk_counts(
@@ -162,36 +220,25 @@ def _chunk_counts(
 ) -> np.ndarray:
     """Summed (nW, nT, 7) counts, as in :func:`decision_counts`, of videos
     filtered at each of ``widths`` frames: one :class:`DecisionLayout` for
-    the chunk, one rank pass per width.
-
-    The videos' streams are laid end to end, each followed by one separator
-    slot that is never Fall (filtered score +inf) and neither a fall nor an
-    eligible stack, so no alarm run joins two videos. Each video's fall
-    ranges are found on its own anchors and offset by its first slot, so
-    they hold only that video's stacks. Each video keeps its own running
-    sum, so the filtered values are those of :func:`gate_filter` on the
-    video alone.
+    the chunk of :func:`_lay_out`, one rank pass per width. Each video keeps
+    its own running sum, so its counts are those it gives alone.
     """
-    sizes = np.array([len(stream) + 1 for stream, _ in videos], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    scores = np.zeros(ends[-1])
+    starts, ends, scores, ranges = _lay_out(videos, stack_cfg.stack_length)
     truth_fall = np.zeros(ends[-1], dtype=bool)
     eligible = np.zeros(ends[-1], dtype=bool)
-    ranges = []
     for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
         fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
-        scores[start:end - 1] = stream.scores
         truth_fall[start:end - 1] = fall
         eligible[start:end - 1] = ~transition
-        ranges.append(start + fall_stack_ranges(annotation.fall_intervals, stream.anchor_frames,
-                                                stack_cfg.stack_length))
-    layout = DecisionLayout(t_values, truth_fall, eligible, np.concatenate(ranges))
+    layout = DecisionLayout(t_values, truth_fall, eligible, ranges)
     cumulative = segment_cumsum(scores, starts) if max(widths) > 1 else None
     by_width = {}
     for width in dict.fromkeys(widths):
-        filtered = gate_filter(scores, width, starts, cumulative)
-        filtered[ends - 1] = np.inf
+        # ``filtered`` is freed only once the next width's array is made.
+        # Freed before, glibc gave heap pages back and faulted them in again:
+        # a 250-video, 990-cell sweep made 11,200 minor page faults, not
+        # 1,900, and took 65 ms, not 61 ms, on one CPU.
+        filtered = _filter_chunk(scores, starts, ends, width, cumulative)
         by_width[width] = layout.counts(filtered)
     return np.stack([by_width[width] for width in widths])
 
@@ -229,6 +276,84 @@ def filter_counts(
     counts = _database_counts(videos, [cfg.resolve_width_frames], [cfg.t_pred],
                               stack_cfg)[0, 0].tolist()
     return ConfusionCounts(*counts[:4]), AlarmCounts(*counts[4:])
+
+
+def _chunk_false_alarms(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]],
+    width: int,
+    t_pred: float,
+    stack_length: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(video, duration, offset)`` of each false alarm of a chunk, in slot
+    order: the index into ``videos``, the run's length in stacks and its
+    frame distance to the nearest fall of its video (inf if it has none), as
+    :func:`~alarm_pipeline.temporal.match_alarms` gives them.
+
+    The Fall stacks are the filtered slots below ``t_pred``; separators are
+    +inf, so every run lies in one video. A fall's first slot, the start of
+    its range, lies after a run's last slot exactly when the fall starts
+    after the run's last anchor, and the first slots of the chunk's falls
+    never decrease. So one ``searchsorted`` of the run's last slot finds the
+    first fall of its video that starts after the run and, just before it,
+    the last one that does not; fall ends increase, so the run overlaps a
+    fall, and is a true alarm, exactly when it overlaps that last one.
+    Otherwise those two are its nearest falls.
+    """
+    starts, ends, scores, ranges = _lay_out(videos, stack_length)
+    fall = _filter_chunk(scores, starts, ends, width) < t_pred
+    runs = extract_alarms(fall, np.arange(fall.size))
+    first, last = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+    video = starts.searchsorted(first, side="right") - 1
+    # Anchors advance by 1, so slot i of video v holds anchor i + shift[v].
+    shift = np.array([stream.anchor_frames[0] if len(stream) else 0 for stream, _ in videos],
+                     dtype=np.int64) - starts
+    span_lo = first + shift[video] - (stack_length - 1)
+    span_hi = last + shift[video]
+    # A sentinel fall after the chunk's last slot keeps every index in range.
+    fall_slots = np.append(ranges[:, 0], fall.size)
+    falls = np.array([interval for _, annotation in videos
+                      for interval in annotation.fall_intervals] + [(0, 0)], dtype=np.int64)
+    after = fall_slots.searchsorted(last, side="right")
+    before = after - 1
+    gap_after = np.where(fall_slots[after] < ends[video], falls[after, 0] - span_hi, np.inf)
+    gap_before = np.where((before >= 0) & (fall_slots[before] >= starts[video]),
+                          span_lo - falls[before, 1], np.inf)
+    false = gap_before > 0  # a gap of 0 or less: the run overlaps that fall
+    return video[false], (last - first + 1)[false], np.minimum(gap_after, gap_before)[false]
+
+
+def false_alarm_offsets(
+    videos: Sequence[tuple[PredictionStream, VideoAnnotation]],
+    cfg: FilterConfig,
+    stack_cfg: StackConfig = StackConfig(),
+) -> list[tuple[str, FpOffsetRecord]]:
+    """The false alarms of videos under one filter, as ``(video_id, record)``
+    in corpus order: videos in order, each video's alarms in time order.
+    They equal the ``fp_offsets`` of
+    :func:`~alarm_pipeline.temporal.evaluate_video` of each video.
+
+    The alarms are found per chunk of whole videos, one segmented
+    :func:`~alarm_pipeline.temporal.gate_filter` and one
+    :func:`~alarm_pipeline.temporal.extract_alarms` per chunk, and the
+    chunks are mapped by :func:`~alarm_pipeline.forks.fork_map` as in
+    :func:`sweep`; as chunks group videos by fps, the records are then put
+    back in corpus order.
+    """
+    if not videos:
+        return []
+
+    def false_alarms(chunk: tuple[float, list[int]]) -> tuple[np.ndarray, ...]:
+        fps, positions = chunk
+        video, duration, offset = _chunk_false_alarms(
+            [videos[i] for i in positions], cfg.resolve_width_frames(fps), cfg.t_pred,
+            stack_cfg.stack_length)
+        return np.array(positions)[video], duration, offset
+
+    with contextlib.closing(fork_map(false_alarms, _chunk_positions(videos))) as results:
+        position, duration, offset = map(np.concatenate, zip(*results))
+    order = np.argsort(position, kind="stable")
+    return [(videos[p][0].video_id, FpOffsetRecord(d, o)) for p, d, o in
+            zip(position[order].tolist(), duration[order].tolist(), offset[order].tolist())]
 
 
 def check_grids(w_values: Sequence[float], t_values: Sequence[float]) -> None:

@@ -28,11 +28,13 @@ from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import (
     DecisionLayout,
     FilterConfig,
+    FpOffsetRecord,
     combine,
     decision_counts,
     evaluate_video,
     gate_filter,
     identity_filter,
+    offset_histogram,
     segment_cumsum,
     width_to_frames,
 )
@@ -167,6 +169,30 @@ def test_filter_counts_match_evaluate_video(db, w, k, cap):
         stack, alarm = tuning.filter_counts(videos, cfg, stack_cfg)
     want = combine(evaluate_video(s, a, cfg, stack_cfg) for s, a in videos)
     assert (stack, alarm) == (want.stack_counts, want.alarm_counts)
+
+
+def per_video_false_alarms(videos, cfg, stack_cfg):
+    """The reference for ``offsets``: each video's ``evaluate_video`` records."""
+    return [(s.video_id, record) for s, a in videos
+            for record in evaluate_video(s, a, cfg, stack_cfg).fp_offsets]
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=databases(), w=st.sampled_from(W_SECONDS), k=st.integers(1, STEPS - 1),
+       cap=st.sampled_from([1, 40, 1 << 20]))
+def test_false_alarm_offsets_match_evaluate_video(db, w, k, cap):
+    """``offsets``' records: the chunked path equals the per-video one, in
+    corpus order, on videos of mixed fps and on 1 to 4 CPUs."""
+    videos, stack_cfg = db
+    cfg = FilterConfig(t_pred=k / STEPS, width_seconds=w)
+    want = per_video_false_alarms(videos, cfg, stack_cfg)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(tuning, "CHUNK_STACKS", cap)
+        for cpus in (1, 2, 3, 4):
+            use_cpus(monkeypatch, cpus)
+            got = tuning.false_alarm_offsets(videos, cfg, stack_cfg)
+            assert got == want, cpus
+            assert offset_histogram([r for _, r in got]) == offset_histogram([r for _, r in want])
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,3 +357,73 @@ def test_the_first_failing_chunk_raises_on_any_number_of_cpus(monkeypatch):
         with pytest.raises(IndexError, match="of 'v1'"):
             tuning._database_counts(videos, WIDTHS, T_VALUES, StackConfig())
         assert_no_children()
+
+
+def edge_case_videos():
+    """Videos at 25 and 30 fps in turn, stack length 3, scores 0 (Fall) on
+    the runs listed, and the false alarms they give (video, duration,
+    offset): a video without falls (inf); falls that no stack reaches, one
+    before the first stack and one after the last (empty ranges); a run
+    that touches only TRANSITION stacks (a true alarm, no record); runs
+    whose span ends where a fall begins and begins where it ends (true
+    alarms); and a run at the last stack, next to the separator."""
+    specs = [  # id, frame_count, first anchor, anchors, falls, Fall runs (anchors)
+        ("none", 60, 2, 40, (), [(5, 7), (30, 30)]),
+        ("unreached", 100, 12, 20, ((0, 3), (80, 85)), [(14, 15), (20, 31)]),
+        ("transition", 60, 2, 38, ((20, 25),), [(8, 9), (26, 30), (35, 36)]),
+        ("touching", 60, 2, 38, ((20, 25),), [(3, 4), (15, 20), (27, 28), (39, 39)]),
+    ]
+    videos = []
+    for i, (vid, frame_count, first, count, falls, runs) in enumerate(specs * 2):
+        vid = f"{vid}{i // len(specs)}"
+        anchors = np.arange(first, first + count)
+        scores = np.ones(count)
+        for lo, hi in runs:
+            scores[(anchors >= lo) & (anchors <= hi)] = 0.0
+        fps = (25.0, 30.0)[i % 2]
+        videos.append((PredictionStream(vid, anchors, scores),
+                       VideoAnnotation(vid, "db", fps, frame_count, falls)))
+    want = [
+        ("none", 3, math.inf), ("none", 1, math.inf),
+        ("unreached", 2, 9.0), ("unreached", 12, 20 - 2 - 3.0),
+        ("transition", 2, 20 - 9.0), ("transition", 2, 35 - 2 - 25.0),
+        ("touching", 2, 20 - 4.0), ("touching", 1, 39 - 2 - 25.0),
+    ]
+    want = [(f"{vid}{copy}", FpOffsetRecord(duration, offset))
+            for copy in (0, 1) for vid, duration, offset in want]
+    return videos, want
+
+
+def test_false_alarm_offsets_edge_cases_on_any_number_of_cpus(monkeypatch):
+    videos, want = edge_case_videos()
+    stack_cfg = StackConfig(3)
+    stream, annotation = videos[2]
+    fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
+    run = (stream.anchor_frames >= 26) & (stream.anchor_frames <= 30)
+    assert not fall[run].any() and transition[run].any()
+    cfg = identity_filter()
+    assert per_video_false_alarms(videos, cfg, stack_cfg) == want
+    forks = count_forks(monkeypatch)
+    for cap in (1, 80, 1 << 20):
+        monkeypatch.setattr(tuning, "CHUNK_STACKS", cap)
+        chunks = len(list(tuning._chunks(videos)))
+        for cpus in (1, 2, 3, 4):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert tuning.false_alarm_offsets(videos, cfg, stack_cfg) == want, (cap, cpus)
+            assert len(forks) == min(cpus, chunks) - 1
+            assert_no_children()
+    assert tuning.false_alarm_offsets([], cfg, stack_cfg) == []
+
+
+@pytest.mark.parametrize("first, frame_count", [(1, 40), (9, 30), (45, 40)])
+def test_a_stack_outside_the_frames_raises_as_stack_label_masks_does(first, frame_count):
+    stream = PredictionStream("v", np.arange(first, first + 25), np.full(25, 0.2))
+    annotation = VideoAnnotation("v", "db", 30.0, frame_count, ((10, 12),))
+    with pytest.raises(IndexError) as want:
+        stack_label_masks(annotation, stream.anchor_frames, StackConfig())
+    for run in (lambda: tuning.false_alarm_offsets([(stream, annotation)], identity_filter()),
+                lambda: tuning.filter_counts([(stream, annotation)], identity_filter())):
+        with pytest.raises(IndexError) as got:
+            run()
+        assert str(got.value) == str(want.value)

@@ -1,12 +1,20 @@
+import dataclasses
 import itertools
 import json
+import math
+import sys
 
 import pytest
 
+from alarm_pipeline import temporal, tuning
 from alarm_pipeline.cli import SWEEP_HEADER, main, parse_grid
-from alarm_pipeline.corpus import load_annotations, load_predictions
+from alarm_pipeline.corpus import (PredictionStream, load_annotations, load_predictions,
+                                   save_annotations, save_predictions)
+from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import FilterConfig, evaluate_video, combine, offset_histogram
 from alarm_pipeline.tuning import tune
+
+from conftest import assert_no_children, use_cpus
 
 
 @pytest.fixture()
@@ -504,6 +512,95 @@ def test_offsets_outputs(tmp_path, corpus_files, capsys):
     lines = (out / "offsets.csv").read_text().strip().splitlines()
     assert lines[0] == "video_id,duration_frames,offset_frames"
     assert len(lines) == 1 + len(records)
+
+
+def test_offsets_are_exact_frame_counts(tmp_path, capsys):
+    # Nine hours into a 30 fps recording a false alarm is a million frames
+    # from a fall; six significant digits printed 1.49999e+06 and 1e+06.
+    ann, pred = tmp_path / "ann.jsonl", tmp_path / "pred.csv"
+    videos = [("v", 2_000_000, [[1_500_000, 1_500_040]], (12, 14)),
+              ("w", 2_000_000, [[1_000_020, 1_000_021]], (20, 20)),
+              ("x", 40, [], (25, 26))]
+    rows = ["video_id,anchor_frame,score"]
+    with ann.open("w") as handle:
+        for vid, frame_count, falls, (lo, hi) in videos:
+            handle.write(json.dumps({"video_id": vid, "database_id": "db", "fps": 30.0,
+                                     "frame_count": frame_count, "fall_intervals": falls}) + "\n")
+            rows += [f"{vid},{a},{0.1 if lo <= a <= hi else 0.9}" for a in range(9, 30)]
+    pred.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["offsets", "--annotations", str(ann), "--predictions", str(pred),
+                 "--w-frames", "1", "--out", str(out)]) == 0
+    assert (out / "offsets.csv").read_text() == (
+        "video_id,duration_frames,offset_frames\nv,3,1499986\nw,1,1000000\nx,2,inf\n")
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["count"] == 3 and summary["offset_below_fraction"] == 0.0
+
+
+def mixed_fps_corpus(path):
+    """Two databases whose videos alternate between 25 and 30 fps."""
+    pairs = []
+    for db, seed in (("b", 1), ("a", 2)):
+        made = [list(generate(SynthSpec(video_count=4, fps=fps, frames_per_video=300, seed=seed,
+                                        near_fall_fp_rate=1.0, far_fp_rate=2.0, score_noise=0.3,
+                                        database_id=db)).pairs())
+                for fps in (25.0, 30.0)]
+        for i, (stream, annotation) in enumerate(itertools.chain(*zip(*made))):
+            vid = f"{db}{i}"
+            pairs.append((PredictionStream(vid, stream.anchor_frames, stream.scores),
+                          dataclasses.replace(annotation, video_id=vid, group_id=vid)))
+    path.mkdir()
+    save_annotations([a for _, a in pairs], path / "annotations.jsonl")
+    save_predictions([s for s, _ in pairs], path / "predictions.csv")
+    return pairs
+
+
+def test_offsets_rows_follow_corpus_order(tmp_path, monkeypatch, capsys):
+    pairs = mixed_fps_corpus(tmp_path / "corpus")
+    cfg = FilterConfig(0.45, width_seconds=0.2)
+    records = [(s.video_id, r) for s, a in pairs for r in evaluate_video(s, a, cfg).fp_offsets]
+    assert len({s.video_id for s, _ in pairs}) == 16 and len(records) > 16
+    offsets = ["inf" if r.offset_frames == math.inf else int(r.offset_frames) for _, r in records]
+    want = "video_id,duration_frames,offset_frames\n" + "".join(
+        f"{vid},{r.duration_frames},{offset}\n" for (vid, r), offset in zip(records, offsets))
+    summary = offset_histogram([r for _, r in records])
+    args = ["offsets", "--annotations", str(tmp_path / "corpus" / "annotations.jsonl"),
+            "--predictions", str(tmp_path / "corpus" / "predictions.csv"),
+            "--w-seconds", "0.2", "--t-pred", "0.45"]
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 600)  # two videos a chunk
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        assert main([*args, "--out", str(out)]) == 0
+        assert_no_children()
+        assert (out / "offsets.csv").read_text() == want, cpus
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(summary)
+
+
+def test_offsets_calls_extract_alarms_in_this_process(corpus_files, monkeypatch, capsys):
+    # The traced benchmark run wraps temporal.extract_alarms in every module
+    # namespace, as this test does, and reads the run count of its calls in
+    # this process; on one CPU those are all the runs of the corpus.
+    ann, pred = corpus_files
+    cfg = FilterConfig(0.4, width_seconds=0.3)
+    want = sum(len(evaluate_video(s, a, cfg).alarms) for s, a in _pairs(ann, pred))
+    original, runs = temporal.extract_alarms, []
+
+    def traced(*args):
+        result = original(*args)
+        runs.append(len(result))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "alarm_pipeline" or name.startswith("alarm_pipeline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, traced)
+    use_cpus(monkeypatch, 1)
+    assert main(["offsets", "--annotations", str(ann), "--predictions", str(pred),
+                 "--w-seconds", "0.3", "--t-pred", "0.4"]) == 0
+    capsys.readouterr()
+    assert runs and sum(runs) == want > 0
 
 
 # -- folds -------------------------------------------------------------------------

@@ -984,6 +984,10 @@ def test_forks_leave_one_thread(tmp_path, monkeypatch):
     want = combine(evaluate_video(s, a, identity_filter()) for s, a in videos)
     assert tuning.filter_counts(videos, identity_filter()) == (want.stack_counts, want.alarm_counts)
     assert threads == [1, 1, 1]
+    records = [(s.video_id, r) for s, a in videos
+               for r in evaluate_video(s, a, identity_filter()).fp_offsets]
+    assert tuning.false_alarm_offsets(videos, identity_filter()) == records
+    assert threads == [1, 1, 1, 1]
     assert_no_children()
 
 

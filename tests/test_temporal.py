@@ -55,7 +55,9 @@ def test_filter_config_resolves_width():
 def test_width_to_frames_rounds_half_up():
     assert width_to_frames(0.87, 30.0) == 26   # 26.1
     assert width_to_frames(0.87, 25.0) == 22   # 21.75
-    assert width_to_frames(0.15, 30.0) == 5    # 4.5 stored as 4.4999..., still up
+    assert width_to_frames(0.15, 30.0) == 5    # 4.5 exactly
+    assert width_to_frames(0.58, 25.0) == 15   # 14.499999999999998: the nudge rounds it up
+    assert width_to_frames(1.16, 12.5) == 15   # the same product
     assert width_to_frames(0.05, 30.0) == 2    # 1.5
     assert width_to_frames(0.001, 30.0) == 1   # floor of 1
     assert width_to_frames(1.0, 1.0) == 1
