@@ -442,11 +442,11 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
         for key, kind, expected in (("database_id", str, "a string"), ("tp_a", int, "an integer"),
                                     ("fp_a", int, "an integer"), ("fn_a", int, "an integer")):
             value = record[key]
-            if not isinstance(value, kind) or isinstance(value, bool):
+            wrong = not isinstance(value, kind) or isinstance(value, bool)
+            if wrong or kind is int and value < 0:
                 raise CorpusFormatError(
-                    f"counts entry {i} key {key!r} must be {expected}, got {json.dumps(value)}",
-                    path=path_text,
-                )
+                    f"counts entry {i} key {key!r} must be {expected if wrong else '>= 0'}, "
+                    f"got {json.dumps(value)}", path=path_text)
         if any(name == record["database_id"] for name, _ in rows):  # report.json would keep one
             raise CorpusFormatError(
                 f"counts entry {i} repeats database_id {json.dumps(record['database_id'])}",

@@ -9,19 +9,24 @@ and ``se_a`` of every cell from it by array operations, NaN where undefined,
 the chosen cell's ``F_beta``, ``p_a`` and ``se_a`` off those arrays.
 
 The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
-all count a database per chunk of whole videos of one fps: the chunk's
-streams are laid end to end, its :class:`DecisionLayout` is built once, and
-one rank pass per width counts every threshold of the chunk. Separator
-slots, fall ranges found on each video's own anchors and per-video running
-sums keep each video's counts exactly what it would give alone. A chunk
-holds at most ``CHUNK_STACKS`` stacks, since the kernel's memory grows with
-stacks and not with thresholds.
+all count a database per chunk of whole videos of one fps. :func:`_lay_out`
+is the one place that knows a chunk's geometry: it lays the streams end to
+end, a separator slot after each, and gives each video's slots and anchor
+shift, the chunk's fall table and every fall's range of slots, the ranges
+from one array expression over the whole chunk. The counts build the chunk's
+:class:`DecisionLayout` once from it, and one rank pass per width counts
+every threshold of the chunk. Separator slots, fall ranges that hold only
+their own video's stacks and per-video running sums keep each video's
+counts exactly what it would give alone. A chunk holds at most
+``CHUNK_STACKS`` stacks, since the kernel's memory grows with stacks and
+not with thresholds.
 
-``offsets`` reads its false alarms from the same chunks, through
+``offsets`` reads its false alarms from the same layout, through
 :func:`false_alarm_offsets`: one segmented gate filter and one
 :func:`~alarm_pipeline.temporal.extract_alarms` per chunk, and one
-``searchsorted`` that classifies every run and finds each false one's
-nearest falls. The records are then put back in corpus order.
+``searchsorted`` of the runs in the fall ranges' starts that classifies
+every run and finds each false one's nearest falls in the fall table. The
+records are then put back in corpus order.
 
 A database's chunks are mapped on the usable CPUs by
 :func:`~alarm_pipeline.forks.fork_map`. The counts are integer sums and the
@@ -40,8 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
-                     stack_label_masks)
+from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
 from .errors import InfeasibleError
 from .forks import fork_map
 from .metrics import AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
@@ -162,33 +166,30 @@ def _chunk_positions(videos: Sequence[tuple[PredictionStream, VideoAnnotation]])
         yield fps, chunk
 
 
-def _chunks(videos: Sequence[tuple[PredictionStream, VideoAnnotation]]):
-    """The chunks of :func:`_chunk_positions`, as (fps, videos)."""
-    for fps, positions in _chunk_positions(videos):
-        yield fps, [videos[i] for i in positions]
-
-
 def _lay_out(
     videos: Sequence[tuple[PredictionStream, VideoAnnotation]], stack_length: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, scores, fall_ranges)`` of a chunk.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, scores, shift, falls, ranges)`` of a chunk.
 
     The videos' streams are laid end to end, each followed by one separator
     slot (score 0), so video ``v`` holds slots ``starts[v]`` to
     ``ends[v] - 1``, its separator last. :func:`_filter_chunk` makes a
     separator never Fall, and it is neither a fall nor an eligible stack, so
-    no alarm run joins two videos. Each video's fall ranges are found on its
-    own anchors and offset by its first slot, so they hold only that video's
-    stacks and their starts never decrease along the chunk. Raises
+    no alarm run joins two videos. Anchors advance by 1, so slot ``i`` of
+    video ``v`` holds anchor ``i + shift[v]``. ``falls`` holds the videos'
+    fall intervals in chunk order and ``ranges`` each one's half-open range
+    of the slots whose stacks overlap it, the range
+    :func:`~alarm_pipeline.corpus.fall_stack_ranges` finds on the video's
+    own anchors offset by its first slot: it holds only that video's
+    stacks, and the ranges' starts never decrease along the chunk. Raises
     IndexError, as :func:`stack_label_masks` does, if a stack leaves its
     video's frames.
     """
-    sizes = np.array([len(stream) + 1 for stream, _ in videos], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    scores = np.zeros(ends[-1])
-    ranges = []
-    for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
+    sizes = np.array([len(stream) for stream, _ in videos], dtype=np.int64)
+    ends = np.cumsum(sizes + 1)
+    starts = ends - sizes - 1
+    first = np.empty(len(videos), dtype=np.int64)
+    for v, (stream, annotation) in enumerate(videos):
         own = stream.anchor_frames
         if own.size and not stack_length - 1 <= own[0] <= own[-1] < annotation.frame_count:
             # Anchors advance by 1, so the first one outside the frames is
@@ -198,9 +199,20 @@ def _lay_out(
                 f"stack at anchor {bad} leaves frames [0, {annotation.frame_count}) "
                 f"of {annotation.video_id!r}"
             )
-        scores[start:end - 1] = stream.scores
-        ranges.append(start + fall_stack_ranges(annotation.fall_intervals, own, stack_length))
-    return starts, ends, scores, np.concatenate(ranges)
+        first[v] = own[0] if own.size else stack_length - 1  # no stack: empty ranges
+    # One separator array for all videos: one made per video left small
+    # temporaries on the heap that raised a fine-t `tune`'s peak RSS by 4 MB.
+    separator = np.zeros(1)
+    scores = np.concatenate([part for stream, _ in videos for part in (stream.scores, separator)])
+    intervals = [annotation.fall_intervals for _, annotation in videos]
+    falls = np.array([fall for each in intervals for fall in each], dtype=np.int64).reshape(-1, 2)
+    video = np.repeat(np.arange(len(videos)), [len(each) for each in intervals])
+    # Stack i of video v spans anchors first[v] + i - (L - 1) to first[v] + i,
+    # so it overlaps fall (s, e) when s - first[v] <= i < e - first[v] + L.
+    # As first[v] >= L - 1 and e < 2**63 - 1, no term leaves int64.
+    ranges = starts[video, None] + np.clip(falls - first[video, None] + [0, stack_length],
+                                           0, sizes[video, None])
+    return starts, ends, scores, first - starts, falls, ranges
 
 
 def _filter_chunk(scores: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
@@ -223,7 +235,7 @@ def _chunk_counts(
     the chunk of :func:`_lay_out`, one rank pass per width. Each video keeps
     its own running sum, so its counts are those it gives alone.
     """
-    starts, ends, scores, ranges = _lay_out(videos, stack_cfg.stack_length)
+    starts, ends, scores, _, _, ranges = _lay_out(videos, stack_cfg.stack_length)
     truth_fall = np.zeros(ends[-1], dtype=bool)
     eligible = np.zeros(ends[-1], dtype=bool)
     for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
@@ -257,11 +269,12 @@ def _database_counts(
     round-robin to this process and forked children, so the sum and the
     error of the first failing chunk are those of one process.
     """
-    def count(chunk: tuple[float, Sequence[tuple[PredictionStream, VideoAnnotation]]]) -> np.ndarray:
-        fps, chunk_videos = chunk
-        return _chunk_counts(chunk_videos, [width(fps) for width in widths], t_values, stack_cfg)
+    def count(chunk: tuple[float, list[int]]) -> np.ndarray:
+        fps, positions = chunk
+        return _chunk_counts([videos[i] for i in positions], [width(fps) for width in widths],
+                             t_values, stack_cfg)
 
-    with contextlib.closing(fork_map(count, _chunks(videos))) as counts:
+    with contextlib.closing(fork_map(count, _chunk_positions(videos))) as counts:
         return sum(counts, np.zeros((len(widths), len(t_values), 7), dtype=np.int64))
 
 
@@ -287,7 +300,8 @@ def _chunk_false_alarms(
     """``(video, duration, offset)`` of each false alarm of a chunk, in slot
     order: the index into ``videos``, the run's length in stacks and its
     frame distance to the nearest fall of its video (inf if it has none), as
-    :func:`~alarm_pipeline.temporal.match_alarms` gives them.
+    :func:`~alarm_pipeline.temporal.match_alarms` gives them. The anchor
+    shift, the fall table and the fall ranges are those of :func:`_lay_out`.
 
     The Fall stacks are the filtered slots below ``t_pred``; separators are
     +inf, so every run lies in one video. A fall's first slot, the start of
@@ -299,20 +313,16 @@ def _chunk_false_alarms(
     fall, and is a true alarm, exactly when it overlaps that last one.
     Otherwise those two are its nearest falls.
     """
-    starts, ends, scores, ranges = _lay_out(videos, stack_length)
+    starts, ends, scores, shift, falls, ranges = _lay_out(videos, stack_length)
     fall = _filter_chunk(scores, starts, ends, width) < t_pred
     runs = extract_alarms(fall, np.arange(fall.size))
     first, last = np.array(runs, dtype=np.int64).reshape(-1, 2).T
     video = starts.searchsorted(first, side="right") - 1
-    # Anchors advance by 1, so slot i of video v holds anchor i + shift[v].
-    shift = np.array([stream.anchor_frames[0] if len(stream) else 0 for stream, _ in videos],
-                     dtype=np.int64) - starts
     span_lo = first + shift[video] - (stack_length - 1)
     span_hi = last + shift[video]
     # A sentinel fall after the chunk's last slot keeps every index in range.
     fall_slots = np.append(ranges[:, 0], fall.size)
-    falls = np.array([interval for _, annotation in videos
-                      for interval in annotation.fall_intervals] + [(0, 0)], dtype=np.int64)
+    falls = np.append(falls, [(0, 0)], axis=0)
     after = fall_slots.searchsorted(last, side="right")
     before = after - 1
     gap_after = np.where(fall_slots[after] < ends[video], falls[after, 0] - span_hi, np.inf)

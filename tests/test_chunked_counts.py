@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alarm_pipeline import tuning
-from alarm_pipeline.corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from alarm_pipeline.corpus import (PredictionStream, StackConfig, VideoAnnotation,
+                                   fall_stack_ranges, stack_label_masks)
 from alarm_pipeline.metrics import AlarmCounts, ConfusionCounts
 from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import (
@@ -130,7 +131,8 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
         use_cpus(monkeypatch, 1)
         monkeypatch.setattr(tuning, "DecisionLayout", Recording)
         got = tuning._database_counts(videos, WIDTHS, t_values, stack_cfg)
-        chunks = list(tuning._chunks(videos))
+        chunks = [(fps, [videos[i] for i in positions])
+                  for fps, positions in tuning._chunk_positions(videos)]
     assert np.array_equal(got, want)
 
     # Every video sits in exactly one chunk of its own fps, in corpus order
@@ -153,6 +155,24 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
         assert len(layout.calls) == len(expected)
         for filtered, want in zip(layout.calls, expected):
             assert np.array_equal(filtered, want)
+
+    # Each chunk's layout: the streams and separators end to end, each
+    # video's anchors one shift from its slots, the falls in chunk order and
+    # each fall's slots those fall_stack_ranges finds on its video's anchors.
+    length = stack_cfg.stack_length
+    for fps, chunk in chunks:
+        starts, ends, scores, shift, falls, ranges = tuning._lay_out(chunk, length)
+        assert np.array_equal(scores, np.concatenate([np.append(s.scores, 0.0) for s, _ in chunk]))
+        assert np.array_equal(ends - starts, [len(s) + 1 for s, _ in chunk])
+        assert starts[0] == 0 and np.array_equal(starts[1:], ends[:-1])
+        for (s, _), start, own_shift in zip(chunk, starts, shift):
+            if len(s):
+                assert own_shift == s.anchor_frames[0] - start
+        assert falls.tolist() == [list(fall) for _, a in chunk for fall in a.fall_intervals]
+        want_ranges = [start + fall_stack_ranges(a.fall_intervals, s.anchor_frames, length)
+                       for (s, a), start in zip(chunk, starts)]
+        assert ranges.dtype == np.int64
+        assert np.array_equal(ranges, np.concatenate(want_ranges))
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,7 +426,7 @@ def test_false_alarm_offsets_edge_cases_on_any_number_of_cpus(monkeypatch):
     forks = count_forks(monkeypatch)
     for cap in (1, 80, 1 << 20):
         monkeypatch.setattr(tuning, "CHUNK_STACKS", cap)
-        chunks = len(list(tuning._chunks(videos)))
+        chunks = len(list(tuning._chunk_positions(videos)))
         for cpus in (1, 2, 3, 4):
             use_cpus(monkeypatch, cpus)
             forks.clear()

@@ -140,6 +140,12 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"error: {counts}: counts entry 1 key {key!r} must be "
                                 f"an integer, got {json.dumps(value)}\n")
+    # a negative count exited with "error: tp_a must be >= 0", naming no file or entry
+    counts.write_text(json.dumps([good, {**good, "database_id": "y", "tp_a": -1}]))
+    capsys.readouterr()
+    assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {counts}: counts entry 1 key 'tp_a' must be >= 0, got -1\n")
     # a null id once printed a row named None
     counts.write_text(json.dumps([{**good, "database_id": None}]))
     capsys.readouterr()

@@ -1,0 +1,42 @@
+"""``tools/code_lines.py`` counts what its docstring says it counts."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+code_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(code_lines)
+
+SOURCE = '''"""Module docstring,
+two lines."""
+
+import os  # a comment after code counts
+
+
+class A:
+    """Class docstring."""
+
+    # a comment line
+    x = """a string that is not a docstring,
+    on two lines"""
+
+    def f(self):
+        """Function docstring."""
+        return (1,
+
+                2)
+'''
+
+
+def test_counts_code_lines_only():
+    # import, class, x (two lines), def and the return's two lines with code
+    assert code_lines.code_lines(SOURCE) == 7
+
+
+def test_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SOURCE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "     7  a.py", "     1  b.py", "     8  total", ""]

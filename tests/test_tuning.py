@@ -20,6 +20,7 @@ from alarm_pipeline.tuning import (
     baseline_sensitivities,
     default_t_values,
     default_w_values,
+    false_alarm_offsets,
     filter_counts,
     per_database_argmax,
     snap_to_grid,
@@ -414,5 +415,22 @@ def test_fall_at_the_int64_limit_is_counted_as_evaluate_video_counts():
     stack_cfg = StackConfig(stack_length=10)
     want = evaluate_video(stream, annotation, identity_filter(), stack_cfg)
     assert want.alarm_counts == AlarmCounts(tp_a=1, fp_a=0, fn_a=0)
+    assert filter_counts([(stream, annotation)], identity_filter(), stack_cfg) == (
+        want.stack_counts, want.alarm_counts)
+
+    # offsets on the same frames: false runs before and after a fall near the
+    # top, one run on it and one on a fall on the last two frames.
+    annotation = VideoAnnotation("v", "db", 30.0, top, ((top - 25, top - 22), (top - 2, top - 1)))
+    anchors = np.arange(top - 40, top, dtype=np.int64)
+    scores = np.full(40, 0.9)
+    for lo, hi in ((top - 40, top - 38), (top - 20, top - 18), (top - 11, top - 10),
+                   (top - 1, top - 1)):
+        scores[(anchors >= lo) & (anchors <= hi)] = 0.1
+    stream = PredictionStream("v", anchors, scores)
+    want = evaluate_video(stream, annotation, identity_filter(), stack_cfg)
+    assert want.alarm_counts == AlarmCounts(tp_a=2, fp_a=2, fn_a=0)
+    assert [(r.duration_frames, r.offset_frames) for r in want.fp_offsets] == [(3, 13.0), (2, 2.0)]
+    assert false_alarm_offsets([(stream, annotation)], identity_filter(), stack_cfg) == [
+        ("v", record) for record in want.fp_offsets]
     assert filter_counts([(stream, annotation)], identity_filter(), stack_cfg) == (
         want.stack_counts, want.alarm_counts)
