@@ -12,12 +12,13 @@ The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
 all count a database per chunk of whole videos of one fps. :func:`_lay_out`
 is the one place that knows a chunk's geometry: it lays the streams end to
 end, a separator slot after each, and gives each video's slots and anchor
-shift, the chunk's fall table and every fall's range of slots, the ranges
-from one array expression over the whole chunk. The counts build the chunk's
-:class:`DecisionLayout` once from it, and one rank pass per width counts
-every threshold of the chunk. Separator slots, fall ranges that hold only
-their own video's stacks and per-video running sums keep each video's
-counts exactly what it would give alone. A chunk holds at most
+shift, the chunk's fall table, every fall's range of slots and every span
+of touching falls' range of FALL slots, the ranges from one array
+expression over the whole chunk. The counts label the chunk's slots from
+those ranges alone, build its :class:`DecisionLayout` once, and one rank
+pass per width counts every threshold of the chunk. Separator slots, ranges
+that hold only their own video's stacks and per-video running sums keep
+each video's counts exactly what it would give alone. A chunk holds at most
 ``CHUNK_STACKS`` stacks, since the kernel's memory grows with stacks and
 not with thresholds.
 
@@ -45,7 +46,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PredictionStream, StackConfig, VideoAnnotation, stack_label_masks
+from .corpus import PredictionStream, StackConfig, VideoAnnotation, _covered_spans
 from .errors import InfeasibleError
 from .forks import fork_map
 from .metrics import AlarmCounts, ConfusionCounts, alarm_sensitivity, check_beta
@@ -168,8 +169,8 @@ def _chunk_positions(videos: Sequence[tuple[PredictionStream, VideoAnnotation]])
 
 def _lay_out(
     videos: Sequence[tuple[PredictionStream, VideoAnnotation]], stack_length: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, scores, shift, falls, ranges)`` of a chunk.
+) -> tuple[np.ndarray, ...]:
+    """``(starts, ends, scores, shift, falls, ranges, fall_ranges)`` of a chunk.
 
     The videos' streams are laid end to end, each followed by one separator
     slot (score 0), so video ``v`` holds slots ``starts[v]`` to
@@ -181,9 +182,14 @@ def _lay_out(
     of the slots whose stacks overlap it, the range
     :func:`~alarm_pipeline.corpus.fall_stack_ranges` finds on the video's
     own anchors offset by its first slot: it holds only that video's
-    stacks, and the ranges' starts never decrease along the chunk. Raises
-    IndexError, as :func:`stack_label_masks` does, if a stack leaves its
-    video's frames.
+    stacks, and the ranges' starts never decrease along the chunk.
+    ``fall_ranges`` holds, for each span of a video's touching falls as
+    ``corpus._covered_spans`` merges them, the half-open range of the slots
+    whose stacks lie wholly in it (``lo >= hi`` when no stack does). So the
+    FALL slots are those of ``fall_ranges``, the FALL and TRANSITION slots
+    those of ``ranges``, as :func:`~alarm_pipeline.corpus.stack_label_masks`
+    labels each video's stacks. Raises IndexError, as that function does, if
+    a stack leaves its video's frames.
     """
     sizes = np.array([len(stream) for stream, _ in videos], dtype=np.int64)
     ends = np.cumsum(sizes + 1)
@@ -204,15 +210,22 @@ def _lay_out(
     # temporaries on the heap that raised a fine-t `tune`'s peak RSS by 4 MB.
     separator = np.zeros(1)
     scores = np.concatenate([part for stream, _ in videos for part in (stream.scores, separator)])
-    intervals = [annotation.fall_intervals for _, annotation in videos]
-    falls = np.array([fall for each in intervals for fall in each], dtype=np.int64).reshape(-1, 2)
-    video = np.repeat(np.arange(len(videos)), [len(each) for each in intervals])
+
+    def slots(per_video, bounds):
+        """The spans of ``per_video``, one list per video, as one table in
+        chunk order, and the slots each span's ``bounds`` give, as below."""
+        table = np.array([span for own in per_video for span in own], dtype=np.int64).reshape(-1, 2)
+        video = np.repeat(np.arange(len(videos)), [len(own) for own in per_video])[:, None]
+        return table, starts[video] + np.clip(table - first[video] + bounds, 0, sizes[video])
+
     # Stack i of video v spans anchors first[v] + i - (L - 1) to first[v] + i,
-    # so it overlaps fall (s, e) when s - first[v] <= i < e - first[v] + L.
+    # so it overlaps span (s, e) when s - first[v] <= i < e - first[v] + L
+    # and lies in it when s - first[v] + L - 1 <= i < e - first[v] + 1.
     # As first[v] >= L - 1 and e < 2**63 - 1, no term leaves int64.
-    ranges = starts[video, None] + np.clip(falls - first[video, None] + [0, stack_length],
-                                           0, sizes[video, None])
-    return starts, ends, scores, first - starts, falls, ranges
+    intervals = [annotation.fall_intervals for _, annotation in videos]
+    falls, ranges = slots(intervals, [0, stack_length])
+    _, fall_ranges = slots([_covered_spans(each) for each in intervals], [stack_length - 1, 1])
+    return starts, ends, scores, first - starts, falls, ranges, fall_ranges
 
 
 def _filter_chunk(scores: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
@@ -232,17 +245,21 @@ def _chunk_counts(
 ) -> np.ndarray:
     """Summed (nW, nT, 7) counts, as in :func:`decision_counts`, of videos
     filtered at each of ``widths`` frames: one :class:`DecisionLayout` for
-    the chunk of :func:`_lay_out`, one rank pass per width. Each video keeps
-    its own running sum, so its counts are those it gives alone.
+    the chunk of :func:`_lay_out`, one rank pass per width. The FALL slots
+    are those of its FALL ranges and the hot slots those of its fall ranges
+    and the separators, so the labels and the ranges are those of the same
+    falls, and each video's labels are those
+    :func:`~alarm_pipeline.corpus.stack_label_masks` gives it. Each video
+    keeps its own running sum, so its counts are those it gives alone.
     """
-    starts, ends, scores, _, _, ranges = _lay_out(videos, stack_cfg.stack_length)
+    starts, ends, scores, _, _, ranges, fall_ranges = _lay_out(videos, stack_cfg.stack_length)
     truth_fall = np.zeros(ends[-1], dtype=bool)
-    eligible = np.zeros(ends[-1], dtype=bool)
-    for (stream, annotation), start, end in zip(videos, starts.tolist(), ends.tolist()):
-        fall, transition = stack_label_masks(annotation, stream.anchor_frames, stack_cfg)
-        truth_fall[start:end - 1] = fall
-        eligible[start:end - 1] = ~transition
-    layout = DecisionLayout(t_values, truth_fall, eligible, ranges)
+    hot = np.zeros(ends[-1], dtype=bool)
+    hot[ends - 1] = True  # the separators
+    for mask, mask_ranges in ((truth_fall, fall_ranges), (hot, ranges)):
+        for lo, hi in mask_ranges.tolist():
+            mask[lo:hi] = True
+    layout = DecisionLayout(t_values, truth_fall, truth_fall | ~hot, ranges)
     cumulative = segment_cumsum(scores, starts) if max(widths) > 1 else None
     by_width = {}
     for width in dict.fromkeys(widths):
@@ -313,7 +330,7 @@ def _chunk_false_alarms(
     fall, and is a true alarm, exactly when it overlaps that last one.
     Otherwise those two are its nearest falls.
     """
-    starts, ends, scores, shift, falls, ranges = _lay_out(videos, stack_length)
+    starts, ends, scores, shift, falls, ranges, _ = _lay_out(videos, stack_length)
     fall = _filter_chunk(scores, starts, ends, width) < t_pred
     runs = extract_alarms(fall, np.arange(fall.size))
     first, last = np.array(runs, dtype=np.int64).reshape(-1, 2).T

@@ -14,14 +14,15 @@ of ``forks.fork_map`` cover every other way a child can fail.
 import functools
 import math
 import os
+import sys
 import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from alarm_pipeline import tuning
+from alarm_pipeline import corpus, tuning
 from alarm_pipeline.corpus import (PredictionStream, StackConfig, VideoAnnotation,
                                    fall_stack_ranges, stack_label_masks)
 from alarm_pipeline.metrics import AlarmCounts, ConfusionCounts
@@ -103,9 +104,29 @@ def per_video_counts(videos, t_values, stack_cfg):
     return total
 
 
+def label_cases():
+    """One chunk, stack length 3, with the labels the hypothesis draws only
+    by chance: touching falls, whose one span holds a stack that straddles
+    both (FALL), and a fall shorter than a stack (no FALL stack); falls
+    before the first stack's span, reaching it, reaching the last stack and
+    after it; and a video with no stacks."""
+    specs = [  # frame_count, first anchor, anchors, falls
+        (40, 2, 36, ((10, 14), (15, 20), (30, 31))),
+        (50, 10, 20, ((0, 3), (7, 8), (29, 33), (40, 45))),
+        (20, 2, 0, ((5, 9),)),
+    ]
+    videos = []
+    for i, (frame_count, first, count, falls) in enumerate(specs):
+        scores = (np.arange(count) * 8 % (STEPS + 1)) / STEPS
+        videos.append((PredictionStream(f"v{i}", np.arange(first, first + count), scores),
+                       VideoAnnotation(f"v{i}", "db", 25.0, frame_count, falls)))
+    return videos, StackConfig(3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(db=databases(), ks=st.lists(st.integers(1, STEPS - 1), min_size=1, max_size=5),
        cap=st.sampled_from([1, 10, 40, 150, 1 << 20]))
+@example(db=label_cases(), ks=[4, 10, 16], cap=1 << 20)
 def test_chunked_counts_match_per_video_counts(db, ks, cap):
     videos, stack_cfg = db
     t_values = [k / STEPS for k in ks]
@@ -114,6 +135,7 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
     class Recording(DecisionLayout):
         def __init__(self, *args):
             super().__init__(*args)
+            self.truth_fall, self.eligible = args[1:3]
             self.calls = []
             layouts.append(self)
 
@@ -157,11 +179,13 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
             assert np.array_equal(filtered, want)
 
     # Each chunk's layout: the streams and separators end to end, each
-    # video's anchors one shift from its slots, the falls in chunk order and
-    # each fall's slots those fall_stack_ranges finds on its video's anchors.
+    # video's anchors one shift from its slots, the falls in chunk order,
+    # each fall's slots those fall_stack_ranges finds on its video's anchors,
+    # and each video's FALL and hot slots the FALL and FALL or TRANSITION
+    # stacks stack_label_masks finds on them, its separator hot but not FALL.
     length = stack_cfg.stack_length
-    for fps, chunk in chunks:
-        starts, ends, scores, shift, falls, ranges = tuning._lay_out(chunk, length)
+    for layout, (fps, chunk) in zip(layouts, chunks):
+        starts, ends, scores, shift, falls, ranges, fall_ranges = tuning._lay_out(chunk, length)
         assert np.array_equal(scores, np.concatenate([np.append(s.scores, 0.0) for s, _ in chunk]))
         assert np.array_equal(ends - starts, [len(s) + 1 for s, _ in chunk])
         assert starts[0] == 0 and np.array_equal(starts[1:], ends[:-1])
@@ -171,8 +195,13 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
         assert falls.tolist() == [list(fall) for _, a in chunk for fall in a.fall_intervals]
         want_ranges = [start + fall_stack_ranges(a.fall_intervals, s.anchor_frames, length)
                        for (s, a), start in zip(chunk, starts)]
-        assert ranges.dtype == np.int64
+        assert ranges.dtype == fall_ranges.dtype == np.int64
         assert np.array_equal(ranges, np.concatenate(want_ranges))
+        hot = layout.truth_fall | ~layout.eligible
+        for (s, a), start, end in zip(chunk, starts, ends):
+            fall, transition = stack_label_masks(a, s.anchor_frames, stack_cfg)
+            assert np.array_equal(layout.truth_fall[start:end], np.append(fall, False))
+            assert np.array_equal(hot[start:end], np.append(fall | transition, True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,6 +294,35 @@ def test_tune_baseline_is_identity_filter_sensitivity(cap):
         direct = combine(evaluate_video(s, a, identity_filter(0.5)) for s, a in videos).se_a
         assert 0.0 < direct < 1.0
         assert result.constraints.baseline_se_a[db] == direct
+
+
+def test_counts_make_no_stack_label_masks_call(monkeypatch):
+    # The traced benchmark run wraps corpus.stack_label_masks in every module
+    # namespace, as this test does. The counts read each chunk's labels off
+    # its layout, so on one CPU they make no call; evaluate_video, the
+    # per-video reference, makes one per video.
+    original, calls = corpus.stack_label_masks, []
+
+    def traced(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "alarm_pipeline" or name.startswith("alarm_pipeline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, traced)
+    use_cpus(monkeypatch, 1)
+    noisy = noisy_corpus()
+    for videos in noisy.values():
+        tuning.filter_counts(videos, FilterConfig(0.4, width_seconds=0.3))
+    tuning.sweep(noisy, W_SECONDS, [0.2, 0.5])
+    tuning.tune(noisy, W_SECONDS, [0.2, 0.5], min_alarm_precision=0.0,
+                max_sensitivity_drop_points=math.inf)
+    assert calls == []
+    for stream, annotation in noisy["a"]:
+        evaluate_video(stream, annotation, identity_filter())
+    assert len(calls) == len(noisy["a"])
 
 
 # -- counting on the usable CPUs --------------------------------------------------

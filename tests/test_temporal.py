@@ -44,6 +44,14 @@ def test_filter_config_requires_exactly_one_width():
             FilterConfig(t_pred=0.5, width_seconds=width)
 
 
+def test_filter_config_rejects_a_width_in_frames_that_is_not_an_integer():
+    # A float width once failed later, inside numpy, as a TypeError.
+    for width in (2.5, 3.0, "3", np.float64(3.0)):
+        with pytest.raises(ValueError, match="width_frames must be an integer"):
+            FilterConfig(t_pred=0.5, width_frames=width)
+    assert FilterConfig(0.5, width_frames=np.int64(3)).resolve_width_frames(30.0) == 3
+
+
 def test_filter_config_resolves_width():
     assert FilterConfig(0.4, width_seconds=0.87).resolve_width_frames(30.0) == 26
     assert FilterConfig(0.4, width_seconds=0.87).resolve_width_frames(25.0) == 22

@@ -6,15 +6,22 @@ A docstring is a string statement that opens a module, class or function.
 A string that spans lines counts every line it spans; a blank line inside
 brackets does not count.
 
-    python tools/code_lines.py [PACKAGE_DIR]
+    python tools/code_lines.py [PACKAGE_DIR] [--against REV]
+
+With ``--against REV`` it prints, for each module and the total, the count
+at git revision ``REV`` (``git show REV:./<module>`` in the package
+directory, 0 for a module that is not there), the count now and the
+difference. A module deleted since ``REV`` counts 0 now.
 
 Standard library only, so it runs before the package is installed.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -49,14 +56,35 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def git(package: Path, *args: str) -> str:
+    """Standard output of a git command run in ``package``."""
+    return subprocess.run(["git", "-C", str(package), *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Code lines of each package module.")
+    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--against", metavar="REV",
+                        help="also print each module's count at this git revision")
+    args = parser.parse_args(argv)
+    now = {path.name: code_lines(path.read_text(encoding="utf-8"))
+           for path in args.package.glob("*.py")}
+    if args.against is None:
+        for name in sorted(now):
+            print(f"{now[name]:6d}  {name}")
+        print(f"{sum(now.values()):6d}  total")
+        return 0
+    try:
+        listed = git(args.package, "ls-tree", "--name-only", args.against, "--", ".").split()
+        before = {name: code_lines(git(args.package, "show", f"{args.against}:./{name}"))
+                  for name in listed if name.endswith(".py")}
+    except subprocess.CalledProcessError as error:  # git has printed why
+        return error.returncode
+    print(f"{'before':>6s}  {'after':>6s}  {'delta':>6s}")
+    rows = [(before.get(name, 0), now.get(name, 0), name) for name in sorted(before | now)]
+    for old, new, name in rows + [(sum(before.values()), sum(now.values()), "total")]:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {name}")
     return 0
 
 
