@@ -1,6 +1,7 @@
 """Setup and helpers shared by every test module."""
 
 import os
+import sys
 import warnings
 
 import pytest
@@ -23,6 +24,17 @@ with warnings.catch_warnings():
 def use_cpus(monkeypatch, count):
     """Let every step that forks see ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def wrap_in_package(monkeypatch, original, wrapper):
+    """Bind ``wrapper`` in place of ``original`` in every ``alarm_pipeline``
+    module namespace that holds it, as the traced benchmark run does: the
+    package binds names at import (``from .temporal import extract_alarms``)."""
+    for name, module in list(sys.modules.items()):
+        if name == "alarm_pipeline" or name.startswith("alarm_pipeline."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
 
 
 def count_forks(monkeypatch):

@@ -14,7 +14,6 @@ of ``forks.fork_map`` cover every other way a child can fail.
 import functools
 import math
 import os
-import sys
 import time
 from unittest import mock
 
@@ -41,7 +40,7 @@ from alarm_pipeline.temporal import (
     width_to_frames,
 )
 
-from conftest import assert_no_children, count_forks, use_cpus
+from conftest import assert_no_children, count_forks, use_cpus, wrap_in_package
 
 STEPS = 20  # scores and thresholds are multiples of 1/STEPS
 # 1 frame at both rates, then widths up to longer than any drawn video.
@@ -297,21 +296,17 @@ def test_tune_baseline_is_identity_filter_sensitivity(cap):
 
 
 def test_counts_make_no_stack_label_masks_call(monkeypatch):
-    # The traced benchmark run wraps corpus.stack_label_masks in every module
-    # namespace, as this test does. The counts read each chunk's labels off
-    # its layout, so on one CPU they make no call; evaluate_video, the
-    # per-video reference, makes one per video.
+    # The traced benchmark run wraps corpus.stack_label_masks as this test
+    # does. The counts read each chunk's labels off its layout, so on one CPU
+    # they make no call; evaluate_video, the per-video reference, makes one
+    # per video.
     original, calls = corpus.stack_label_masks, []
 
     def traced(*args):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "alarm_pipeline" or name.startswith("alarm_pipeline."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, traced)
+    wrap_in_package(monkeypatch, original, traced)
     use_cpus(monkeypatch, 1)
     noisy = noisy_corpus()
     for videos in noisy.values():

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import sys
 
 import pytest
 
@@ -14,7 +13,7 @@ from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import FilterConfig, evaluate_video, combine, offset_histogram
 from alarm_pipeline.tuning import tune
 
-from conftest import assert_no_children, use_cpus
+from conftest import assert_no_children, use_cpus, wrap_in_package
 
 
 @pytest.fixture()
@@ -584,9 +583,9 @@ def test_offsets_rows_follow_corpus_order(tmp_path, monkeypatch, capsys):
 
 
 def test_offsets_calls_extract_alarms_in_this_process(corpus_files, monkeypatch, capsys):
-    # The traced benchmark run wraps temporal.extract_alarms in every module
-    # namespace, as this test does, and reads the run count of its calls in
-    # this process; on one CPU those are all the runs of the corpus.
+    # The traced benchmark run wraps temporal.extract_alarms as this test
+    # does, and reads the run count of its calls in this process; on one CPU
+    # those are all the runs of the corpus.
     ann, pred = corpus_files
     cfg = FilterConfig(0.4, width_seconds=0.3)
     want = sum(len(evaluate_video(s, a, cfg).alarms) for s, a in _pairs(ann, pred))
@@ -597,11 +596,7 @@ def test_offsets_calls_extract_alarms_in_this_process(corpus_files, monkeypatch,
         runs.append(len(result))
         return result
 
-    for name, module in list(sys.modules.items()):
-        if name == "alarm_pipeline" or name.startswith("alarm_pipeline."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, traced)
+    wrap_in_package(monkeypatch, original, traced)
     use_cpus(monkeypatch, 1)
     assert main(["offsets", "--annotations", str(ann), "--predictions", str(pred),
                  "--w-seconds", "0.3", "--t-pred", "0.4"]) == 0

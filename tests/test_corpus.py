@@ -61,7 +61,7 @@ def test_stack_span_is_trailing_window():
 def test_stack_config_validation():
     with pytest.raises(ValueError):
         StackConfig(stack_length=0)
-    # A float length once failed later, inside numpy, as a TypeError.
+    # Not an integer: rejected here, not later by numpy as a TypeError.
     for length in (2.5, 10.0, "10", np.float64(10.0)):
         with pytest.raises(ValueError, match="stack_length must be an integer"):
             StackConfig(stack_length=length)

@@ -42,10 +42,7 @@ def test_filter_config_requires_exactly_one_width():
     for width in (math.inf, math.nan):
         with pytest.raises(ValueError, match="width_seconds must be finite"):
             FilterConfig(t_pred=0.5, width_seconds=width)
-
-
-def test_filter_config_rejects_a_width_in_frames_that_is_not_an_integer():
-    # A float width once failed later, inside numpy, as a TypeError.
+    # Not an integer: rejected here, not later by numpy as a TypeError.
     for width in (2.5, 3.0, "3", np.float64(3.0)):
         with pytest.raises(ValueError, match="width_frames must be an integer"):
             FilterConfig(t_pred=0.5, width_frames=width)

@@ -76,7 +76,7 @@ def main(argv: list[str]) -> int:
         print(f"{sum(now.values()):6d}  total")
         return 0
     try:
-        listed = git(args.package, "ls-tree", "--name-only", args.against, "--", ".").split()
+        listed = git(args.package, "ls-tree", "--name-only", args.against, "--", ".").splitlines()
         before = {name: code_lines(git(args.package, "show", f"{args.against}:./{name}"))
                   for name in listed if name.endswith(".py")}
     except subprocess.CalledProcessError as error:  # git has printed why
