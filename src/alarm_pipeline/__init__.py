@@ -5,6 +5,11 @@ events via a trailing gate filter and a threshold, matches those alarms
 against annotated fall intervals, reports stack- and alarm-level metrics,
 tunes the filter width and threshold under clinical constraints, and can
 generate synthetic corpora whose ground truth is known by construction.
+
+The root exports the pipeline the CLI runs. The per-video references that
+the tests check it against (``evaluate_video``, ``combine``,
+``match_alarms``, ``decision_counts``, ``stack_label_masks``, ...) are
+imported from :mod:`alarm_pipeline.temporal` and :mod:`alarm_pipeline.corpus`.
 """
 
 from .corpus import (
@@ -13,12 +18,10 @@ from .corpus import (
     StackConfig,
     VideoAnnotation,
     assign_folds,
-    fall_stack_ranges,
     load_annotations,
     load_predictions,
     save_annotations,
     save_predictions,
-    stack_label_masks,
 )
 from .errors import (
     CorpusFormatError,
@@ -43,22 +46,14 @@ from .metrics import (
 )
 from .synth import PlantedEvent, SynthCorpus, SynthSpec, generate
 from .temporal import (
-    AlarmEvent,
-    AlarmKind,
     FilterConfig,
     FpOffsetRecord,
     OffsetSummary,
-    VideoEvaluation,
-    combine,
-    decision_counts,
-    evaluate_video,
     extract_alarms,
     gate_filter,
     identity_filter,
-    match_alarms,
     offset_histogram,
     segment_cumsum,
-    threshold_labels,
     width_to_frames,
 )
 from .tuning import (
@@ -82,8 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlarmCounts",
-    "AlarmEvent",
-    "AlarmKind",
     "ConfusionCounts",
     "CorpusFormatError",
     "DEFAULT_BETAS",
@@ -106,20 +99,15 @@ __all__ = [
     "TuningConstraints",
     "TuningResult",
     "VideoAnnotation",
-    "VideoEvaluation",
     "alarm_precision",
     "alarm_sensitivity",
     "assign_folds",
     "average_optima",
     "baseline_sensitivities",
-    "combine",
     "default_t_values",
     "default_w_values",
-    "decision_counts",
-    "evaluate_video",
     "extract_alarms",
     "f_beta",
-    "fall_stack_ranges",
     "false_alarm_offsets",
     "filter_counts",
     "gate_filter",
@@ -128,7 +116,6 @@ __all__ = [
     "load_annotations",
     "load_predictions",
     "macro_average",
-    "match_alarms",
     "offset_histogram",
     "per_database_argmax",
     "precision",
@@ -138,9 +125,7 @@ __all__ = [
     "sensitivity",
     "snap_to_grid",
     "specificity",
-    "stack_label_masks",
     "sweep",
-    "threshold_labels",
     "tune",
     "weighted_bce",
     "width_to_frames",

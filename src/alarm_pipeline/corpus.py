@@ -35,7 +35,9 @@ class StackConfig:
     stack_length: int = 10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.stack_length, (int, np.integer)):
+        # A bool is an int, but not a length: rejected as the JSON readers reject it.
+        if isinstance(self.stack_length, bool) or not isinstance(self.stack_length,
+                                                                 (int, np.integer)):
             raise ValueError(f"stack_length must be an integer, got {self.stack_length!r}")
         if self.stack_length < 1:
             raise ValueError(f"stack_length must be >= 1, got {self.stack_length}")

@@ -56,7 +56,9 @@ class FilterConfig:
             raise ValueError("set exactly one of width_seconds / width_frames")
         if self.width_seconds is not None and not (0 < self.width_seconds < math.inf):
             raise ValueError(f"width_seconds must be finite and > 0, got {self.width_seconds}")
-        if self.width_frames is not None and not isinstance(self.width_frames, (int, np.integer)):
+        # A bool is an int, but not a width: rejected as the JSON readers reject it.
+        if self.width_frames is not None and (isinstance(self.width_frames, bool) or not
+                                              isinstance(self.width_frames, (int, np.integer))):
             raise ValueError(f"width_frames must be an integer, got {self.width_frames!r}")
         if self.width_frames is not None and self.width_frames < 1:
             raise ValueError(f"width_frames must be >= 1, got {self.width_frames}")

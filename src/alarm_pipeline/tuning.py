@@ -12,15 +12,15 @@ The sweep, the sensitivity baseline and ``evaluate``'s per-database counts
 all count a database per chunk of whole videos of one fps. :func:`_lay_out`
 is the one place that knows a chunk's geometry: it lays the streams end to
 end, a separator slot after each, and gives each video's slots and anchor
-shift, the chunk's fall table, every fall's range of slots and every span
-of touching falls' range of FALL slots, the ranges from one array
-expression over the whole chunk. The counts label the chunk's slots from
-those ranges alone, build its :class:`DecisionLayout` once, and one rank
-pass per width counts every threshold of the chunk. Separator slots, ranges
-that hold only their own video's stacks and per-video running sums keep
-each video's counts exactly what it would give alone. A chunk holds at most
-``CHUNK_STACKS`` stacks, since the kernel's memory grows with stacks and
-not with thresholds.
+shift, the chunk's fall table and every fall's range of slots, from one
+array expression over the whole chunk. The counts place each span of
+touching falls by the same expression, to find its FALL slots, label the
+chunk's slots from those ranges alone, build its :class:`DecisionLayout`
+once, and one rank pass per width counts every threshold of the chunk.
+Separator slots, ranges that hold only their own video's stacks and
+per-video running sums keep each video's counts exactly what it would give
+alone. A chunk holds at most ``CHUNK_STACKS`` stacks, since the kernel's
+memory grows with stacks and not with thresholds.
 
 ``offsets`` reads its false alarms from the same layout, through
 :func:`false_alarm_offsets`: one segmented gate filter and one
@@ -169,8 +169,8 @@ def _chunk_positions(videos: Sequence[tuple[PredictionStream, VideoAnnotation]])
 
 def _lay_out(
     videos: Sequence[tuple[PredictionStream, VideoAnnotation]], stack_length: int
-) -> tuple[np.ndarray, ...]:
-    """``(starts, ends, scores, shift, falls, ranges, fall_ranges)`` of a chunk.
+) -> tuple:
+    """``(starts, ends, scores, shift, falls, ranges, slots)`` of a chunk.
 
     The videos' streams are laid end to end, each followed by one separator
     slot (score 0), so video ``v`` holds slots ``starts[v]`` to
@@ -183,13 +183,17 @@ def _lay_out(
     :func:`~alarm_pipeline.corpus.fall_stack_ranges` finds on the video's
     own anchors offset by its first slot: it holds only that video's
     stacks, and the ranges' starts never decrease along the chunk.
-    ``fall_ranges`` holds, for each span of a video's touching falls as
-    ``corpus._covered_spans`` merges them, the half-open range of the slots
-    whose stacks lie wholly in it (``lo >= hi`` when no stack does). So the
-    FALL slots are those of ``fall_ranges``, the FALL and TRANSITION slots
-    those of ``ranges``, as :func:`~alarm_pipeline.corpus.stack_label_masks`
-    labels each video's stacks. Raises IndexError, as that function does, if
-    a stack leaves its video's frames.
+
+    ``slots(per_video, bounds)`` places frame spans, one list per video, in
+    this layout: it returns them as one table in chunk order and each one's
+    half-open range of slots, ``(s, e) - first anchor + bounds`` clipped to
+    its video's stacks and offset by its first slot. ``falls`` and
+    ``ranges`` are ``slots`` of the fall intervals at bounds ``(0, L)``. At
+    ``(L - 1, 1)`` it gives the slots whose stacks lie wholly in each span
+    (``lo >= hi`` when no stack does): :func:`_chunk_counts` takes these for
+    its FALL slots, and ``offsets`` never builds them. Raises IndexError, as
+    :func:`~alarm_pipeline.corpus.stack_label_masks` does, if a stack leaves
+    its video's frames.
     """
     sizes = np.array([len(stream) for stream, _ in videos], dtype=np.int64)
     ends = np.cumsum(sizes + 1)
@@ -222,10 +226,9 @@ def _lay_out(
     # so it overlaps span (s, e) when s - first[v] <= i < e - first[v] + L
     # and lies in it when s - first[v] + L - 1 <= i < e - first[v] + 1.
     # As first[v] >= L - 1 and e < 2**63 - 1, no term leaves int64.
-    intervals = [annotation.fall_intervals for _, annotation in videos]
-    falls, ranges = slots(intervals, [0, stack_length])
-    _, fall_ranges = slots([_covered_spans(each) for each in intervals], [stack_length - 1, 1])
-    return starts, ends, scores, first - starts, falls, ranges, fall_ranges
+    falls, ranges = slots([annotation.fall_intervals for _, annotation in videos],
+                          [0, stack_length])
+    return starts, ends, scores, first - starts, falls, ranges, slots
 
 
 def _filter_chunk(scores: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
@@ -246,13 +249,16 @@ def _chunk_counts(
     """Summed (nW, nT, 7) counts, as in :func:`decision_counts`, of videos
     filtered at each of ``widths`` frames: one :class:`DecisionLayout` for
     the chunk of :func:`_lay_out`, one rank pass per width. The FALL slots
-    are those of its FALL ranges and the hot slots those of its fall ranges
-    and the separators, so the labels and the ranges are those of the same
-    falls, and each video's labels are those
+    are those whose stacks lie wholly in a span of a video's touching falls,
+    as ``corpus._covered_spans`` merges them, and the hot slots those of the
+    layout's fall ranges and the separators, so the labels and the ranges
+    are those of the same falls, and each video's labels are those
     :func:`~alarm_pipeline.corpus.stack_label_masks` gives it. Each video
     keeps its own running sum, so its counts are those it gives alone.
     """
-    starts, ends, scores, _, _, ranges, fall_ranges = _lay_out(videos, stack_cfg.stack_length)
+    length = stack_cfg.stack_length
+    starts, ends, scores, _, _, ranges, slots = _lay_out(videos, length)
+    _, fall_ranges = slots([_covered_spans(a.fall_intervals) for _, a in videos], [length - 1, 1])
     truth_fall = np.zeros(ends[-1], dtype=bool)
     hot = np.zeros(ends[-1], dtype=bool)
     hot[ends - 1] = True  # the separators
@@ -318,7 +324,8 @@ def _chunk_false_alarms(
     order: the index into ``videos``, the run's length in stacks and its
     frame distance to the nearest fall of its video (inf if it has none), as
     :func:`~alarm_pipeline.temporal.match_alarms` gives them. The anchor
-    shift, the fall table and the fall ranges are those of :func:`_lay_out`.
+    shift, the fall table and the fall ranges are those of :func:`_lay_out`;
+    the FALL slots are not built, as a run's class needs only its falls.
 
     The Fall stacks are the filtered slots below ``t_pred``; separators are
     +inf, so every run lies in one video. A fall's first slot, the start of
@@ -385,20 +392,19 @@ def false_alarm_offsets(
 
 def check_grids(w_values: Sequence[float], t_values: Sequence[float]) -> None:
     """Raise ValueError unless both grids are non-empty, no width or threshold
-    appears twice, and each value is one :class:`FilterConfig` accepts:
-    thresholds in (0, 1), widths finite and > 0 seconds."""
+    appears twice, and each value is one :class:`FilterConfig` accepts, with
+    its message: thresholds in (0, 1), widths finite and > 0 seconds. The
+    thresholds are checked first, then the repeats, then the widths."""
     if not w_values or not t_values:
         raise ValueError("w_values and t_values must be non-empty")
     for t in t_values:
-        if not (0.0 < t < 1.0):
-            raise ValueError(f"t_pred must lie in (0, 1), got {t}")
+        FilterConfig(t, width_frames=1)
     for name, values in (("w_values", w_values), ("t_values", t_values)):
         repeated = [value for value, count in Counter(values).items() if count > 1]
         if repeated:
             raise ValueError(f"{name} must not repeat {repeated[0]}")
     for w in w_values:
-        if not (0 < w < math.inf):
-            raise ValueError(f"width_seconds must be finite and > 0, got {w}")
+        FilterConfig(0.5, width_seconds=w)
 
 
 def sweep(

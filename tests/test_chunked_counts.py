@@ -182,9 +182,12 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
     # each fall's slots those fall_stack_ranges finds on its video's anchors,
     # and each video's FALL and hot slots the FALL and FALL or TRANSITION
     # stacks stack_label_masks finds on them, its separator hot but not FALL.
+    # The FALL ranges are those the counts place with the layout's slots.
     length = stack_cfg.stack_length
     for layout, (fps, chunk) in zip(layouts, chunks):
-        starts, ends, scores, shift, falls, ranges, fall_ranges = tuning._lay_out(chunk, length)
+        starts, ends, scores, shift, falls, ranges, slots = tuning._lay_out(chunk, length)
+        _, fall_ranges = slots([corpus._covered_spans(a.fall_intervals) for _, a in chunk],
+                               [length - 1, 1])
         assert np.array_equal(scores, np.concatenate([np.append(s.scores, 0.0) for s, _ in chunk]))
         assert np.array_equal(ends - starts, [len(s) + 1 for s, _ in chunk])
         assert starts[0] == 0 and np.array_equal(starts[1:], ends[:-1])

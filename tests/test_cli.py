@@ -145,6 +145,11 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
     assert main(["evaluate", "--counts-only", str(counts)]) == 1
     assert capsys.readouterr() == (
         "", f"error: {counts}: counts entry 1 key 'tp_a' must be >= 0, got -1\n")
+    # an entry that is not an object
+    counts.write_text("[1]")
+    capsys.readouterr()
+    assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    assert capsys.readouterr() == ("", f"error: {counts}: counts entry 0 must be an object\n")
     # a null id once printed a row named None
     counts.write_text(json.dumps([{**good, "database_id": None}]))
     capsys.readouterr()
@@ -375,6 +380,18 @@ def test_config_file_supplies_defaults(tmp_path, corpus_files, capsys):
     assert r2["filter"]["t_pred"] == 0.7
     assert r2["filter"]["width_seconds"] == 0.3
 
+    # null leaves a key unset where its default is unset: the width is the
+    # file's w_frames, as if the flag had set it
+    cfg.write_text(json.dumps({"annotations": str(ann), "predictions": str(pred),
+                               "w_seconds": None, "w_frames": 3}))
+    outs = tmp_path / "null", tmp_path / "flag"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(outs[0])]) == 0
+    assert main(["evaluate", "--annotations", str(ann), "--predictions", str(pred),
+                 "--w-frames", "3", "--out", str(outs[1])]) == 0
+    for name in ("report.json", "manifest.json"):
+        assert (outs[0] / name).read_text() == (outs[1] / name).read_text()
+    assert json.loads((outs[0] / "report.json").read_text())["filter"]["width_frames"] == 3
+
 
 def test_config_rejects_unknown_keys(tmp_path, corpus_files, capsys):
     cfg = tmp_path / "cfg.json"
@@ -382,6 +399,10 @@ def test_config_rejects_unknown_keys(tmp_path, corpus_files, capsys):
     assert main(["evaluate", "--config", str(cfg)]) == 1
     cfg.write_text("not json")
     assert main(["evaluate", "--config", str(cfg)]) == 1
+    cfg.write_text(json.dumps([{"w_seconds": 0.3}]))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: config must be a JSON object\n")
 
     # file values must have the type of their flag
     ann, pred = corpus_files
@@ -620,6 +641,16 @@ def test_folds_output(tmp_path, corpus_files):
 def test_folds_infeasible_exit_code(tmp_path, corpus_files):
     ann, _ = corpus_files
     assert main(["folds", "--annotations", str(ann), "--k", "99"]) == 2
+
+
+def test_folds_without_annotations_exits_one(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for args, message in (([], "--annotations is required"),
+                          (["--annotations", str(empty)], f"{empty}: annotation file is empty")):
+        capsys.readouterr()
+        assert main(["folds", *args]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- manifests -----------------------------------------------------------------------

@@ -65,6 +65,10 @@ def test_stack_config_validation():
     for length in (2.5, 10.0, "10", np.float64(10.0)):
         with pytest.raises(ValueError, match="stack_length must be an integer"):
             StackConfig(stack_length=length)
+    # A bool is an int: True was taken as a stack length of 1 frame.
+    for length in (True, False):
+        with pytest.raises(ValueError, match=f"^stack_length must be an integer, got {length}$"):
+            StackConfig(stack_length=length)
     assert StackConfig(stack_length=np.int32(3)).stack_length == 3
 
 
@@ -215,6 +219,11 @@ def test_annotation_loader_reports_line_numbers(tmp_path):
     path.write_text('{"video_id": "a"}\n')
     with pytest.raises(CorpusFormatError, match="missing keys"):
         load_annotations(path)
+
+    path.write_text("[1]\n")
+    with pytest.raises(CorpusFormatError) as err:
+        load_annotations(path)
+    assert str(err.value) == f"{path}:1: annotation record must be an object"
 
     record = {"video_id": "a", "database_id": "d", "fps": 30, "frame_count": 900,
               "fall_intervals": [[100, 130]]}

@@ -46,6 +46,10 @@ def test_filter_config_requires_exactly_one_width():
     for width in (2.5, 3.0, "3", np.float64(3.0)):
         with pytest.raises(ValueError, match="width_frames must be an integer"):
             FilterConfig(t_pred=0.5, width_frames=width)
+    # A bool is an int: True was taken as a width of 1 frame.
+    for width in (True, False):
+        with pytest.raises(ValueError, match=f"^width_frames must be an integer, got {width}$"):
+            FilterConfig(t_pred=0.5, width_frames=width)
     assert FilterConfig(0.5, width_frames=np.int64(3)).resolve_width_frames(30.0) == 3
 
 
@@ -109,6 +113,8 @@ def test_gate_filter_edge_shapes():
     assert big.tolist() == pytest.approx([1.0, 0.5, 2 / 3])
     with pytest.raises(ValueError):
         gate_filter([0.5], 0)
+    with pytest.raises(ValueError, match="^scores must be 1-D$"):
+        gate_filter([[0.5, 0.5]], 2)
 
 
 def test_gate_filter_clamps_huge_widths():
@@ -206,6 +212,9 @@ def test_match_alarms_counts_falls_not_alarms():
     # one alarm spanning two falls detects both
     counts, _, _ = match_alarms([(10, 60)], [(5, 20), (40, 50)], 10, "v")
     assert (counts.tp_a, counts.fp_a, counts.fn_a) == (2, 0, 0)
+    # a stack of no frames covers no span
+    with pytest.raises(ValueError, match="^stack_length must be >= 1, got 0$"):
+        match_alarms([(10, 60)], [(5, 20)], 0, "v")
 
 
 def test_match_alarms_offsets():
