@@ -30,6 +30,7 @@ from .corpus import (
     PredictionStream,
     StackConfig,
     VideoAnnotation,
+    _csv_field,
     assign_folds,
     load_annotations,
     load_predictions,
@@ -474,7 +475,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     alarm = grid.counts[..., 4:].tolist()
     lines = [SWEEP_HEADER]
     for (d, db), beta, (w, w_value), (t, t_value) in itertools.product(
-        enumerate(grid.databases), betas, enumerate(grid.w_values), enumerate(grid.t_values)
+        enumerate(map(_csv_field, grid.databases)), betas, enumerate(grid.w_values),
+        enumerate(grid.t_values)
     ):
         fb, p_a, se_a = (_fmt_float(m[d][w][t]) for m in metrics[beta])
         tp_a, fp_a, fn_a = alarm[d][w][t]
@@ -534,7 +536,7 @@ def cmd_offsets(cfg: argparse.Namespace) -> int:
     summary = offset_histogram([record for _, record in alarms], cfg.offset_cutoff,
                                cfg.duration_cutoff)
     lines = ["video_id,duration_frames,offset_frames"]
-    lines += [f"{video_id},{record.duration_frames},{_offset_text(record.offset_frames)}"
+    lines += [f"{_csv_field(video_id)},{record.duration_frames},{_offset_text(record.offset_frames)}"
               for video_id, record in alarms]
     summary_json = dataclasses.asdict(summary)
     sys.stdout.write(_dumps(summary_json) + "\n")

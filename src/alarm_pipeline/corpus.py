@@ -514,9 +514,10 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
                 path=str(path),
                 line=1,
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num  # the line the row ends on: an id may hold a line break
             if len(row) != 3:
                 raise CorpusFormatError(f"expected 3 columns, got {len(row)}", path=str(path), line=line_no)
             video_id, anchor_text, score_text = row

@@ -1,6 +1,7 @@
 """One ordered map over forked children, shared by every step that runs on
-the usable CPUs: the prediction reader's parts, the writer's pieces, the
-sweep's chunk counts and the chunks of ``offsets``' false alarms.
+the usable CPUs: the prediction reader's parts, the writer's pieces and the
+chunk counts of ``evaluate``, ``sweep`` and ``tune``. ``offsets`` finds its
+false alarms in one process, as its chunks cost less than a fork round.
 
 A fork shares the already-loaded streams copy-on-write, so the tasks and the
 function are never pickled; only each result is, once, down a pipe. A child

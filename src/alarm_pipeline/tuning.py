@@ -29,9 +29,11 @@ memory grows with stacks and not with thresholds.
 every run and finds each false one's nearest falls in the fall table. The
 records are then put back in corpus order.
 
-A database's chunks are mapped on the usable CPUs by
-:func:`~alarm_pipeline.forks.fork_map`. The counts are integer sums and the
-records are sorted back, so every result is the same on any number of CPUs.
+A database's chunk counts are mapped on the usable CPUs by
+:func:`~alarm_pipeline.forks.fork_map`; they are integer sums, so they are
+the same on any number of CPUs. ``offsets`` finds its false alarms in this
+process: at one (W, T) cell a chunk takes a few milliseconds, less than a
+fork round costs.
 """
 
 from __future__ import annotations
@@ -368,26 +370,19 @@ def false_alarm_offsets(
 
     The alarms are found per chunk of whole videos, one segmented
     :func:`~alarm_pipeline.temporal.gate_filter` and one
-    :func:`~alarm_pipeline.temporal.extract_alarms` per chunk, and the
-    chunks are mapped by :func:`~alarm_pipeline.forks.fork_map` as in
-    :func:`sweep`; as chunks group videos by fps, the records are then put
-    back in corpus order.
+    :func:`~alarm_pipeline.temporal.extract_alarms` per chunk, all in this
+    process: a chunk's few milliseconds cost less than a fork round; as
+    chunks group videos by fps, the records are then put back in corpus
+    order by a stable sort.
     """
-    if not videos:
-        return []
-
-    def false_alarms(chunk: tuple[float, list[int]]) -> tuple[np.ndarray, ...]:
-        fps, positions = chunk
+    alarms = []
+    for fps, positions in _chunk_positions(videos):
         video, duration, offset = _chunk_false_alarms(
             [videos[i] for i in positions], cfg.resolve_width_frames(fps), cfg.t_pred,
             stack_cfg.stack_length)
-        return np.array(positions)[video], duration, offset
-
-    with contextlib.closing(fork_map(false_alarms, _chunk_positions(videos))) as results:
-        position, duration, offset = map(np.concatenate, zip(*results))
-    order = np.argsort(position, kind="stable")
-    return [(videos[p][0].video_id, FpOffsetRecord(d, o)) for p, d, o in
-            zip(position[order].tolist(), duration[order].tolist(), offset[order].tolist())]
+        alarms += zip(np.array(positions)[video].tolist(), duration.tolist(), offset.tolist())
+    alarms.sort(key=lambda alarm: alarm[0])
+    return [(videos[p][0].video_id, FpOffsetRecord(d, o)) for p, d, o in alarms]
 
 
 def check_grids(w_values: Sequence[float], t_values: Sequence[float]) -> None:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -460,6 +461,31 @@ def test_sweep_csv(tmp_path, corpus_files):
             assert float(se_a) == int(tp) / (int(tp) + int(fn))
 
 
+def test_sweep_and_offsets_quote_ids(tmp_path, capsys):
+    # an id that holds the delimiter or a quote is written as the predictions
+    # writer writes it, so csv reads each row back whole
+    video_id, database_id = "clip,7", 'ward "a",b'
+    corpus = generate(SynthSpec(video_count=1, near_fall_fp_rate=1, far_fp_rate=1, seed=3))
+    ann, pred = tmp_path / "annotations.jsonl", tmp_path / "predictions.csv"
+    save_annotations([dataclasses.replace(a, video_id=video_id, database_id=database_id)
+                      for a in corpus.annotations], ann)
+    save_predictions([dataclasses.replace(s, video_id=video_id) for s in corpus.streams], pred)
+    rows = {}
+    for command, name in ((["sweep", "--w-grid", "0.1,0.3", "--t-grid", "0.4,0.6"], "sweep.csv"),
+                          (["offsets", "--w-seconds", "0.3", "--t-pred", "0.4"], "offsets.csv")):
+        out = tmp_path / name
+        assert main([*command, "--annotations", str(ann), "--predictions", str(pred),
+                     "--out", str(out)]) == 0
+        with (out / name).open(encoding="utf-8", newline="") as handle:
+            rows[name] = list(csv.reader(handle))
+    capsys.readouterr()
+    assert rows["sweep.csv"][0] == SWEEP_HEADER.split(",") and len(rows["sweep.csv"]) > 1
+    assert {(len(row), row[0]) for row in rows["sweep.csv"][1:]} == {(10, database_id)}
+    assert rows["offsets.csv"][0] == ["video_id", "duration_frames", "offset_frames"]
+    assert len(rows["offsets.csv"]) > 1
+    assert {(len(row), row[0]) for row in rows["offsets.csv"][1:]} == {(3, video_id)}
+
+
 def test_sweep_bad_grid(tmp_path, corpus_files):
     ann, pred = corpus_files
     assert main(["sweep", "--annotations", str(ann), "--predictions", str(pred),
@@ -605,11 +631,15 @@ def test_offsets_rows_follow_corpus_order(tmp_path, monkeypatch, capsys):
 
 def test_offsets_calls_extract_alarms_in_this_process(corpus_files, monkeypatch, capsys):
     # The traced benchmark run wraps temporal.extract_alarms as this test
-    # does, and reads the run count of its calls in this process; on one CPU
-    # those are all the runs of the corpus.
+    # does, and reads the run count of its calls in this process; on any
+    # number of CPUs those are all the runs of the corpus, one call a chunk.
     ann, pred = corpus_files
     cfg = FilterConfig(0.4, width_seconds=0.3)
-    want = sum(len(evaluate_video(s, a, cfg).alarms) for s, a in _pairs(ann, pred))
+    pairs = _pairs(ann, pred)  # one database of five videos of 891 stacks
+    want = sum(len(evaluate_video(s, a, cfg).alarms) for s, a in pairs)
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 2 * 892)  # two videos and a separator each
+    chunks = len(list(tuning._chunk_positions(pairs)))
+    assert chunks == 3
     original, runs = temporal.extract_alarms, []
 
     def traced(*args):
@@ -618,11 +648,14 @@ def test_offsets_calls_extract_alarms_in_this_process(corpus_files, monkeypatch,
         return result
 
     wrap_in_package(monkeypatch, original, traced)
-    use_cpus(monkeypatch, 1)
-    assert main(["offsets", "--annotations", str(ann), "--predictions", str(pred),
-                 "--w-seconds", "0.3", "--t-pred", "0.4"]) == 0
-    capsys.readouterr()
-    assert runs and sum(runs) == want > 0
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        runs.clear()
+        assert main(["offsets", "--annotations", str(ann), "--predictions", str(pred),
+                     "--w-seconds", "0.3", "--t-pred", "0.4"]) == 0
+        capsys.readouterr()
+        assert len(runs) == chunks, cpus
+        assert sum(runs) == want > 0, cpus
 
 
 # -- folds -------------------------------------------------------------------------
