@@ -391,6 +391,59 @@ def test_prediction_stream_rejects_anchor_gaps(tmp_path):
         assert (err.value.path, err.value.line) == (str(path), None)
 
 
+def test_anchor_errors_keep_their_order(tmp_path):
+    # The row loop checks each row as it reads it and each video's anchor
+    # gaps after the last row: a row's error wins over any gap, and of
+    # several gaps the first video's first one is named, without a line.
+    path = tmp_path / "pred.csv"
+    gap_a = "anchors of video 'a' must advance by 1, but anchor 9 is followed by 11"
+    cases = [  # (file text, message, line)
+        (HEADER + "v,20,0\nv,150,0\nw,9,0\nw,9,0\n", "anchor 9 not increasing for video 'w'", 5),
+        (HEADER + "v,20,0\nv,150,0\nv,140,0\n", "anchor 140 not increasing for video 'v'", 4),
+        (HEADER + "v,20,0\nv,150,0\nw,9,2\n", r"score 2.0 outside \[0, 1\]", 4),
+        # b's gap comes first in the file, but a is the first video
+        (HEADER + "a,9,0\nb,9,0\nb,20,0\na,11,0\na,30,0\n", gap_a, None),
+        (HEADER + "a,9,0\na,11,0\na,30,0\nb,9,0\nb,20,0\n", gap_a, None),  # canonical
+        (HEADER + "b,9,0\nb,10,0\na,9,0\na,11,0\nb,20,0\n",
+         "anchors of video 'b' must advance by 1, but anchor 10 is followed by 20", None),
+    ]
+    for text, message, line in cases:
+        path.write_text(text)
+        for read_bytes in read_sizes(path.read_bytes()):
+            assert bulk_parse(path, read_bytes) is None, (text, read_bytes)
+        with pytest.raises(CorpusFormatError, match=message) as err:
+            load_predictions(path)
+        assert (err.value.path, err.value.line) == (str(path), line), text
+
+    # A gap between two reads of 1 MiB, or between two parts, is found as well:
+    # fixed-width rows put the gap at the first line of the second read.
+    row_bytes = len("v,1000000,0.5\n")
+    cut = len(HEADER) + ((1 << 20) - len(HEADER)) // row_bytes * row_bytes
+    rows = ((1 << 20) - len(HEADER)) // row_bytes
+    anchors = 1_000_000 + np.arange(rows + 100)
+    anchors[rows:] += 1
+    path.write_text(HEADER + "".join(f"v,{a},0.5\n" for a in anchors))
+    assert path.read_bytes()[cut:].startswith(b"v,%d," % anchors[rows])
+    message = (f"anchors of video 'v' must advance by 1, but anchor {anchors[rows - 1]} "
+               f"is followed by {anchors[rows]}")
+    assert load_parts(path, [0]) is None
+    assert load_parts(path, [0, cut]) is None
+    with pytest.raises(CorpusFormatError, match=message) as err:
+        load_predictions(path)
+    assert (err.value.path, err.value.line) == (str(path), None)
+    # and so is one at a cut of any smaller read or part
+    text = HEADER + "".join(f"v,{a},0.5\n" for a in [9, 10, 11, 12, 14, 15, 16])
+    path.write_text(text)
+    at = text.index("v,14,")
+    for read_bytes in {at - 1, at, at + 1, *read_sizes(text.encode())}:
+        assert bulk_parse(path, read_bytes) is None, read_bytes
+    for start in (at - len("v,12,0.5\n"), at, at + len("v,14,0.5\n")):
+        assert load_parts(path, [0, start]) is None, start
+    with pytest.raises(CorpusFormatError, match="anchor 12 is followed by 14") as err:
+        load_predictions(path)
+    assert (err.value.path, err.value.line) == (str(path), None)
+
+
 def test_prediction_loader_allows_interleaved_videos(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_text(
