@@ -237,9 +237,8 @@ def _load_corpus(cfg: argparse.Namespace) -> Corpus:
                 f"predictions reference unknown video {stream.video_id!r}",
                 path=cfg.predictions,
             )
-        anchors = stream.anchor_frames
         lo, hi = cfg.stack_length - 1, annotation.frame_count
-        if not lo <= anchors[0] <= anchors[-1] < hi:
+        if not lo <= stream.first_anchor <= hi - len(stream):  # every anchor in [lo, hi)
             raise CorpusFormatError(
                 f"anchors of video {stream.video_id!r} must lie in [{lo}, {hi}) "
                 f"for stacks of {cfg.stack_length} frames",

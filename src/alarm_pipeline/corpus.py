@@ -88,29 +88,41 @@ class VideoAnnotation:
 
 @dataclass
 class PredictionStream:
-    """Per-stack No-Fall scores for one video, keyed by anchor frames advancing by 1."""
+    """Per-stack No-Fall scores for one video, one a frame from ``first_anchor``.
+
+    Stacks advance with stride 1, so score ``i`` belongs to the stack
+    anchored at frame ``first_anchor + i`` and a stream cannot skip a frame;
+    the loaders reject a file whose anchors do. Every anchor fits in int64.
+    """
 
     video_id: str
-    anchor_frames: np.ndarray
+    first_anchor: int
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        self.anchor_frames = np.asarray(self.anchor_frames, dtype=np.int64)
+        # A bool is an int, but not a frame: rejected as StackConfig rejects it.
+        if isinstance(self.first_anchor, bool) or not isinstance(self.first_anchor,
+                                                                 (int, np.integer)):
+            raise ValueError(f"first_anchor must be an integer, got {self.first_anchor!r}")
+        self.first_anchor = int(self.first_anchor)
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.anchor_frames.shape != self.scores.shape or self.anchor_frames.ndim != 1:
-            raise ValueError("anchor_frames and scores must be 1-D and the same length")
-        skips = np.diff(self.anchor_frames) != 1
-        if skips.any():
-            gap = int(skips.argmax())
+        if self.scores.ndim != 1:
+            raise ValueError("scores must be 1-D")
+        if not -(2**63) <= self.first_anchor <= 2**63 - max(len(self), 1):
             raise ValueError(
-                f"anchors of video {self.video_id!r} must advance by 1, but anchor "
-                f"{self.anchor_frames[gap]} is followed by {self.anchor_frames[gap + 1]}"
+                f"anchors of video {self.video_id!r} must fit in 64 bits, but "
+                f"{len(self)} from {self.first_anchor} do not"
             )
         if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # NaN fails both
             raise ValueError(f"scores must lie in [0, 1] in {self.video_id!r}")
 
+    @property
+    def anchor_frames(self) -> np.ndarray:
+        """The anchor of each score, ``first_anchor`` onwards by 1 (made on each read)."""
+        return np.arange(len(self), dtype=np.int64) + self.first_anchor
+
     def __len__(self) -> int:
-        return int(self.anchor_frames.size)
+        return int(self.scores.size)
 
 
 @dataclass(frozen=True)
@@ -329,25 +341,28 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     """Read a prediction CSV, grouping rows into per-video streams.
 
     Rows of one video may be interleaved with other videos but must keep
-    strictly increasing anchor frames; violations are reported with the
-    offending line number. A file in the layout :func:`save_predictions`
+    strictly increasing anchor frames that advance by 1, as a
+    :class:`PredictionStream` holds only its first anchor; a row out of
+    order is reported with its line number, a gap with the video and the
+    anchors around it. A file in the layout :func:`save_predictions`
     writes is parsed in bulk, in reads of at most ``_READ_BYTES`` that each
-    end at a line end, so its peak memory is about the returned arrays plus
+    end at a line end, so its peak memory is about the returned scores plus
     a few reads of the file; any other file, and any file the bulk parse
     finds fault with, is read row by row, so both paths return the same
     streams and every error comes from the row loop. A read that holds no
     ``\\n`` (an empty file, a last line without one, a line longer than a
-    read) is such a fault. The row loop streams the file too, into arrays of
-    16 bytes a row.
+    read) is such a fault. The row loop streams the file too, into scores of
+    8 bytes a row.
 
     The bulk parse runs on the usable CPUs: the file is cut at line starts
     into ``min(usable CPUs, size // _READ_BYTES)`` parts, and
     :func:`~alarm_pipeline.forks.fork_map` parses each part whole into raw
-    blocks, one per video per read. One join takes the blocks in file order
-    and makes the consecutive blocks of one id a stream, so a video cut
-    between reads and one cut between parts are the same case. An id that
-    comes back or a part that is not canonical sends the file to the row
-    loop, so the result and the errors are those of a one-part parse.
+    blocks, one per video per read, each its first anchor and its scores.
+    One join takes the blocks in file order and makes the consecutive
+    blocks of one id a stream, so a video cut between reads and one cut
+    between parts are the same case. An anchor gap, an id that comes back
+    or a part that is not canonical sends the file to the row loop, so the
+    result and the errors are those of a one-part parse.
     """
     path = Path(path)
     try:
@@ -431,8 +446,8 @@ _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()
 _CANONICAL_BLOCK = re.compile(
     rb"([^,\n]*),[0-9]+,[0-9.eE+-]+\n(?:\1,[0-9]+,[0-9.eE+-]+\n){0,1023}"
 )
-# A block: the UTF-8 id and the anchors and scores of rows of one video.
-_Block = tuple[bytes, np.ndarray, np.ndarray]
+# A block: the UTF-8 id, first anchor and scores of rows of one video.
+_Block = tuple[bytes, int, np.ndarray]
 
 
 def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
@@ -443,12 +458,13 @@ def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
     ``\\r`` anywhere, and each video's rows in one block. Every row is
     checked to have three fields and ASCII numerals before ``np.loadtxt``
     parses the anchor and score columns of the run (scores with CPython's
-    own float parser, so they match ``float()`` bit for bit), and each
-    block's rows are copied out of the run's table. Raises ValueError on no
-    line, a quote, a ``\\r``, a wrong header, or anything else the row loop
-    might treat differently or reject; the id's encoding, score range,
-    anchor order and the join of a video's blocks are left to
-    :func:`_streams`.
+    own float parser, so they match ``float()`` bit for bit). A block's
+    anchors must advance by 1; it keeps its first anchor and a copy of its
+    scores, and the run's table is dropped. Raises ValueError on no line, a
+    quote, a ``\\r``, a wrong header, an anchor that does not follow the
+    one before it in its block, or anything else the row loop might treat
+    differently or reject; the id's encoding, score range and the join of a
+    video's blocks are left to :func:`_streams`.
     """
     if not run or b'"' in run or b"\r" in run:
         raise ValueError("not canonical: no line, a quote or a carriage return")
@@ -477,31 +493,48 @@ def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
     )
     if len(table) != rows:
         raise ValueError("not canonical: a row loadtxt reads differently")
-    return [(block_id, table["anchor"][lo:hi].copy(), table["score"][lo:hi].copy())
+    anchors = table["anchor"]
+    steps = np.diff(anchors) == 1
+    steps[np.array(ends[:-1], dtype=np.int64) - 1] = True  # one block's last row to the next's first
+    if not steps.all():
+        raise ValueError("not canonical: anchors that do not advance by 1")
+    return [(block_id, int(anchors[lo]), table["score"][lo:hi].copy())
             for block_id, lo, hi in zip(ids, [0, *ends], ends)]
 
 
 def _streams(blocks: Iterable[_Block]) -> list[PredictionStream]:
     """The streams of ``blocks`` in file order, the consecutive blocks of one
     id joined into one stream (one block is not copied); ValueError if an id
-    comes back after another or is not UTF-8, or a stream is not valid."""
+    comes back after another or is not UTF-8, a block's first anchor does
+    not follow the last of the block before it, or a stream is not valid."""
     streams: dict[bytes, PredictionStream] = {}
     for video_id, run in itertools.groupby(blocks, key=lambda block: block[0]):
         if video_id in streams:
             raise ValueError("not canonical: an id comes back")
-        parts = [block[1:] for block in run]
-        anchors, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        _, first, scores = next(run)
+        parts, end = [scores], first + len(scores)
+        for _, anchor, scores in run:
+            if anchor != end:
+                raise ValueError("not canonical: blocks of a video that do not continue")
+            parts.append(scores)
+            end += len(scores)
+        scores = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts  # the joined blocks are freed before the stream's checks
-        streams[video_id] = PredictionStream(video_id.decode("utf-8"), anchors, scores)
+        streams[video_id] = PredictionStream(video_id.decode("utf-8"), first, scores)
     return list(streams.values())
 
 
 def _load_prediction_rows(path: Path) -> list[PredictionStream]:
     """Row-by-row reader for any prediction CSV; the only one that reports
-    errors. The file is read as a stream and each video's rows are kept in
-    typed buffers, 16 bytes a row."""
+    errors. The file is read as a stream and each video's scores are kept in
+    a typed buffer, 8 bytes a row. A row's error is raised at its line; an
+    anchor gap, once every row is read, at the first gap of the first video
+    that has one, without a line."""
     _check_utf8(path)
-    columns: dict[str, tuple[array, array]] = {}  # video id -> anchors, scores; in file order
+    scores: dict[str, array] = {}  # video id -> its scores; in file order
+    first: dict[str, int] = {}  # video id -> its first anchor
+    last: dict[str, int] = {}  # video id -> its last anchor so far
+    gaps: dict[str, tuple[int, int]] = {}  # video id -> the anchors around its first gap
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -540,21 +573,26 @@ def _load_prediction_rows(path: Path) -> list[PredictionStream]:
                 raise CorpusFormatError(
                     f"score {score} outside [0, 1] for video {video_id!r}", path=str(path), line=line_no
                 )
-            anchors_scores = columns.get(video_id)
-            if anchors_scores is None:
-                anchors_scores = columns[video_id] = array("q"), array("d")
-            elif anchor <= anchors_scores[0][-1]:
+            if video_id not in last:
+                first[video_id] = anchor
+                scores[video_id] = array("d")
+            elif anchor <= last[video_id]:
                 raise CorpusFormatError(
                     f"anchor {anchor} not increasing for video {video_id!r}", path=str(path), line=line_no
                 )
-            anchors_scores[0].append(anchor)
-            anchors_scores[1].append(score)
-    try:
-        return [PredictionStream(v, np.frombuffer(anchors, dtype=np.int64),
-                                 np.frombuffer(scores, dtype=np.float64))
-                for v, (anchors, scores) in columns.items()]
-    except ValueError as exc:  # an anchor gap: rows are in range and increasing
-        raise CorpusFormatError(str(exc), path=str(path))
+            elif anchor != last[video_id] + 1 and video_id not in gaps:
+                gaps[video_id] = last[video_id], anchor
+            last[video_id] = anchor
+            scores[video_id].append(score)
+    for video_id in first:
+        if video_id in gaps:
+            raise CorpusFormatError(
+                f"anchors of video {video_id!r} must advance by 1, but anchor "
+                f"{gaps[video_id][0]} is followed by {gaps[video_id][1]}",
+                path=str(path),
+            )
+    return [PredictionStream(v, first[v], np.frombuffer(scores[v], dtype=np.float64))
+            for v in first]
 
 
 # Rows in one piece of the file save_predictions writes: a process formats
@@ -606,7 +644,8 @@ def _format_piece(piece: _Piece) -> bytes:
     lines: list[str] = []
     for stream, lo, hi in piece:
         video_id = _csv_field(stream.video_id)
-        rows = zip(stream.anchor_frames[lo:hi].tolist(), stream.scores[lo:hi].tolist())
+        rows = zip(range(stream.first_anchor + lo, stream.first_anchor + hi),
+                   stream.scores[lo:hi].tolist())
         lines += [f"{video_id},{a},{s!r}\n" for a, s in rows]
     return "".join(lines).encode()
 

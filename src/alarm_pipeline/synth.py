@@ -240,14 +240,13 @@ def _generate_video(spec: SynthSpec, index: int) -> tuple[VideoAnnotation, Predi
         group_id=f"{spec.database_id}-grp{index // spec.videos_per_group:04d}",
     )
 
-    anchors = np.arange(first_anchor, spec.frames_per_video, dtype=np.int64)
-    scores = np.ones(anchors.shape, dtype=np.float64)
-    for u, v in regions:
-        scores[(anchors >= u) & (anchors <= v)] = 0.0
+    scores = np.ones(last_anchor - first_anchor + 1, dtype=np.float64)
+    for u, v in regions:  # every region lies within the anchors
+        scores[u - first_anchor:v - first_anchor + 1] = 0.0
     if spec.score_noise > 0:
         scores += rng.uniform(-spec.score_noise, spec.score_noise, size=scores.shape)
         np.clip(scores, 0.0, 1.0, out=scores)
-    stream = PredictionStream(video_id=video_id, anchor_frames=anchors, scores=scores)
+    stream = PredictionStream(video_id=video_id, first_anchor=first_anchor, scores=scores)
     return annotation, stream, events
 
 

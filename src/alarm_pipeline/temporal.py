@@ -177,8 +177,9 @@ def gate_filter(
     j = np.arange(offsets[-1] + prefix[-1]) - np.repeat(offsets, prefix)
     at = np.repeat(starts, prefix) + j
     out = np.empty_like(x)
-    if x.size > w:
-        out[w:] = (cumulative[w:] - cumulative[:-w]) / w
+    if x.size > w:  # in place: no temporary as long as the stream
+        np.subtract(cumulative[w:], cumulative[:-w], out=out[w:])
+        out[w:] /= w
     out[at] = cumulative[at] / (j + 1)
     return out
 

@@ -178,8 +178,9 @@ def _lay_out(
     slot (score 0), so video ``v`` holds slots ``starts[v]`` to
     ``ends[v] - 1``, its separator last. :func:`_filter_chunk` makes a
     separator never Fall, and it is neither a fall nor an eligible stack, so
-    no alarm run joins two videos. Anchors advance by 1, so slot ``i`` of
-    video ``v`` holds anchor ``i + shift[v]``. ``falls`` holds the videos'
+    no alarm run joins two videos. A stream's anchors advance by 1 from its
+    ``first_anchor``, so slot ``i`` of video ``v`` holds anchor
+    ``i + shift[v]``; no anchor array is made. ``falls`` holds the videos'
     fall intervals in chunk order and ``ranges`` each one's half-open range
     of the slots whose stacks overlap it, the range
     :func:`~alarm_pipeline.corpus.fall_stack_ranges` finds on the video's
@@ -202,16 +203,16 @@ def _lay_out(
     starts = ends - sizes - 1
     first = np.empty(len(videos), dtype=np.int64)
     for v, (stream, annotation) in enumerate(videos):
-        own = stream.anchor_frames
-        if own.size and not stack_length - 1 <= own[0] <= own[-1] < annotation.frame_count:
+        own, n = stream.first_anchor, len(stream)
+        if n and not stack_length - 1 <= own <= annotation.frame_count - n:
             # Anchors advance by 1, so the first one outside the frames is
             # the first anchor or else the frame count.
-            bad = own[0] if own[0] < stack_length - 1 else max(own[0], annotation.frame_count)
+            bad = own if own < stack_length - 1 else max(own, annotation.frame_count)
             raise IndexError(
                 f"stack at anchor {bad} leaves frames [0, {annotation.frame_count}) "
                 f"of {annotation.video_id!r}"
             )
-        first[v] = own[0] if own.size else stack_length - 1  # no stack: empty ranges
+        first[v] = own if n else stack_length - 1  # no stack: empty ranges
     # One separator array for all videos: one made per video left small
     # temporaries on the heap that raised a fine-t `tune`'s peak RSS by 4 MB.
     separator = np.zeros(1)

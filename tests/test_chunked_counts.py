@@ -71,7 +71,7 @@ def video(draw, index, stack_length):
     falls = [(s, e) for i, (s, e) in enumerate(falls) if i == 0 or s > falls[i - 1][1]]
     fps = draw(st.sampled_from([25.0, 30.0]))
     vid = f"v{index}"
-    stream = PredictionStream(vid, np.arange(first, first + count), np.array(ks) / STEPS)
+    stream = PredictionStream(vid, first, np.array(ks) / STEPS)
     return stream, VideoAnnotation(vid, "db", fps, frame_count, tuple(falls))
 
 
@@ -117,7 +117,7 @@ def label_cases():
     videos = []
     for i, (frame_count, first, count, falls) in enumerate(specs):
         scores = (np.arange(count) * 8 % (STEPS + 1)) / STEPS
-        videos.append((PredictionStream(f"v{i}", np.arange(first, first + count), scores),
+        videos.append((PredictionStream(f"v{i}", first, scores),
                        VideoAnnotation(f"v{i}", "db", 25.0, frame_count, falls)))
     return videos, StackConfig(3)
 
@@ -193,7 +193,7 @@ def test_chunked_counts_match_per_video_counts(db, ks, cap):
         assert starts[0] == 0 and np.array_equal(starts[1:], ends[:-1])
         for (s, _), start, own_shift in zip(chunk, starts, shift):
             if len(s):
-                assert own_shift == s.anchor_frames[0] - start
+                assert own_shift == s.first_anchor - start
         assert falls.tolist() == [list(fall) for _, a in chunk for fall in a.fall_intervals]
         want_ranges = [start + fall_stack_ranges(a.fall_intervals, s.anchor_frames, length)
                        for (s, a), start in zip(chunk, starts)]
@@ -260,6 +260,35 @@ def test_segmented_gate_filter_is_per_segment_gate_filter(lengths, width, data):
                           want)
 
 
+def two_temporary_gate_filter(scores, width, starts):
+    """The gate filter written with ``(cumulative[w:] - cumulative[:-w]) / w``,
+    as it was before it filtered in place."""
+    if scores.size == 0 or width == 1:
+        return scores.copy()
+    w = min(width, scores.size)
+    cumulative = segment_cumsum(scores, starts)
+    out = np.empty_like(scores)
+    out[w:] = (cumulative[w:] - cumulative[:-w]) / w
+    bounds = [*starts, scores.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        j = np.arange(min(hi - lo, w))
+        out[lo + j] = cumulative[lo + j] / (j + 1)
+    return out
+
+
+def test_in_place_gate_filter_is_the_two_temporary_expression():
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        lengths = rng.integers(0, 300, size=rng.integers(1, 8))
+        scores = rng.random(lengths.sum())
+        if trial % 2:  # ties, as the sweep's grid of scores gives them
+            scores = np.round(scores * STEPS) / STEPS
+        starts = np.cumsum(lengths) - lengths
+        for width in (1, 2, 3, 9, 30, 299, 10**6):
+            want = two_temporary_gate_filter(scores, width, starts)
+            assert gate_filter(scores, width, starts).tobytes() == want.tobytes(), (trial, width)
+
+
 def test_segmented_gate_filter_rejects_bad_starts():
     for starts in ([], [1], [0, 3, 2], [0, 5], [[0]]):
         with pytest.raises(ValueError):
@@ -282,7 +311,7 @@ def noisy_corpus():
             if i % 3 == 0:
                 noisy = np.maximum(noisy, 0.6)
             corpus.setdefault(db, []).append(
-                (PredictionStream(stream.video_id, stream.anchor_frames, noisy), annotation))
+                (PredictionStream(stream.video_id, stream.first_anchor, noisy), annotation))
     return corpus
 
 
@@ -425,7 +454,7 @@ def test_the_first_failing_chunk_raises_on_any_number_of_cpus(monkeypatch):
     videos = []
     for i in range(5):
         frame_count = 20 if i in (1, 2) else 40
-        stream = PredictionStream(f"v{i}", np.arange(9, 39), np.full(30, 0.5))
+        stream = PredictionStream(f"v{i}", 9, np.full(30, 0.5))
         videos.append((stream, VideoAnnotation(f"v{i}", "db", 30.0, frame_count, ((12, 15),))))
     monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)
     for cpus in (1, 2, 3, 4):
@@ -457,7 +486,7 @@ def edge_case_videos():
         for lo, hi in runs:
             scores[(anchors >= lo) & (anchors <= hi)] = 0.0
         fps = (25.0, 30.0)[i % 2]
-        videos.append((PredictionStream(vid, anchors, scores),
+        videos.append((PredictionStream(vid, first, scores),
                        VideoAnnotation(vid, "db", fps, frame_count, falls)))
     want = [
         ("none", 3, math.inf), ("none", 1, math.inf),
@@ -493,7 +522,7 @@ def test_false_alarm_offsets_edge_cases_on_any_number_of_cpus(monkeypatch):
 
 @pytest.mark.parametrize("first, frame_count", [(1, 40), (9, 30), (45, 40)])
 def test_a_stack_outside_the_frames_raises_as_stack_label_masks_does(first, frame_count):
-    stream = PredictionStream("v", np.arange(first, first + 25), np.full(25, 0.2))
+    stream = PredictionStream("v", first, np.full(25, 0.2))
     annotation = VideoAnnotation("v", "db", 30.0, frame_count, ((10, 12),))
     with pytest.raises(IndexError) as want:
         stack_label_masks(annotation, stream.anchor_frames, StackConfig())

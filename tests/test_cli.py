@@ -599,7 +599,7 @@ def mixed_fps_corpus(path):
                 for fps in (25.0, 30.0)]
         for i, (stream, annotation) in enumerate(itertools.chain(*zip(*made))):
             vid = f"{db}{i}"
-            pairs.append((PredictionStream(vid, stream.anchor_frames, stream.scores),
+            pairs.append((PredictionStream(vid, stream.first_anchor, stream.scores),
                           dataclasses.replace(annotation, video_id=vid, group_id=vid)))
     path.mkdir()
     save_annotations([a for _, a in pairs], path / "annotations.jsonl")

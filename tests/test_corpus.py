@@ -172,17 +172,18 @@ def test_annotation_group_defaults_to_video_id():
 
 
 def test_prediction_stream_validation():
-    with pytest.raises(ValueError, match="anchor 1 is followed by 1"):
-        PredictionStream("v", np.array([1, 1]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="first_anchor must be an integer"):
+        PredictionStream("v", np.array([1, 2]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        PredictionStream("v", np.array([1, 2]), np.array([0.5, 1.5]))
+        PredictionStream("v", 1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        PredictionStream("v", (9, 10, 11), (0.5, float("nan"), 0.5))
-    with pytest.raises(ValueError):
-        PredictionStream("v", np.array([1, 2, 3]), np.array([0.5, 0.5]))
-    stream = PredictionStream("v", [9, 10, 11], [0.0, 0.5, 1.0])
+        PredictionStream("v", 9, (0.5, float("nan"), 0.5))
+    with pytest.raises(ValueError, match="scores must be 1-D"):
+        PredictionStream("v", 1, np.full((2, 2), 0.5))
+    stream = PredictionStream("v", 9, [0.0, 0.5, 1.0])
     assert len(stream) == 3
     assert stream.scores.dtype == np.float64
+    assert stream.anchor_frames.tolist() == [9, 10, 11]
 
 
 # -- file round trips ----------------------------------------------------------
@@ -265,8 +266,8 @@ def test_annotation_loader_reports_line_numbers(tmp_path):
 def test_prediction_round_trip_is_fixed_point(tmp_path):
     rng = np.random.default_rng(3)
     streams = [
-        PredictionStream("a", np.arange(9, 40), rng.random(31)),
-        PredictionStream("b", np.arange(9, 25), rng.random(16)),
+        PredictionStream("a", 9, rng.random(31)),
+        PredictionStream("b", 9, rng.random(16)),
     ]
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
@@ -369,22 +370,23 @@ def test_prediction_loader_errors(tmp_path):
         assert err.value.line == line, text
 
     # an id with a \r is quoted, so the package reads back its own file
-    save_predictions([PredictionStream("a\rb", [9], [0.5])], path)
+    save_predictions([PredictionStream("a\rb", 9, [0.5])], path)
     assert path.read_bytes() == HEADER.encode() + b'"a\rb",9,0.5\n'
     assert stream_bits(load_predictions(path)) == stream_bits(
-        [PredictionStream("a\rb", [9], [0.5])])
+        [PredictionStream("a\rb", 9, [0.5])])
 
 
 def test_prediction_stream_rejects_anchor_gaps(tmp_path):
-    # a gap would let one alarm run span frames that have no stack
-    with pytest.raises(ValueError, match="anchors of video 'v' must advance by 1, "
-                                         "but anchor 20 is followed by 150"):
+    # a gap would let one alarm run span frames that have no stack, so a
+    # stream holds its first anchor alone and the loaders reject a gap
+    assert PredictionStream("v", 20, [0.0, 0.0]).anchor_frames.tolist() == [20, 21]
+    assert PredictionStream("v", np.int64(10), [0.5] * 4).first_anchor == 10
+    with pytest.raises(ValueError, match="first_anchor must be an integer, got \\[20, 150\\]"):
         PredictionStream("v", [20, 150], [0.0, 0.0])
-    with pytest.raises(ValueError, match="anchor 11 is followed by 13"):
-        PredictionStream("v", [10, 11, 13, 14], [0.5] * 4)
     path = tmp_path / "pred.csv"
     for text in (HEADER + "v,20,0\nv,21,0\nv,150,0\n",  # canonical, read in bulk
-                 HEADER + "v,20,0\nw,9,0\nv,21,0\nv,150,0\n"):  # interleaved
+                 HEADER + "v,20,0\nw,9,0\nv,21,0\nv,150,0\n",  # interleaved
+                 HEADER + "v,20,0\nw,9,0\nv,21,0\nw,10,0\nv,150,0\nw,12,0\n"):  # both gap
         path.write_text(text)
         with pytest.raises(CorpusFormatError, match="anchor 21 is followed by 150") as err:
             load_predictions(path)
@@ -444,6 +446,41 @@ def test_anchor_errors_keep_their_order(tmp_path):
     assert (err.value.path, err.value.line) == (str(path), None)
 
 
+def test_streams_hold_one_array_a_row(tmp_path):
+    # A stream is its first anchor and its scores: the bulk parse, the row
+    # loop and synth keep no anchor per row, and anchor_frames gives back
+    # the file's anchors.
+    made = [*generate(SynthSpec(video_count=3, frames_per_video=60, seed=2)).streams,
+            PredictionStream("late", 40, np.linspace(0.0, 1.0, 7))]
+    path = tmp_path / "pred.csv"
+    save_predictions(made, path)
+    want: dict[str, list[int]] = {}  # video id -> the file's anchors
+    with path.open(newline="") as handle:
+        for video_id, anchor, _ in itertools.islice(csv.reader(handle), 1, None):
+            want.setdefault(video_id, []).append(int(anchor))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert bulk_parse(crlf) is None
+    for streams in (made, bulk_parse(path), load_predictions(crlf)):
+        assert [s.video_id for s in streams] == list(want)
+        for s in streams:
+            assert [name for name, value in vars(s).items()
+                    if isinstance(value, np.ndarray)] == ["scores"]
+            assert type(s.first_anchor) is int
+            assert s.anchor_frames.tolist() == want[s.video_id]
+
+    for bad in (True, False, 9.0, np.float64(9.0), "9", None):
+        with pytest.raises(ValueError, match="first_anchor must be an integer"):
+            PredictionStream("v", bad, [0.5])
+    top = 2**63 - 1
+    assert PredictionStream("v", top - 1, [0.5, 0.5]).anchor_frames.tolist() == [top - 1, top]
+    assert PredictionStream("v", -(2**63), [0.5]).anchor_frames.tolist() == [-(2**63)]
+    assert PredictionStream("v", top, []).anchor_frames.tolist() == []
+    for first, scores in ((top, [0.5, 0.5]), (top + 1, [0.5]), (top + 1, []), (-(2**63) - 1, [0.5])):
+        with pytest.raises(ValueError, match="must fit in 64 bits"):
+            PredictionStream("v", first, scores)
+
+
 def test_prediction_loader_allows_interleaved_videos(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_text(
@@ -485,8 +522,7 @@ def prediction_streams(draw):
     for video_id in ids:
         scores = draw(st.lists(st.sampled_from(TRICKY_SCORES) | st.floats(0.0, 1.0),
                                min_size=1, max_size=30))
-        anchors = draw(st.integers(1, 21)) + np.arange(len(scores))
-        streams.append(PredictionStream(video_id, anchors, scores))
+        streams.append(PredictionStream(video_id, draw(st.integers(1, 21)), scores))
     return streams
 
 
@@ -508,8 +544,7 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
         assert (bulk is None) == quoted, read_bytes
         if bulk is not None:
             assert stream_bits(bulk) == rows, read_bytes
-            assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
-                       for s in bulk)
+            assert all(s.scores.flags.c_contiguous for s in bulk)
     assert stream_bits(load_predictions(path)) == rows
 
 
@@ -526,16 +561,16 @@ def test_bulk_loader_empty_and_header_only_files(tmp_path):
 
 
 def test_load_predictions_peak_memory(tmp_path, monkeypatch):
-    # tracemalloc sees numpy's buffers too. Beyond the returned arrays the
+    # tracemalloc sees numpy's buffers too. Beyond the returned scores the
     # loader holds a few 64 KiB pieces, one piece's table and the Python
-    # objects, well under 1 MiB; a file read whole, or its table kept, would
-    # hold several times the arrays.
+    # objects, well under 1 MiB; a file read whole, its table kept, or an
+    # anchor array kept per stream would hold more than the margin.
     monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 16)
     # Short rows (``v12,1009,0.25``) put about 4,700 rows of one video in a
     # piece, where a regex that kept state for every row of a block would
     # cross the margin too.
     rng = np.random.default_rng(5)
-    streams = [PredictionStream(f"v{i}", np.arange(9, 10_009), rng.integers(0, 5, 10_000) / 4)
+    streams = [PredictionStream(f"v{i}", 9, rng.integers(0, 5, 10_000) / 4)
                for i in range(20)]
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
@@ -546,18 +581,18 @@ def test_load_predictions_peak_memory(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert stream_bits(loaded) == stream_bits(streams)
-    arrays = sum(s.anchor_frames.nbytes + s.scores.nbytes for s in loaded)
+    arrays = sum(s.scores.nbytes for s in loaded)
     assert peak < arrays + (1 << 20), (peak, arrays)
 
 
 def test_row_loop_peak_memory(tmp_path, monkeypatch):
     # A CRLF file takes the row loop. It streams the file and keeps each
-    # video's rows in typed buffers, 16 bytes a row plus their slack; a file
-    # read whole, or rows kept as Python objects, would hold several times
-    # the arrays.
+    # video's scores in a typed buffer, 8 bytes a row plus its slack; a file
+    # read whole, rows kept as Python objects, or anchors kept per row would
+    # hold twice the scores or more.
     monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", 1 << 16)
     rng = np.random.default_rng(5)
-    streams = [PredictionStream(f"v{i}", np.arange(9, 10_009), rng.integers(0, 5, 10_000) / 4)
+    streams = [PredictionStream(f"v{i}", 9, rng.integers(0, 5, 10_000) / 4)
                for i in range(20)]
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
@@ -569,8 +604,8 @@ def test_row_loop_peak_memory(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert stream_bits(loaded) == stream_bits(streams)
-    assert all(s.anchor_frames.flags.writeable and s.scores.flags.writeable for s in loaded)
-    arrays = sum(s.anchor_frames.nbytes + s.scores.nbytes for s in loaded)
+    assert all(s.scores.flags.writeable for s in loaded)
+    arrays = sum(s.scores.nbytes for s in loaded)
     assert peak < 2 * arrays + (1 << 20), (peak, arrays)
 
 
@@ -681,8 +716,7 @@ def test_parts_give_the_one_part_parse(tmp_path, monkeypatch):
                 assert_no_children()
                 if canonical:
                     assert stream_bits(parts) == stream_bits(one_part), (read_bytes, cuts)
-                    assert all(s.anchor_frames.flags.c_contiguous and s.scores.flags.c_contiguous
-                               and s.anchor_frames.flags.writeable for s in parts)
+                    assert all(s.scores.flags.c_contiguous for s in parts)
                 else:
                     assert parts is None, (read_bytes, text, cuts)
 
@@ -880,7 +914,7 @@ def test_cli_evaluate_on_parts(tmp_path, monkeypatch, capsys):
 def test_save_predictions_peak_memory(tmp_path):
     # Formatting _ROWS_PER_WRITE rows holds about 160 bytes a row; listing a
     # whole 100k-row video first would hold 9 MB.
-    stream = PredictionStream("v", np.arange(100_000), np.random.default_rng(5).random(100_000))
+    stream = PredictionStream("v", 0, np.random.default_rng(5).random(100_000))
     tracemalloc.start()
     try:
         save_predictions([stream], tmp_path / "pred.csv")
@@ -895,13 +929,13 @@ def test_save_predictions_matches_csv_writer(tmp_path):
     long_scores = rng.random(2 * _ROWS_PER_WRITE + 5)
     long_scores[::7] = np.resize(TRICKY_SCORES, long_scores[::7].size)
     streams = [
-        PredictionStream("a,b", np.arange(9, 9 + len(TRICKY_SCORES)), TRICKY_SCORES),
-        PredictionStream('say "hi"', [3, 4], [0.5, 0.25]),
-        PredictionStream("two\nlines", [0], [1.0]),
-        PredictionStream("cr\rid", [0], [0.0]),
-        PredictionStream("", [4], [0.1]),
-        PredictionStream(" é 中 ", [4], [0.1]),
-        PredictionStream("long", np.arange(long_scores.size), long_scores),
+        PredictionStream("a,b", 9, TRICKY_SCORES),
+        PredictionStream('say "hi"', 3, [0.5, 0.25]),
+        PredictionStream("two\nlines", 0, [1.0]),
+        PredictionStream("cr\rid", 0, [0.0]),
+        PredictionStream("", 4, [0.1]),
+        PredictionStream(" é 中 ", 4, [0.1]),
+        PredictionStream("long", 0, long_scores),
     ]
     path = tmp_path / "pred.csv"
     save_predictions(streams, path)
@@ -912,15 +946,15 @@ def test_save_predictions_matches_csv_writer(tmp_path):
 # -- the write in pieces --------------------------------------------------------
 
 WRITE_STREAMS = [  # pieces of 3 rows or more join videos and cut them
-    PredictionStream("a,b", np.arange(9, 9 + len(TRICKY_SCORES)), TRICKY_SCORES),
-    PredictionStream("", [4], [0.1]),
-    PredictionStream("100%", [], []),
-    PredictionStream('say "hi"', [3, 4], [0.5, 0.25]),
-    PredictionStream("%d %r %%", [7], [0.75]),
-    PredictionStream(" é 中 ", [4], [0.1]),
-    PredictionStream("two\nlines", [0, 1, 2, 3], [1.0, 0.0, 0.5, 1e-05]),
-    PredictionStream("cr\rid", [], []),
-    PredictionStream("plain", np.arange(20), np.linspace(0.0, 1.0, 20)),
+    PredictionStream("a,b", 9, TRICKY_SCORES),
+    PredictionStream("", 4, [0.1]),
+    PredictionStream("100%", 0, []),
+    PredictionStream('say "hi"', 3, [0.5, 0.25]),
+    PredictionStream("%d %r %%", 7, [0.75]),
+    PredictionStream(" é 中 ", 4, [0.1]),
+    PredictionStream("two\nlines", 0, [1.0, 0.0, 0.5, 1e-05]),
+    PredictionStream("cr\rid", 0, []),
+    PredictionStream("plain", 0, np.linspace(0.0, 1.0, 20)),
 ]
 WRITE_ROWS = sum(len(stream) for stream in WRITE_STREAMS)
 
@@ -944,7 +978,7 @@ def test_pieces_cut_the_rows_in_file_order():
     pieces = list(corpus._pieces(WRITE_STREAMS, 3))
     assert any(len(piece) > 2 for piece in pieces)  # one piece holds three videos
     assert sum(stream.video_id == "plain" for piece in pieces for stream, _, _ in piece) > 2
-    assert list(corpus._pieces([PredictionStream("e", [], [])], 3)) == []
+    assert list(corpus._pieces([PredictionStream("e", 0, [])], 3)) == []
 
 
 def test_write_in_pieces_gives_the_same_bytes(tmp_path, monkeypatch):
@@ -959,7 +993,7 @@ def test_write_in_pieces_gives_the_same_bytes(tmp_path, monkeypatch):
             assert_no_children()
             assert path.read_bytes() == want, (cpus, rows)
             assert len(forks) == min(cpus, -(-WRITE_ROWS // rows)) - 1, (cpus, rows)
-        for empty in ([], [PredictionStream("e", [], [])]):
+        for empty in ([], [PredictionStream("e", 0, [])]):
             save_predictions(empty, path)
             assert path.read_bytes() == HEADER.encode()
     assert not forks  # no fork for a file with no piece

@@ -81,7 +81,7 @@ def test_decision_counts_matches_naive_pipeline(video, width, ks):
 def test_evaluate_video_agrees_with_match_alarms(video, width, k):
     scores, anchors, falls, stack_length, frame_count = video
     t = k / STEPS
-    stream = PredictionStream("v", anchors, scores)
+    stream = PredictionStream("v", anchors[0] if anchors else 0, scores)
     annotation = VideoAnnotation("v", "db", 30.0, frame_count, falls)
     ev = evaluate_video(stream, annotation, FilterConfig(t_pred=t, width_frames=width),
                         StackConfig(stack_length))

@@ -294,7 +294,7 @@ def _video(scores, intervals, fps=30.0, video_id="v"):
     anchors = np.arange(9, 9 + len(scores))
     frame_count = int(anchors[-1]) + 1 if len(scores) else 10
     ann = VideoAnnotation(video_id, "db", fps, frame_count, tuple(intervals))
-    stream = PredictionStream(video_id, anchors, np.asarray(scores, dtype=float))
+    stream = PredictionStream(video_id, 9, np.asarray(scores, dtype=float))
     return stream, ann
 
 
@@ -354,7 +354,7 @@ def test_full_path_matches_naive_pipeline():
         ann = VideoAnnotation("v", "db", 30.0, frame_count, tuple(intervals))
         anchors = np.arange(9, frame_count)
         scores = rng.random(anchors.size)
-        stream = PredictionStream("v", anchors, scores)
+        stream = PredictionStream("v", 9, scores)
         width = int(rng.integers(1, 8))
         t = float(rng.choice([0.3, 0.5, 0.7]))
         cfg = FilterConfig(t_pred=t, width_frames=width)

@@ -411,7 +411,7 @@ def test_fall_at_the_int64_limit_is_counted_as_evaluate_video_counts():
     # saw no stack over the fall: TP_a 0, FN_a 1.
     top = 2**63 - 1
     annotation = VideoAnnotation("v", "db", 30.0, top, ((top - 6, top - 4),))
-    stream = PredictionStream("v", np.arange(top - 20, top, dtype=np.int64), np.full(20, 0.1))
+    stream = PredictionStream("v", top - 20, np.full(20, 0.1))
     stack_cfg = StackConfig(stack_length=10)
     want = evaluate_video(stream, annotation, identity_filter(), stack_cfg)
     assert want.alarm_counts == AlarmCounts(tp_a=1, fp_a=0, fn_a=0)
@@ -426,7 +426,7 @@ def test_fall_at_the_int64_limit_is_counted_as_evaluate_video_counts():
     for lo, hi in ((top - 40, top - 38), (top - 20, top - 18), (top - 11, top - 10),
                    (top - 1, top - 1)):
         scores[(anchors >= lo) & (anchors <= hi)] = 0.1
-    stream = PredictionStream("v", anchors, scores)
+    stream = PredictionStream("v", top - 40, scores)
     want = evaluate_video(stream, annotation, identity_filter(), stack_cfg)
     assert want.alarm_counts == AlarmCounts(tp_a=2, fp_a=2, fn_a=0)
     assert [(r.duration_frames, r.offset_frames) for r in want.fp_offsets] == [(3, 13.0), (2, 2.0)]
