@@ -21,10 +21,11 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     PredictionStream,
@@ -306,29 +307,59 @@ def write_manifest(out_dir: Path, command: str, parameters: Mapping[str, Any],
         "inputs": {role: entry["sha256"] for role, entry in digests.items()},
     }
     config_hash = hashlib.sha256(_dumps(hashed, separators=(",", ":")).encode("utf-8")).hexdigest()
-    manifest = {**hashed, "inputs": digests, "config_hash": config_hash}
-    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    pieces = _json_pieces({**hashed, "inputs": digests, "config_hash": config_hash})
+    with (out_dir / "manifest.json").open("w", encoding="utf-8") as handle:
+        handle.writelines(pieces)
 
 
-def _no_limit_as_null(payload: Any) -> Any:
-    """``payload`` with each +inf, an unbounded limit, replaced by None."""
+# Encoder chunks joined into one write: a JSON artifact is written in pieces
+# of this many chunks, never held whole.
+_JSON_PIECE = 4096
+
+
+def _json_ready(payload: Any) -> Any:
+    """``payload`` with each +inf, an unbounded limit, replaced by None.
+
+    Raises ValueError at NaN or -inf and TypeError at a value JSON cannot
+    hold, so a payload fails before any of its text is written. A container
+    with no +inf in it is returned as it is, not copied.
+    """
+    if isinstance(payload, (str, int)) or payload is None:  # a bool is an int
+        return payload
+    if isinstance(payload, float):
+        if payload == math.inf:
+            return None
+        if not math.isfinite(payload):
+            raise ValueError(f"Out of range float values are not JSON compliant: {payload!r}")
+        return payload
     if isinstance(payload, dict):
-        return {key: _no_limit_as_null(value) for key, value in payload.items()}
+        values = list(map(_json_ready, payload.values()))
+        if all(map(operator.is_, values, payload.values())):
+            return payload
+        return dict(zip(payload, values))
     if isinstance(payload, (list, tuple)):
-        return [_no_limit_as_null(value) for value in payload]
-    return None if payload == math.inf else payload
+        values = list(map(_json_ready, payload))
+        return payload if all(map(operator.is_, values, payload)) else values
+    raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
 
 
 def _dumps(payload: Any, **kwargs: Any) -> str:
     """Strict JSON (RFC 8259) of ``payload``, keys sorted; an infinite limit is null."""
-    return json.dumps(_no_limit_as_null(payload), sort_keys=True, allow_nan=False, **kwargs)
+    return json.dumps(_json_ready(payload), sort_keys=True, allow_nan=False, **kwargs)
 
 
-def _json_text(payload: Any) -> str:
-    return _dumps(payload, indent=2) + "\n"
+def _json_pieces(payload: Any) -> Iterator[str]:
+    """The text of ``_dumps(payload, indent=2) + "\\n"`` in pieces of
+    ``_JSON_PIECE`` encoder chunks, for a JSON artifact. The payload is
+    checked by :func:`_json_ready` in this call, before the first piece."""
+    chunks = json.JSONEncoder(sort_keys=True, allow_nan=False, indent=2).iterencode(
+        _json_ready(payload))
+    # The encoder yields no empty chunk, so the first empty piece is the end.
+    pieces = iter(lambda: "".join(itertools.islice(chunks, _JSON_PIECE)), "")
+    return itertools.chain(pieces, ["\n"])
 
 
-# Each JSON artifact is its record's fields, shaped here and written by _dumps.
+# Each JSON artifact is its record's fields, shaped here and written by _json_pieces.
 def _report_json(report: MetricReport) -> dict[str, Any]:
     """A report's fields, its F_beta values keyed by ``f"{beta:g}"``."""
     return dataclasses.asdict(report) | {
@@ -348,16 +379,22 @@ def _tuning_json(result: TuningResult) -> dict[str, Any]:
     return payload
 
 
-def _write_outputs(cfg: argparse.Namespace, artifacts: Mapping[str, str]) -> None:
-    """Write ``artifacts`` (file name -> text) and manifest.json into ``cfg.out``.
+def _write_outputs(cfg: argparse.Namespace, artifacts: Mapping[str, Any]) -> None:
+    """Write ``artifacts`` and manifest.json into ``cfg.out``.
 
-    The manifest records the command's input files: the counts file when
+    A name ending in ``.json`` maps to its payload, written by
+    :func:`_json_pieces` in bounded pieces; any other name maps to its text.
+    Every payload is checked before the first file is opened. The manifest
+    records the command's input files: the counts file when
     there is one, else whichever of annotations and predictions it takes.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out / name).write_text(text, encoding="utf-8")
+    texts = {name: _json_pieces(content) if name.endswith(".json") else [content]
+             for name, content in artifacts.items()}
+    for name, pieces in texts.items():
+        with (out / name).open("w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
     inputs = ({"counts": cfg.counts_only} if getattr(cfg, "counts_only", None) else
               {role: getattr(cfg, role, None) for role in ("annotations", "predictions")})
     write_manifest(out, cfg.command, _parameters(cfg), inputs)
@@ -418,7 +455,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
             "databases": {name: _report_json(report) for name, report in rows},
             "macro": _report_json(macro),
         }
-        _write_outputs(cfg, {"report.json": _json_text(report_json), "report.txt": table})
+        _write_outputs(cfg, {"report.json": report_json, "report.txt": table})
     return 0
 
 
@@ -516,7 +553,7 @@ def cmd_tune(cfg: argparse.Namespace) -> int:
             sys.stdout.write(f"{database_id}: infeasible ({opt.reason})\n")
     sys.stdout.write(f"final: W={result.w_final:g} s, T_pred={result.t_final:g}\n")
     if cfg.out:
-        _write_outputs(cfg, {"tuning.json": _json_text(_tuning_json(result))})
+        _write_outputs(cfg, {"tuning.json": _tuning_json(result)})
     return 0
 
 
@@ -541,7 +578,7 @@ def cmd_offsets(cfg: argparse.Namespace) -> int:
     sys.stdout.write(_dumps(summary_json) + "\n")
     if cfg.out:
         _write_outputs(cfg, {"offsets.csv": "\n".join(lines) + "\n",
-                             "offsets_summary.json": _json_text(summary_json)})
+                             "offsets_summary.json": summary_json})
     return 0
 
 
@@ -562,7 +599,7 @@ def cmd_synth(cfg: argparse.Namespace) -> int:
         "videos": {video: [vars(event) for event in events]  # flat records: no deep copy
                    for video, events in corpus.ledger.items()},
     }
-    _write_outputs(cfg, {"ledger.json": _json_text(ledger)})
+    _write_outputs(cfg, {"ledger.json": ledger})
     sys.stdout.write(
         f"generated {len(corpus.annotations)} videos, {ledger['fall_count']} falls, "
         f"{ledger['false_pulse_count']} false pulses\n"
@@ -578,11 +615,11 @@ def cmd_folds(cfg: argparse.Namespace) -> int:
         raise CorpusFormatError("annotation file is empty", path=cfg.annotations)
     groups = {a.video_id: a.group_id for a in annotations}
     assignment = assign_folds(groups, k=cfg.k, seed=cfg.seed)
-    text = _json_text(dataclasses.asdict(assignment))
+    payload = dataclasses.asdict(assignment)
     if cfg.out:
-        _write_outputs(cfg, {"folds.json": text})
+        _write_outputs(cfg, {"folds.json": payload})
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_pieces(payload))
     return 0
 
 

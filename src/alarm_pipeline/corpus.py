@@ -418,19 +418,30 @@ def _drained(lists: Iterable[list[_Block] | None]) -> Iterator[_Block]:
 def _part_blocks(path: Path, start: int, end: int) -> list[_Block] | None:
     """:func:`_canonical_blocks` of the lines in bytes ``[start, end)`` of
     ``path``, or None where they are not canonical. Each read of at most
-    ``_READ_BYTES`` is cut back to its last ``\\n``, and the next read
-    starts there, so every read is whole lines. :func:`_canonical_blocks`
-    raises on a read with no line, so each pass moves on; an empty file
-    still gets its one read."""
+    ``_READ_BYTES`` goes by ``readinto`` into one ``bytearray`` kept for the
+    part, is cut back to its last ``\\n``, and the next read starts there,
+    so every read is whole lines; the lines are parsed through one
+    ``io.BytesIO`` kept for the part too. Within their allocations neither
+    buffer moves, so a read allocates no buffer of its own; its lines are
+    copied once, into the parser's.
+    :func:`_canonical_blocks` raises on a read with no line, so each pass
+    moves on; an empty file still gets its one read."""
     blocks: list[_Block] = []
+    run = bytearray(min(_READ_BYTES, end - start))
+    text = io.BytesIO()
     with path.open("rb") as handle:
         pos = start
         while True:
             handle.seek(pos)
-            run = handle.read(min(_READ_BYTES, end - pos))
-            run = run[:run.rfind(b"\n") + 1]
+            size = min(_READ_BYTES, end - pos)
+            # Sized to this read, read, then cut back to the last line end;
+            # within the bytearray's allocation no resize moves it.
+            run += bytes(max(size - len(run), 0))
+            del run[size:]
+            del run[handle.readinto(run):]
+            del run[run.rfind(b"\n") + 1:]
             try:
-                blocks += _canonical_blocks(run, header=pos == 0)
+                blocks += _canonical_blocks(run, pos == 0, text)
             except ValueError:
                 return None
             pos += len(run)
@@ -450,15 +461,18 @@ _CANONICAL_BLOCK = re.compile(
 _Block = tuple[bytes, int, np.ndarray]
 
 
-def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
+def _canonical_blocks(run: bytes | bytearray, header: bool, text: io.BytesIO) -> list[_Block]:
     """Bulk parse of ``run``, whole lines of a canonical prediction file
     that start with the header line if ``header``: one block per video.
+    ``np.loadtxt`` reads the lines from ``text``, which they overwrite.
 
     Canonical means the header line, ``\\n`` line endings, no quote and no
     ``\\r`` anywhere, and each video's rows in one block. Every row is
     checked to have three fields and ASCII numerals before ``np.loadtxt``
     parses the anchor and score columns of the run (scores with CPython's
-    own float parser, so they match ``float()`` bit for bit). A block's
+    own float parser, so they match ``float()`` bit for bit); the check
+    stays, as ``np.loadtxt`` alone takes the score ``0.5\\x1c``, which
+    ``float()`` rejects. A block's
     anchors must advance by 1; it keeps its first anchor and a copy of its
     scores, and the run's table is dropped. Raises ValueError on no line, a
     quote, a ``\\r``, a wrong header, an anchor that does not follow the
@@ -487,8 +501,12 @@ def _canonical_blocks(run: bytes, header: bool) -> list[_Block]:
         pos = block.end()
     if not rows:
         return []
+    text.seek(0)
+    text.write(run)
+    text.truncate()
+    text.seek(0)
     table = np.loadtxt(
-        io.BytesIO(run), delimiter=",", usecols=(1, 2), comments=None, skiprows=int(header),
+        text, delimiter=",", usecols=(1, 2), comments=None, skiprows=int(header),
         dtype=[("anchor", np.int64), ("score", np.float64)], ndmin=1,
     )
     if len(table) != rows:

@@ -124,12 +124,16 @@ def segment_cumsum(scores: np.ndarray, starts: Sequence[int] | np.ndarray) -> np
     """Running sums that restart at every segment start, laid end to end.
 
     ``starts`` are the indices where the segments of ``scores`` begin, the
-    first being 0. Each segment gets its own ``np.cumsum``, so its sums are
-    bit-for-bit those of the segment taken alone.
+    first being 0. Each segment gets its own ``np.cumsum``, written into its
+    slice of one output array, so its sums are bit-for-bit those of the
+    segment taken alone.
     """
     x = np.asarray(scores, dtype=np.float64)
     bounds = np.append(starts, x.size).tolist()
-    return np.concatenate([np.cumsum(x[a:b]) for a, b in zip(bounds, bounds[1:])])
+    out = np.empty_like(x)
+    for a, b in zip(bounds, bounds[1:]):
+        np.cumsum(x[a:b], out=out[a:b])
+    return out
 
 
 def gate_filter(
@@ -137,6 +141,7 @@ def gate_filter(
     width_frames: int,
     starts: Sequence[int] | np.ndarray | None = None,
     cumulative: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Trailing moving average over the last ``width_frames`` samples.
 
@@ -149,15 +154,26 @@ def gate_filter(
     streams laid end to end and windows are clipped to the start of their own
     stream instead; the output equals the streams' separate outputs, bit for
     bit. ``cumulative`` is the :func:`segment_cumsum` of the same scores and
-    starts, passed in when many widths filter one stream.
+    starts, passed in when many widths filter one stream. ``out``, a float64
+    array of the scores' shape that shares no memory with ``scores`` or
+    ``cumulative`` (ValueError otherwise), receives the output, bit for bit
+    the array returned without it, and is returned; many widths can then
+    filter into one buffer.
     """
     if width_frames < 1:
         raise ValueError(f"width_frames must be >= 1, got {width_frames}")
     x = np.asarray(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("scores must be 1-D")
+    if out is None:
+        out = np.empty_like(x)
+    elif not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != x.shape:
+        raise ValueError("out must be a float64 array of the scores' shape")
+    elif any(np.may_share_memory(out, a) for a in (x, cumulative) if a is not None):
+        raise ValueError("out must not share memory with scores or cumulative")
     if x.size == 0 or width_frames == 1:
-        return x.copy()
+        out[...] = x
+        return out
     # A window longer than the stream is a prefix mean all the same; the
     # clamp keeps widths past 64 bits out of the array arithmetic.
     w = min(width_frames, x.size)
@@ -176,7 +192,6 @@ def gate_filter(
     offsets = np.cumsum(prefix) - prefix
     j = np.arange(offsets[-1] + prefix[-1]) - np.repeat(offsets, prefix)
     at = np.repeat(starts, prefix) + j
-    out = np.empty_like(x)
     if x.size > w:  # in place: no temporary as long as the stream
         np.subtract(cumulative[w:], cumulative[:-w], out=out[w:])
         out[w:] /= w
@@ -268,7 +283,11 @@ class DecisionLayout:
     Fall, so its rank of 0 changes no count. Index sets are kept as the few
     stacks outside each class, as most stacks are eligible negatives. A
     caller that filters one stream at many widths builds the layout once and
-    calls :meth:`counts` per width.
+    calls :meth:`counts` per width. The layout keeps the buffers that
+    :meth:`counts` fills, the ranks of all stacks and the candidates' marks
+    and comparisons, from one call to the next, so a call allocates arrays
+    of its candidates and of the fall and hot stacks, never one as long as
+    the stream; one layout serves one caller at a time.
     """
 
     def __init__(
@@ -296,6 +315,11 @@ class DecisionLayout:
         apart = np.diff(self.hot) > 1
         self.hot_edges = self.hot[:-1][~apart]
         self.hot_gaps = np.column_stack((self.hot[:-1][apart], self.hot[1:][apart] + 1)).ravel()
+        # Slot n of the ranks holds rank 0 for reduceat, which may start at
+        # index n, and for the edge of a last stack that is a candidate.
+        self._padded = np.empty(self.size + 1, dtype=self.rank_dtype)
+        self._is_candidate = np.empty(self.size, dtype=bool)
+        self._below = np.empty(0, dtype=bool)  # grown to the most candidates yet
 
     def counts(self, filtered: np.ndarray) -> np.ndarray:
         """Rows ``(tp, tn, fp, fn, TP_a, FP_a, FN_a)`` of ``filtered``, one per
@@ -313,15 +337,18 @@ class DecisionLayout:
         nt = self.sorted_t.size
         # Candidates are the stacks below the largest threshold, so their
         # rank starts at 1; every other stack keeps rank 0.
-        cand = np.flatnonzero(filtered < self.sorted_t[-1])
+        cand = np.flatnonzero(np.less(filtered, self.sorted_t[-1], out=self._is_candidate))
         scores = filtered[cand]
         rc = np.ones(cand.size, dtype=self.rank_dtype)
-        below = np.empty(cand.size, dtype=bool)
+        if self._below.size < cand.size:
+            self._below = np.empty(cand.size, dtype=bool)
+        below = self._below[:cand.size]
         for t in self.sorted_t[:-1]:
             rc += np.less(scores, t, out=below)
-        # Slot n holds rank 0 for reduceat, which may start at index n, and
-        # for the edge of a last stack that is a candidate.
-        padded = np.zeros(self.size + 1, dtype=self.rank_dtype)
+        # Zeroing the whole buffer costs less than zeroing the last call's
+        # candidates where nearly every stack is one (a 0.99 threshold).
+        padded = self._padded
+        padded.fill(0)
         padded[cand] = rc
 
         # Stack false positives are the Fall stacks less the Fall hot ones.
@@ -336,7 +363,7 @@ class DecisionLayout:
             padded[self.truth],
             rc,
             np.maximum.reduceat(padded, self.fall_ranges)[::2],
-            np.minimum(rc, padded[cand + 1]),
+            np.minimum(rc, padded[1:][cand]),  # each candidate's right neighbour
             np.concatenate((np.minimum(padded[self.hot_edges], padded[self.hot_edges + 1]),
                             np.minimum.reduceat(padded, self.hot_gaps)[::2])),
             padded[self.hot],

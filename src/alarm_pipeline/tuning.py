@@ -235,10 +235,12 @@ def _lay_out(
 
 
 def _filter_chunk(scores: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
-                  cumulative: np.ndarray | None = None) -> np.ndarray:
+                  cumulative: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The chunk's scores gate-filtered per video, as :func:`gate_filter`
-    filters each video alone, with every separator slot +inf."""
-    filtered = gate_filter(scores, width, starts, cumulative)
+    filters each video alone, with every separator slot +inf; written into
+    ``out`` when it is given, as :func:`gate_filter` writes it."""
+    filtered = gate_filter(scores, width, starts, cumulative, out)
     filtered[ends - 1] = np.inf
     return filtered
 
@@ -258,6 +260,11 @@ def _chunk_counts(
     are those of the same falls, and each video's labels are those
     :func:`~alarm_pipeline.corpus.stack_label_masks` gives it. Each video
     keeps its own running sum, so its counts are those it gives alone.
+
+    Every width is filtered into one buffer made for the chunk and ranked
+    in the layout's buffers, and its counts go into one array made before
+    the first width, so no width allocates filtered scores or ranks for the
+    whole chunk.
     """
     length = stack_cfg.stack_length
     starts, ends, scores, _, _, ranges, slots = _lay_out(videos, length)
@@ -275,12 +282,9 @@ def _chunk_counts(
     # temporaries, so in some heap layouts each width's arrays took new
     # pages, and a 250-video, 990-cell `tune` peaked 4 MB higher.
     counts = np.empty((len(widths), len(t_values), 7), dtype=np.int64)
+    filtered = np.empty_like(scores)
     for width in dict.fromkeys(widths):
-        # ``filtered`` is freed only once the next width's array is made.
-        # Freed before, glibc gave heap pages back and faulted them in again:
-        # a 250-video, 990-cell sweep made 11,200 minor page faults, not
-        # 1,900, and took 65 ms, not 61 ms, on one CPU.
-        filtered = _filter_chunk(scores, starts, ends, width, cumulative)
+        _filter_chunk(scores, starts, ends, width, cumulative, filtered)
         counts[[i for i, w in enumerate(widths) if w == width]] = layout.counts(filtered)
     return counts
 

@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,72 @@ def test_segmented_gate_filter_rejects_bad_starts():
     for starts in ([], [1], [0, 3, 2], [0, 5], [[0]]):
         with pytest.raises(ValueError):
             gate_filter(np.zeros(4), 2, starts)
+
+
+def test_gate_filter_into_out_is_the_fresh_result():
+    # One buffer filters every width in turn, as the chunk counts use it; it
+    # starts as NaN, so a slot the filter did not write would show.
+    rng = np.random.default_rng(22)
+    for trial in range(100):
+        lengths = rng.integers(0, 60, size=rng.integers(1, 8))
+        scores = rng.integers(0, STEPS + 1, lengths.sum()) / STEPS  # ties
+        starts = np.cumsum(lengths) - lengths
+        cumulative = segment_cumsum(scores, starts)
+        out = np.full(scores.size, np.nan)
+        for width in (1, 2, 9, max(scores.size, 1), scores.size + 5):
+            want = gate_filter(scores, width, starts).tobytes()
+            for given_cumulative in (None, cumulative):
+                assert gate_filter(scores, width, starts, given_cumulative, out) is out
+                assert out.tobytes() == want, (trial, width)
+
+
+def test_gate_filter_rejects_an_out_that_aliases_its_inputs():
+    base = np.linspace(0.0, 1.0, 10)
+    scores = base[:8]
+    cumulative = segment_cumsum(scores, [0])
+    for out in (scores, scores[::-1], base[2:], cumulative, cumulative[:]):
+        with pytest.raises(ValueError, match="out must not share memory"):
+            gate_filter(scores, 3, [0], cumulative, out)
+    for out in (np.zeros(7), np.zeros(8, dtype=np.float32), np.zeros((8, 1)), [0.0] * 8):
+        with pytest.raises(ValueError, match="out must be a float64 array"):
+            gate_filter(scores, 3, [0], cumulative, out)
+    assert np.array_equal(base, np.linspace(0.0, 1.0, 10))
+
+
+def test_a_layout_counts_stream_after_stream_as_a_fresh_one():
+    # counts() reuses its rank buffer, so every call must start from rank 0.
+    rng = np.random.default_rng(23)
+    anchors = np.arange(9, 209)
+    annotation = VideoAnnotation("v", "db", 30.0, 209, ((0, 20), (60, 75), (76, 90), (200, 208)))
+    fall, transition = stack_label_masks(annotation, anchors, StackConfig(10))
+    t_values = [0.5, 0.1, 0.9, 0.3]
+    layout = DecisionLayout(t_values, fall, ~transition,
+                            fall_stack_ranges(annotation.fall_intervals, anchors, 10))
+    for trial in range(30):
+        filtered = rng.integers(0, STEPS + 1, anchors.size) / STEPS  # ties with every threshold
+        if trial % 3 == 0:
+            filtered[rng.random(anchors.size) < 0.9] = 1.0  # few candidates after many
+        want = decision_counts(filtered, t_values, fall, ~transition, anchors,
+                               annotation.fall_intervals, 10)
+        assert np.array_equal(layout.counts(filtered), want), trial
+
+
+def test_chunk_counts_peak_memory_does_not_grow_with_widths():
+    # Every width filters into one buffer and ranks into the layout's, so 40
+    # widths peak about where one does; a fresh filtered array per width,
+    # freed after the next one is made, put the peak 18-23 % higher.
+    corpus = generate(SynthSpec(video_count=20, frames_per_video=900, score_noise=0.2, seed=6))
+    videos = list(zip(corpus.streams, corpus.annotations))
+    widths = [width_to_frames(w, videos[0][1].fps) for w in tuning.default_w_values()]
+    peaks = []
+    for some_widths in (widths[:1], widths):
+        tracemalloc.start()
+        try:
+            tuning._chunk_counts(videos, some_widths, tuning.default_t_values(), StackConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def noisy_corpus():

@@ -1,13 +1,15 @@
+import argparse
 import csv
 import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from alarm_pipeline import temporal, tuning
-from alarm_pipeline.cli import SWEEP_HEADER, main, parse_grid
+from alarm_pipeline import cli, temporal, tuning
+from alarm_pipeline.cli import SWEEP_HEADER, _json_pieces, _write_outputs, main, parse_grid
 from alarm_pipeline.corpus import (PredictionStream, load_annotations, load_predictions,
                                    save_annotations, save_predictions)
 from alarm_pipeline.synth import SynthSpec, generate
@@ -703,6 +705,106 @@ def test_manifest_hash_tracks_inputs(tmp_path, corpus_files):
                  "--w-frames", "4", "--out", str(out3)]) == 0
     h3 = json.loads((out3 / "manifest.json").read_text())["config_hash"]
     assert h3 != h1
+
+
+# -- JSON artifacts --------------------------------------------------------------------
+
+JSON_PAYLOADS = [  # the shapes the artifacts take, and the edges of each
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}, [{}], [[]]], "d": {"e": {"f": []}}},
+    {"videos": {" é 中 ": [{"kind": "fall", "start_frame": 3, "offset_frames": None}],
+                'v"\n\\': [], "": [1, -2, 0.1, 1e-300, 5e-324, 1.7976931348623157e308]},
+     "fall_count": 0},
+    {"limit": math.inf, "no": [1.5, math.inf, {"x": math.inf, "y": (math.inf, 2)}],
+     "on": True, "off": False, "none": None},
+    ("a", 2.5, [math.inf]),
+    "text",
+    7,
+    math.inf,
+]
+
+
+def no_limit(payload):
+    """``payload`` copied with each +inf as None, as the artifacts write it."""
+    if isinstance(payload, dict):
+        return {key: no_limit(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [no_limit(value) for value in payload]
+    return None if payload == math.inf else payload
+
+
+def test_json_pieces_are_the_dumps_text(monkeypatch):
+    for piece in (1, 2, 3, cli._JSON_PIECE):
+        monkeypatch.setattr(cli, "_JSON_PIECE", piece)
+        for payload in JSON_PAYLOADS:
+            want = json.dumps(no_limit(payload), sort_keys=True, allow_nan=False, indent=2) + "\n"
+            assert "".join(_json_pieces(payload)) == want, (piece, payload)
+    assert JSON_PAYLOADS[4]["no"][1] == math.inf  # the payload is not changed
+    assert cli._json_ready(JSON_PAYLOADS[3]) is JSON_PAYLOADS[3]  # nor copied without an inf
+
+
+def test_json_artifacts_do_not_depend_on_the_piece_size(tmp_path, corpus_files, monkeypatch,
+                                                        capsys):
+    ann, pred = corpus_files
+    data = ["--annotations", str(ann), "--predictions", str(pred)]
+    commands = [
+        ["synth", "--videos", "3", "--seed", "2"],
+        ["evaluate", *data, "--w-seconds", "0.3", "--t-pred", "0.4"],
+        ["offsets", *data, "--w-seconds", "0.3", "--offset-cutoff", "inf"],
+        ["tune", *data, "--w-grid", "0.1,0.3", "--t-grid", "0.4,0.6", "--min-precision", "0",
+         "--max-drop", "inf"],
+        ["folds", "--annotations", str(ann), "--k", "2"],
+    ]
+    outputs = {}
+    for piece in (1, 2, 3, cli._JSON_PIECE):
+        monkeypatch.setattr(cli, "_JSON_PIECE", piece)
+        for i, args in enumerate(commands):
+            assert main([*args, "--out", str(tmp_path / f"{piece}-{i}")]) == 0
+        capsys.readouterr()
+        assert main(commands[-1]) == 0  # folds on stdout
+        files = sorted(tmp_path.glob(f"{piece}-*/*.json"))
+        outputs[piece] = [(path.name, path.read_text()) for path in files]
+        outputs[piece].append(("stdout", capsys.readouterr().out))
+    texts = outputs[1]
+    assert len(texts) == 11  # an artifact and a manifest a command, and folds' stdout
+    assert all(outputs[piece] == texts for piece in outputs)
+    for _, text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert "null" in dict(texts)["tuning.json"] and "null" in dict(texts)["offsets_summary.json"]
+
+
+def test_a_json_payload_json_cannot_hold_writes_no_file(tmp_path):
+    cfg = argparse.Namespace(out=str(tmp_path / "out"), command="evaluate")
+    good = {"a": [1, 2.5, math.inf]}
+    bad = [({"a": [1, {"b": [float("nan")]}]}, ValueError), ({"a": -math.inf}, ValueError),
+           ({"a": [object()]}, TypeError), ({"a": {2, 3}}, TypeError)]
+    for payload, error in bad:
+        with pytest.raises(error):
+            _write_outputs(cfg, {"report.json": good, "tuning.json": payload})
+        assert list((tmp_path / "out").iterdir()) == []  # not even the good artifact
+
+
+def test_ledger_write_peak_memory(tmp_path, monkeypatch):
+    # The 1,000-video ledger is about 0.4 MB of JSON; one json.dumps of it
+    # holds every encoder chunk and then the joined text, about 1.5 MB. The
+    # pieces hold a few thousand chunks at a time.
+    peaks = []
+    write = cli._write_outputs
+
+    def measured(cfg, artifacts):
+        tracemalloc.start()
+        try:
+            write(cfg, artifacts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_outputs", measured)
+    assert main(["synth", "--videos", "1000", "--frames", "300", "--near-fp-rate", "1",
+                 "--far-fp-rate", "1", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "ledger.json").stat().st_size > 300_000
+    assert peaks[0] < 500_000, peaks
 
 
 # -- exit codes ------------------------------------------------------------------------

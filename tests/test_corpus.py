@@ -793,10 +793,10 @@ def test_a_child_part_that_is_not_canonical_is_not_parsed_again(tmp_path, monkey
     rows_calls = count_row_loops(monkeypatch)
     parsed, parse, parent = [], corpus._canonical_blocks, os.getpid()
 
-    def parse_and_note(run, header):
+    def parse_and_note(run, *args):
         if os.getpid() == parent:
-            parsed.append(run)
-        return parse(run, header)
+            parsed.append(bytes(run))  # a copy: the reader reads into one buffer
+        return parse(run, *args)
 
     monkeypatch.setattr(corpus, "_canonical_blocks", parse_and_note)
     path = tmp_path / "pred.csv"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from alarm_pipeline.cli import _json_text, _report_json, format_report_table
+from alarm_pipeline.cli import _json_pieces, _report_json, format_report_table
 from alarm_pipeline.metrics import (
     AlarmCounts,
     ConfusionCounts,
@@ -190,13 +190,14 @@ def test_report_table_precision_mode():
 
 def test_report_json_dict():
     report = MetricReport.from_counts(ConfusionCounts(1, 2, 3, 4), AlarmCounts(5, 6, 7))
-    blob = json.loads(_json_text(_report_json(report)))  # a report as report.json holds it
+    # a report as report.json holds it
+    blob = json.loads("".join(_json_pieces(_report_json(report))))
     assert set(blob) == {"sp", "se", "p", "p_a", "se_a", "f_beta", "stack_counts", "alarm_counts"}
     assert blob["f_beta"] == {"0.5": report.f_beta[0.5], "2": report.f_beta[2.0]}
     assert blob["stack_counts"] == {"tp": 1, "tn": 2, "fp": 3, "fn": 4}
     assert blob["alarm_counts"] == {"tp_a": 5, "fp_a": 6, "fn_a": 7}
     assert (blob["p_a"], blob["se_a"], blob["sp"]) == (report.p_a, report.se_a, report.sp)
-    macro = json.loads(_json_text(_report_json(macro_average([report]))))
+    macro = json.loads("".join(_json_pieces(_report_json(macro_average([report])))))
     assert macro["stack_counts"] is None and macro["alarm_counts"] is None
 
 

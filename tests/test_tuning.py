@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alarm_pipeline import tuning
-from alarm_pipeline.cli import _json_text, _tuning_json, main
+from alarm_pipeline.cli import _json_pieces, _tuning_json, main
 from alarm_pipeline.corpus import (PredictionStream, StackConfig, VideoAnnotation, save_annotations,
                                    save_predictions)
 from alarm_pipeline.errors import InfeasibleError
@@ -387,7 +387,7 @@ def test_tune_result_serializes():
     corpus = small_corpus(seed=4)
     result = tune(corpus, w_values=[0.2, 0.4], t_values=[0.3, 0.5])
     result.per_database["lab"] = OptimumResult("lab", False, reason="no grid cell")
-    blob = json.loads(_json_text(_tuning_json(result)))  # tuning.json as the CLI writes it
+    blob = json.loads("".join(_json_pieces(_tuning_json(result))))  # tuning.json as written
     assert set(blob) == {"beta", "constraints", "per_database", "final"}
     assert blob["final"] == {"w_seconds": result.w_final, "t_pred": result.t_final}
     assert blob["constraints"] == {"min_alarm_precision": 0.80, "max_sensitivity_drop_points": 10.0,
