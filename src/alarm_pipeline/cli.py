@@ -31,7 +31,12 @@ from .corpus import (
     PredictionStream,
     StackConfig,
     VideoAnnotation,
+    _check_utf8,
     _csv_field,
+    _is_integer,
+    _is_number,
+    _kind_message,
+    _record_error,
     assign_folds,
     load_annotations,
     load_predictions,
@@ -48,6 +53,8 @@ from .tuning import (Corpus, TuningConstraints, TuningResult, check_grids, defau
 SWEEP_HEADER = "database_id,beta,W_seconds,T_pred,f_beta,p_a,se_a,TP_a,FP_a,FN_a"
 COUNTS_FBETA_DECIMALS = 3
 SKIPPED_IDS_SHOWN = 3  # the skipped-videos warning names only the first few
+# Keys of a --counts-only entry, in the order checked, and their JSON kinds.
+_COUNTS_KINDS = {"database_id": "a string", **dict.fromkeys(("tp_a", "fp_a", "fn_a"), "an integer")}
 
 
 # -- parameters ---------------------------------------------------------------
@@ -142,25 +149,22 @@ def _file_value(param: Param, value: Any, path: str) -> Any:
     """A config-file value checked against ``param``'s type, converted as its flag would be."""
     if value is None and param.default is None:
         return None
-    def number(v: Any) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-    numbers = isinstance(value, list) and all(map(number, value))
-    expected, valid, convert = {  # declared type -> (description, check, conversion)
-        int: ("an integer", number(value) and isinstance(value, int), int),
-        float: ("a number", number(value), float),
+    numbers = isinstance(value, list) and all(map(_is_number, value))
+    kind, valid, convert = {  # declared type -> (JSON kind, check, conversion)
+        int: ("an integer", _is_integer(value), int),
+        float: ("a number", _is_number(value), float),
         list: ("a non-empty list of numbers", numbers and bool(value),
                lambda v: [float(x) for x in v]),
         _grid: ("a string or a list of numbers", isinstance(value, str) or numbers, None),
         str: ("a string", isinstance(value, str), None),
     }[list if param.action == "append" else param.type]
     if not valid:
-        raise CorpusFormatError(
-            f"config key {param.name!r} must be {expected}, got {json.dumps(value)}", path=path
-        )
+        raise CorpusFormatError("config " + _kind_message(param.name, kind, value), path=path)
     return convert(value) if convert else value
 
 
 def _read_json(path: str) -> Any:
+    _check_utf8(Path(path))
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -473,17 +477,13 @@ def _counts_only_rows(path_text: str, betas: Sequence[float]) -> list[tuple[str,
     for i, record in enumerate(records):
         if not isinstance(record, dict):
             raise CorpusFormatError(f"counts entry {i} must be an object", path=path_text)
-        missing = [k for k in ("database_id", "tp_a", "fp_a", "fn_a") if k not in record]
-        if missing:
-            raise CorpusFormatError(f"counts entry {i} missing keys {missing}", path=path_text)
-        for key, kind, expected in (("database_id", str, "a string"), ("tp_a", int, "an integer"),
-                                    ("fp_a", int, "an integer"), ("fn_a", int, "an integer")):
-            value = record[key]
-            wrong = not isinstance(value, kind) or isinstance(value, bool)
-            if wrong or kind is int and value < 0:
-                raise CorpusFormatError(
-                    f"counts entry {i} key {key!r} must be {expected if wrong else '>= 0'}, "
-                    f"got {json.dumps(value)}", path=path_text)
+        problem = _record_error(record, dict.fromkeys(_COUNTS_KINDS))  # missing keys first
+        for key, kind in _COUNTS_KINDS.items():  # then each key's kind, then its sign
+            problem = problem or _record_error(record, {key: kind})
+            if not problem and kind == "an integer" and record[key] < 0:
+                problem = f"key {key!r} must be >= 0, got {record[key]}"
+        if problem:
+            raise CorpusFormatError(f"counts entry {i} {problem}", path=path_text)
         if any(name == record["database_id"] for name, _ in rows):  # report.json would keep one
             raise CorpusFormatError(
                 f"counts entry {i} repeats database_id {json.dumps(record['database_id'])}",

@@ -28,6 +28,37 @@ from .errors import CorpusFormatError, InfeasibleError
 from .forks import fork_map, usable_cpus
 
 
+def _is_integer(value: object) -> bool:
+    """An ``int`` or numpy integer; a bool is an int, but never a count or a frame."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """An ``int``, a ``float`` or a numpy integer or float; never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+# The kind of JSON value each reader expects, by the name its messages give it.
+_JSON_KINDS = {"a string": lambda value: isinstance(value, str), "a number": _is_number,
+               "an integer": _is_integer}
+
+
+def _kind_message(key: str, kind: str, value: object) -> str:
+    """The message for a JSON ``value`` of ``key`` that is not ``kind``."""
+    return f"key {key!r} must be {kind}, got {json.dumps(value)}"
+
+
+def _record_error(record: Mapping, kinds: Mapping[str, str | None],
+                  optional: Sequence[str] = ()) -> str | None:
+    """What is wrong with JSON object ``record``, if anything: the keys of
+    ``kinds`` it lacks, bar ``optional`` ones, else the first value, in the
+    order of ``kinds``, that is not its kind (a kind of None takes any value)."""
+    missing = [key for key in kinds if key not in record and key not in optional]
+    wrong = (_kind_message(key, kind, record[key]) for key, kind in kinds.items()
+             if kind and key in record and not _JSON_KINDS[kind](record[key]))
+    return f"missing keys {missing}" if missing else next(wrong, None)
+
+
 @dataclass(frozen=True)
 class StackConfig:
     """Stack geometry: window length in frames (anchors advance with stride 1)."""
@@ -35,9 +66,7 @@ class StackConfig:
     stack_length: int = 10
 
     def __post_init__(self) -> None:
-        # A bool is an int, but not a length: rejected as the JSON readers reject it.
-        if isinstance(self.stack_length, bool) or not isinstance(self.stack_length,
-                                                                 (int, np.integer)):
+        if not _is_integer(self.stack_length):
             raise ValueError(f"stack_length must be an integer, got {self.stack_length!r}")
         if self.stack_length < 1:
             raise ValueError(f"stack_length must be >= 1, got {self.stack_length}")
@@ -66,12 +95,20 @@ class VideoAnnotation:
             raise ValueError("video_id must be non-empty")
         if not (0 < self.fps < math.inf):
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        if not _is_number(self.fps):
+            raise ValueError(f"fps must be a number, got {self.fps!r}")
         if not 1 <= self.frame_count < 2**63:  # every frame number then fits in int64
             raise ValueError(f"frame_count must be >= 1 and below 2**63, got {self.frame_count}")
-        intervals = tuple((int(s), int(e)) for s, e in self.fall_intervals)
-        object.__setattr__(self, "fall_intervals", intervals)
+        if not _is_integer(self.frame_count):
+            raise ValueError(f"frame_count must be an integer, got {self.frame_count!r}")
+        intervals = []
         prev_end = -1
-        for start, end in intervals:
+        for s, e in self.fall_intervals:
+            start, end = int(s), int(e)  # what int() refuses fails as it always has
+            if not (_is_integer(s) and _is_integer(e)):
+                raise ValueError(f"fall interval bounds must be integers, got {(s, e)!r}")
+            if start > end:
+                raise ValueError(f"fall interval [{start}, {end}] starts after it ends")
             if not (0 <= start <= end < self.frame_count):
                 raise ValueError(
                     f"fall interval [{start}, {end}] outside frames [0, {self.frame_count})"
@@ -82,6 +119,8 @@ class VideoAnnotation:
                     f"follows an interval ending at {prev_end}"
                 )
             prev_end = end
+            intervals.append((start, end))
+        object.__setattr__(self, "fall_intervals", tuple(intervals))
         if not self.group_id:
             object.__setattr__(self, "group_id", self.video_id)
 
@@ -100,9 +139,7 @@ class PredictionStream:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        # A bool is an int, but not a frame: rejected as StackConfig rejects it.
-        if isinstance(self.first_anchor, bool) or not isinstance(self.first_anchor,
-                                                                 (int, np.integer)):
+        if not _is_integer(self.first_anchor):
             raise ValueError(f"first_anchor must be an integer, got {self.first_anchor!r}")
         self.first_anchor = int(self.first_anchor)
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -223,10 +260,10 @@ def assign_folds(groups: Mapping[str, str], k: int = 5, seed: int = 0) -> FoldAs
 # Both writers emit a canonical byte layout so save -> load -> save is a
 # fixed point (useful for golden files and reproducibility checks).
 
-# JSON type of each annotation value besides fall_intervals; group_id may be absent.
-_ANNOTATION_TYPES = {"video_id": str, "database_id": str, "fps": float, "frame_count": int,
-                     "group_id": str}
-_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
+# JSON kind of each annotation value, in the order checked; fall_intervals has
+# its own check and group_id may be absent.
+_ANNOTATION_KINDS = {"video_id": "a string", "database_id": "a string", "fps": "a number",
+                     "frame_count": "an integer", "fall_intervals": None, "group_id": "a string"}
 _PREDICTION_HEADER = ["video_id", "anchor_frame", "score"]
 
 
@@ -262,16 +299,10 @@ def _line_ends(data: bytes, cr: bool) -> int:
     return ends - (cr and data.startswith(b"\n"))
 
 
-def _annotation_type_error(record: dict) -> str | None:
-    """What is wrong with the JSON types of ``record``, if anything; a boolean is no number."""
-    def valid(value, kind) -> bool:
-        return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
-    for key, kind in _ANNOTATION_TYPES.items():
-        if key in record and not valid(record[key], kind):
-            return f"key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(record[key])}"
-    intervals = record["fall_intervals"]
+def _intervals_error(intervals: object) -> str | None:
+    """What is wrong with the JSON kinds of an annotation's ``fall_intervals``, if anything."""
     for pair in intervals if isinstance(intervals, list) else [intervals]:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(valid(b, int) for b in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_integer, pair))):
             return ("key 'fall_intervals' must be a list of [start, end] integer pairs, "
                     f"got {json.dumps(pair)}")
     return None
@@ -293,10 +324,8 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
                 raise CorpusFormatError(f"invalid JSON ({exc.msg})", path=str(path), line=line_no)
             if not isinstance(record, dict):
                 raise CorpusFormatError("annotation record must be an object", path=str(path), line=line_no)
-            missing = [k for k in ("video_id", "database_id", "fps", "frame_count", "fall_intervals") if k not in record]
-            if missing:
-                raise CorpusFormatError(f"missing keys {missing}", path=str(path), line=line_no)
-            problem = _annotation_type_error(record)
+            problem = (_record_error(record, _ANNOTATION_KINDS, optional=("group_id",))
+                       or _intervals_error(record["fall_intervals"]))
             if problem:
                 raise CorpusFormatError(problem, path=str(path), line=line_no)
             try:

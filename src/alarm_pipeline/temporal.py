@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (PredictionStream, StackConfig, VideoAnnotation, fall_stack_ranges,
+from .corpus import (PredictionStream, StackConfig, VideoAnnotation, _is_integer, fall_stack_ranges,
                      stack_label_masks)
 from .metrics import DEFAULT_BETAS, AlarmCounts, ConfusionCounts, MetricReport
 
@@ -56,9 +56,7 @@ class FilterConfig:
             raise ValueError("set exactly one of width_seconds / width_frames")
         if self.width_seconds is not None and not (0 < self.width_seconds < math.inf):
             raise ValueError(f"width_seconds must be finite and > 0, got {self.width_seconds}")
-        # A bool is an int, but not a width: rejected as the JSON readers reject it.
-        if self.width_frames is not None and (isinstance(self.width_frames, bool) or not
-                                              isinstance(self.width_frames, (int, np.integer))):
+        if self.width_frames is not None and not _is_integer(self.width_frames):
             raise ValueError(f"width_frames must be an integer, got {self.width_frames!r}")
         if self.width_frames is not None and self.width_frames < 1:
             raise ValueError(f"width_frames must be >= 1, got {self.width_frames}")

@@ -148,6 +148,11 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
     assert main(["evaluate", "--counts-only", str(counts)]) == 1
     assert capsys.readouterr() == (
         "", f"error: {counts}: counts entry 1 key 'tp_a' must be >= 0, got -1\n")
+    # a key's sign is checked before a later key's kind
+    counts.write_text(json.dumps([good, {**good, "database_id": "y", "tp_a": -1, "fp_a": 2.5}]))
+    assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {counts}: counts entry 1 key 'tp_a' must be >= 0, got -1\n")
     # an entry that is not an object
     counts.write_text("[1]")
     capsys.readouterr()
@@ -166,6 +171,10 @@ def test_evaluate_counts_only_rejects_bad_schema(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: {counts}: counts entry 2 repeats database_id \"x\"\n")
     assert not out.exists()
+    # an invalid byte was reported without the file or its line
+    counts.write_bytes(json.dumps([good]).encode() + b"\n\n\xff\n")
+    assert main(["evaluate", "--counts-only", str(counts)]) == 1
+    assert capsys.readouterr() == ("", f"error: {counts}:3: invalid UTF-8 (invalid start byte)\n")
 
 
 def test_evaluate_pairing_policy(tmp_path, corpus_files):
@@ -406,6 +415,10 @@ def test_config_rejects_unknown_keys(tmp_path, corpus_files, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {cfg}: config must be a JSON object\n")
+    # an invalid byte was reported without the file or its line
+    cfg.write_bytes(b'{"w_seconds": 0.3,\n "t_pred": \xff}')
+    assert main(["evaluate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: invalid UTF-8 (invalid start byte)\n")
 
     # file values must have the type of their flag
     ann, pred = corpus_files

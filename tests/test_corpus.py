@@ -155,6 +155,13 @@ def test_annotation_rejects_bad_intervals():
         make_annotation([(10, 50), (40, 60)])  # overlapping
     with pytest.raises(ValueError):
         make_annotation([(40, 60), (10, 20)])  # unsorted
+    # each of these was once read as an interval: (2, 5), (1, 5) and "outside frames"
+    with pytest.raises(ValueError, match=r"^fall interval bounds must be integers, got \(2.7, 5.2\)$"):
+        make_annotation([(2.7, 5.2)])
+    with pytest.raises(ValueError, match=r"^fall interval bounds must be integers, got \(True, 5\)$"):
+        make_annotation([(True, 5)])
+    with pytest.raises(ValueError, match=r"^fall interval \[5, 3\] starts after it ends$"):
+        make_annotation([(5, 3)], frame_count=100)
 
 
 def test_annotation_rejects_bad_scalars():
@@ -164,6 +171,17 @@ def test_annotation_rejects_bad_scalars():
         make_annotation(frame_count=0)
     with pytest.raises(ValueError):
         make_annotation(video_id="")
+    # each of these was once accepted
+    with pytest.raises(ValueError, match=r"^frame_count must be an integer, got 900.5$"):
+        make_annotation(frame_count=900.5)
+    with pytest.raises(ValueError, match=r"^frame_count must be an integer, got True$"):
+        make_annotation([], frame_count=True)
+    with pytest.raises(ValueError, match=r"^fps must be a number, got True$"):
+        make_annotation(fps=True)
+    with pytest.raises(ValueError, match=r"^frame_count must be >= 1 and below 2\*\*63, got 0.5$"):
+        make_annotation(frame_count=0.5)
+    ann = make_annotation([(np.int64(5), np.int32(7))], fps=np.float32(25), frame_count=np.int64(9))
+    assert ann.fall_intervals == ((5, 7),) and type(ann.fall_intervals[0][0]) is int
 
 
 def test_annotation_group_defaults_to_video_id():
