@@ -93,20 +93,26 @@ class VideoAnnotation:
     def __post_init__(self) -> None:
         if not self.video_id:
             raise ValueError("video_id must be non-empty")
-        if not (0 < self.fps < math.inf):
-            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        # A value no number compares with, or int() cannot take, is left to
+        # the kind check after each range check, which names it.
+        with contextlib.suppress(TypeError):
+            if not (0 < self.fps < math.inf):
+                raise ValueError(f"fps must be finite and > 0, got {self.fps}")
         if not _is_number(self.fps):
             raise ValueError(f"fps must be a number, got {self.fps!r}")
-        if not 1 <= self.frame_count < 2**63:  # every frame number then fits in int64
-            raise ValueError(f"frame_count must be >= 1 and below 2**63, got {self.frame_count}")
+        with contextlib.suppress(TypeError):
+            if not 1 <= self.frame_count < 2**63:  # every frame number then fits in int64
+                raise ValueError(f"frame_count must be >= 1 and below 2**63, got {self.frame_count}")
         if not _is_integer(self.frame_count):
             raise ValueError(f"frame_count must be an integer, got {self.frame_count!r}")
         intervals = []
         prev_end = -1
-        for s, e in self.fall_intervals:
-            start, end = int(s), int(e)  # what int() refuses fails as it always has
+        for s, e in _pairs(self.fall_intervals):
+            with contextlib.suppress(TypeError):
+                int(s), int(e)  # a value int() refuses, such as "x", fails as it always has
             if not (_is_integer(s) and _is_integer(e)):
                 raise ValueError(f"fall interval bounds must be integers, got {(s, e)!r}")
+            start, end = int(s), int(e)
             if start > end:
                 raise ValueError(f"fall interval [{start}, {end}] starts after it ends")
             if not (0 <= start <= end < self.frame_count):
@@ -123,6 +129,16 @@ class VideoAnnotation:
         object.__setattr__(self, "fall_intervals", tuple(intervals))
         if not self.group_id:
             object.__setattr__(self, "group_id", self.video_id)
+
+
+def _pairs(intervals: object) -> Iterator[tuple[object, object]]:
+    """The ``(start, end)`` pairs of ``intervals`` as a ``for s, e in``
+    loop takes them, but ValueError where it or a pair is not iterable."""
+    try:
+        for start, end in intervals:
+            yield start, end
+    except TypeError:
+        raise ValueError(f"fall_intervals must hold (start, end) pairs, got {intervals!r}") from None
 
 
 @dataclass
@@ -374,61 +390,55 @@ def load_predictions(path: str | Path) -> list[PredictionStream]:
     :class:`PredictionStream` holds only its first anchor; a row out of
     order is reported with its line number, a gap with the video and the
     anchors around it. A file in the layout :func:`save_predictions`
-    writes is parsed in bulk, in reads of at most ``_READ_BYTES`` that each
-    end at a line end, so its peak memory is about the returned scores plus
-    a few reads of the file; any other file, and any file the bulk parse
-    finds fault with, is read row by row, so both paths return the same
-    streams and every error comes from the row loop. A read that holds no
-    ``\\n`` (an empty file, a last line without one, a line longer than a
-    read) is such a fault. The row loop streams the file too, into scores of
-    8 bytes a row.
+    writes is parsed in bulk, in reads that each begin at a line start and
+    end where the next begins, so its peak memory is about the returned
+    scores plus a few reads of the file; any other file, and any file the
+    bulk parse finds fault with, is read row by row, so both paths return
+    the same streams and every error comes from the row loop. The row loop
+    streams the file too, into scores of 8 bytes a row.
 
-    The bulk parse runs on the usable CPUs: the file is cut at line starts
-    into ``min(usable CPUs, size // _READ_BYTES)`` parts, and
-    :func:`~alarm_pipeline.forks.fork_map` parses each part whole into raw
-    blocks, one per video per read, each its first anchor and its scores.
-    One join takes the blocks in file order and makes the consecutive
-    blocks of one id a stream, so a video cut between reads and one cut
-    between parts are the same case. An anchor gap, an id that comes back
-    or a part that is not canonical sends the file to the row loop, so the
-    result and the errors are those of a one-part parse.
+    The reads are cut once, before any parse: the first begins at 0 and each
+    next one at the first line start at least ``_READ_BYTES`` after it, so a
+    read is whole lines and a line longer than ``_READ_BYTES`` is one read.
+    The bulk parse runs on the usable CPUs: the reads are dealt, as runs of
+    consecutive whole reads, into ``min(usable CPUs, size // _READ_BYTES,
+    reads)`` parts, and :func:`~alarm_pipeline.forks.fork_map` parses each
+    part into raw blocks, one per video per read, each its first anchor and
+    its scores. One join takes the blocks in file order and makes the
+    consecutive blocks of one id a stream, so a video cut between reads and
+    one cut between parts are the same case. An anchor gap, an id that
+    comes back or a part that is not canonical sends the file to the row
+    loop, so the result and the errors are those of a one-part parse.
     """
     path = Path(path)
     try:
-        return _load_parts(path, _part_starts(path))
+        return _load_parts(path, _read_starts(path))
     except ValueError:  # the bulk parse leaves the file to the row loop
         return _load_prediction_rows(path)
 
 
-def _part_starts(path: Path) -> list[int]:
-    """Offsets of the line starts where the parts of ``path`` begin, the
-    first 0; see :func:`load_predictions` for how many there are."""
-    size = path.stat().st_size
-    parts = min(usable_cpus(), size // _READ_BYTES)
-    starts = [0]
-    if parts < 2:
-        return starts
+def _read_starts(path: Path) -> list[int]:
+    """The line starts of ``path`` where its reads begin: 0, then each first
+    line start at least ``_READ_BYTES`` after the one before."""
+    size, starts = path.stat().st_size, [0]
     with path.open("rb") as handle:
-        for i in range(1, parts):
-            pos = max(size * i // parts, starts[-1])
-            handle.seek(pos)
-            while chunk := handle.read(1 << 12):  # on to the start of the next line
-                newline = chunk.find(b"\n")
-                if newline >= 0:
-                    pos += newline + 1
-                    break
-                pos += len(chunk)
-            if pos >= size:
-                break
-            starts.append(pos)
-    return starts
+        while True:
+            handle.seek(starts[-1] + _READ_BYTES - 1)
+            handle.readline()
+            if handle.tell() >= size:
+                return starts
+            starts.append(handle.tell())
 
 
 def _load_parts(path: Path, starts: list[int]) -> list[PredictionStream]:
-    """The bulk parse of ``path`` in the parts that begin at ``starts``,
-    joined in file order; raises ValueError to use the row loop."""
-    parts = zip(starts, [*starts[1:], path.stat().st_size])
-    with contextlib.closing(fork_map(lambda part: _part_blocks(path, *part), parts)) as lists:
+    """The bulk parse of ``path`` in the reads that begin at ``starts``,
+    dealt in runs of whole reads to the parts :func:`load_predictions`
+    names and joined in file order; raises ValueError to use the row loop."""
+    bounds = [*starts, path.stat().st_size]
+    count = max(1, min(usable_cpus(), bounds[-1] // _READ_BYTES, len(starts)))
+    parts = [bounds[len(starts) * i // count:len(starts) * (i + 1) // count + 1]
+             for i in range(count)]
+    with contextlib.closing(fork_map(lambda reads: _part_blocks(path, reads), parts)) as lists:
         return _streams(_drained(lists))
 
 
@@ -444,38 +454,27 @@ def _drained(lists: Iterable[list[_Block] | None]) -> Iterator[_Block]:
             yield blocks.pop()
 
 
-def _part_blocks(path: Path, start: int, end: int) -> list[_Block] | None:
-    """:func:`_canonical_blocks` of the lines in bytes ``[start, end)`` of
-    ``path``, or None where they are not canonical. Each read of at most
-    ``_READ_BYTES`` goes by ``readinto`` into one ``bytearray`` kept for the
-    part, is cut back to its last ``\\n``, and the next read starts there,
-    so every read is whole lines; the lines are parsed through one
-    ``io.BytesIO`` kept for the part too. Within their allocations neither
-    buffer moves, so a read allocates no buffer of its own; its lines are
-    copied once, into the parser's.
-    :func:`_canonical_blocks` raises on a read with no line, so each pass
-    moves on; an empty file still gets its one read."""
+def _part_blocks(path: Path, reads: Sequence[int]) -> list[_Block] | None:
+    """:func:`_canonical_blocks` of each read of ``path`` from ``reads[i]``
+    to ``reads[i + 1]``, or None where they are not canonical. Each read
+    goes by ``readinto`` into one ``bytearray`` kept for the part and is
+    parsed through one ``io.BytesIO`` kept for the part too, so a read
+    allocates no buffer of its own but where it is the longest yet; its
+    lines are copied once, into the parser's."""
     blocks: list[_Block] = []
-    run = bytearray(min(_READ_BYTES, end - start))
+    run = bytearray(reads[1] - reads[0])
     text = io.BytesIO()
     with path.open("rb") as handle:
-        pos = start
-        while True:
-            handle.seek(pos)
-            size = min(_READ_BYTES, end - pos)
-            # Sized to this read, read, then cut back to the last line end;
-            # within the bytearray's allocation no resize moves it.
-            run += bytes(max(size - len(run), 0))
-            del run[size:]
+        handle.seek(reads[0])
+        for start, end in zip(reads, reads[1:]):
+            run += bytes(max(end - start - len(run), 0))
+            del run[end - start:]
             del run[handle.readinto(run):]
-            del run[run.rfind(b"\n") + 1:]
             try:
-                blocks += _canonical_blocks(run, pos == 0, text)
+                blocks += _canonical_blocks(run, start == 0, text)
             except ValueError:
                 return None
-            pos += len(run)
-            if pos == end:
-                return blocks
+    return blocks
 
 
 _CANONICAL_HEADER = (",".join(_PREDICTION_HEADER) + "\n").encode()

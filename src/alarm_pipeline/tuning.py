@@ -194,7 +194,9 @@ def _lay_out(
     ``ranges`` are ``slots`` of the fall intervals at bounds ``(0, L)``. At
     ``(L - 1, 1)`` it gives the slots whose stacks lie wholly in each span
     (``lo >= hi`` when no stack does): :func:`_chunk_counts` takes these for
-    its FALL slots, and ``offsets`` never builds them. Raises IndexError, as
+    its FALL slots, and ``offsets`` never builds them. Raises ValueError, as
+    :func:`~alarm_pipeline.temporal.evaluate_video` does, if a stream and its
+    annotation have different ids, and IndexError, as
     :func:`~alarm_pipeline.corpus.stack_label_masks` does, if a stack leaves
     its video's frames.
     """
@@ -203,6 +205,8 @@ def _lay_out(
     starts = ends - sizes - 1
     first = np.empty(len(videos), dtype=np.int64)
     for v, (stream, annotation) in enumerate(videos):
+        if stream.video_id != annotation.video_id:
+            raise ValueError(f"stream {stream.video_id!r} does not match annotation {annotation.video_id!r}")
         own, n = stream.first_anchor, len(stream)
         if n and not stack_length - 1 <= own <= annotation.frame_count - n:
             # Anchors advance by 1, so the first one outside the frames is

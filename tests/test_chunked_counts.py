@@ -598,3 +598,31 @@ def test_a_stack_outside_the_frames_raises_as_stack_label_masks_does(first, fram
         with pytest.raises(IndexError) as got:
             run()
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["filter_counts", "false_alarm_offsets", "sweep", "tune"])
+def test_a_pair_whose_ids_differ_raises_as_evaluate_video_does(monkeypatch, name):
+    # A stream paired with another video's annotation is refused by every
+    # fast path with evaluate_video's message, on one CPU and on two, where
+    # the pair is this process's chunk and where it is a child's.
+    stream = PredictionStream("a", 9, np.zeros(20))
+    annotation = VideoAnnotation("b", "db", 30.0, 29, ((10, 12),))
+    cfg = FilterConfig(0.5, width_frames=1)
+    with pytest.raises(ValueError) as want:
+        evaluate_video(stream, annotation, cfg)
+    assert str(want.value) == "stream 'a' does not match annotation 'b'"
+    good = [(PredictionStream(v, 9, np.zeros(20)), VideoAnnotation(v, "db", 30.0, 29, ((10, 12),)))
+            for v in ("v0", "v1")]
+    grids = ([0.1, 0.3], [0.4, 0.5])
+    runs = {"filter_counts": lambda pairs: tuning.filter_counts(pairs, cfg),
+            "false_alarm_offsets": lambda pairs: tuning.false_alarm_offsets(pairs, cfg),
+            "sweep": lambda pairs: tuning.sweep({"db": pairs}, *grids),
+            "tune": lambda pairs: tuning.tune({"db": pairs}, *grids)}
+    monkeypatch.setattr(tuning, "CHUNK_STACKS", 1)  # a chunk per video
+    for pairs in ([(stream, annotation)], [good[0], (stream, annotation), good[1]]):
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as got:
+                runs[name](pairs)
+            assert str(got.value) == str(want.value), (cpus, len(pairs))
+            assert_no_children()

@@ -15,7 +15,7 @@ from alarm_pipeline.corpus import (
     _ROWS_PER_WRITE,
     _load_parts,
     _load_prediction_rows,
-    _part_starts,
+    _read_starts,
     PredictionStream,
     StackConfig,
     VideoAnnotation,
@@ -27,6 +27,7 @@ from alarm_pipeline.corpus import (
     stack_label_masks,
 )
 from alarm_pipeline.errors import CorpusFormatError, InfeasibleError
+from alarm_pipeline.forks import fork_map
 from alarm_pipeline.synth import SynthSpec, generate
 from alarm_pipeline.temporal import combine, evaluate_video, identity_filter
 
@@ -162,6 +163,24 @@ def test_annotation_rejects_bad_intervals():
         make_annotation([(True, 5)])
     with pytest.raises(ValueError, match=r"^fall interval \[5, 3\] starts after it ends$"):
         make_annotation([(5, 3)], frame_count=100)
+    # each of these raised a bare TypeError that named no field
+    cases = [
+        ([(None, 5)], r"^fall interval bounds must be integers, got \(None, 5\)$"),
+        ([(5, [7])], r"^fall interval bounds must be integers, got \(5, \[7\]\)$"),
+        ([(1, 2), 5], r"^fall_intervals must hold \(start, end\) pairs, got \(\(1, 2\), 5\)$"),
+    ]
+    for intervals, message in cases:
+        with pytest.raises(ValueError, match=message):
+            make_annotation(intervals)
+    with pytest.raises(ValueError, match=r"^fall_intervals must hold \(start, end\) pairs, got None$"):
+        VideoAnnotation("v", "db", 30.0, 300, None)
+    # and these keep the ValueError they raised: what int() refuses, a pair of
+    # three, and an earlier interval's error before a later one's kind
+    for intervals, message in (([("x", 5)], r"^invalid literal for int\(\) with base 10: 'x'$"),
+                               ([(1, 2, 3)], r"^too many values to unpack \(expected 2"),
+                               ([(5, 3), (None, 9)], r"^fall interval \[5, 3\] starts after it ends$")):
+        with pytest.raises(ValueError, match=message):
+            make_annotation(intervals)
 
 
 def test_annotation_rejects_bad_scalars():
@@ -180,6 +199,21 @@ def test_annotation_rejects_bad_scalars():
         make_annotation(fps=True)
     with pytest.raises(ValueError, match=r"^frame_count must be >= 1 and below 2\*\*63, got 0.5$"):
         make_annotation(frame_count=0.5)
+    # each of these raised a bare TypeError that named no field
+    cases = [({"fps": "30"}, r"^fps must be a number, got '30'$"),
+             ({"fps": None}, r"^fps must be a number, got None$"),
+             ({"fps": 30j}, r"^fps must be a number, got 30j$"),
+             ({"frame_count": "9"}, r"^frame_count must be an integer, got '9'$"),
+             ({"frame_count": None}, r"^frame_count must be an integer, got None$"),
+             ({"frame_count": [300]}, r"^frame_count must be an integer, got \[300\]$")]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            make_annotation([], **kwargs)
+    # and a value that compares keeps its range error
+    with pytest.raises(ValueError, match=r"^fps must be finite and > 0, got False$"):
+        make_annotation(fps=False)
+    with pytest.raises(ValueError, match=r"^fps must be finite and > 0, got nan$"):
+        make_annotation(fps=float("nan"))
     ann = make_annotation([(np.int64(5), np.int32(7))], fps=np.float32(25), frame_count=np.int64(9))
     assert ann.fall_intervals == ((5, 7),) and type(ann.fall_intervals[0][0]) is int
 
@@ -312,21 +346,27 @@ def stream_bits(streams):
     ]
 
 
-def load_parts(path, starts):
-    """The bulk parse of ``path`` in the parts that begin at ``starts``, or
+def load_parts(path, starts, parts=1):
+    """The bulk parse of ``path`` in the reads that begin at ``starts``,
+    dealt to ``parts`` parts (one a read where there are fewer reads), or
     None where it leaves the file to the row loop."""
-    try:
-        return _load_parts(path, starts)
-    except ValueError:
-        return None
+    with pytest.MonkeyPatch.context() as patched:
+        use_cpus(patched, parts)
+        patched.setattr(corpus, "_READ_BYTES", 1)  # the file's size caps no part
+        try:
+            return _load_parts(path, starts)
+        except ValueError:
+            return None
 
 
-def bulk_parse(path, read_bytes=1 << 20):
-    """The one-part bulk parse of ``path`` in reads of at most
-    ``read_bytes``, or None where it leaves the file to the row loop."""
+def bulk_parse(path, read_bytes=1 << 20, parts=1):
+    """The bulk parse of ``path`` in the reads ``_READ_BYTES = read_bytes``
+    cuts, dealt to ``parts`` parts, or None where it leaves the file to the
+    row loop."""
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(corpus, "_READ_BYTES", read_bytes)
-        return load_parts(path, [0])
+        starts = _read_starts(path)
+    return load_parts(path, starts, parts)
 
 
 def longest_line(data):
@@ -335,10 +375,11 @@ def longest_line(data):
 
 
 def read_sizes(data):
-    """Read sizes of at least one line of ``data``: reads of one line, reads
-    that cut lines, and one read of the whole file."""
+    """Read sizes for ``data``: one byte, so each line is a read, sizes
+    around its longest line, so a longer line is one read, and one read of
+    the whole file."""
     longest = longest_line(data)
-    return sorted({longest + extra for extra in (0, 1, 7, longest, len(data))})
+    return sorted({1, max(longest - 1, 1), *(longest + extra for extra in (0, 1, 7, longest, len(data)))})
 
 
 def reference_csv(streams):
@@ -438,16 +479,17 @@ def test_anchor_errors_keep_their_order(tmp_path):
     # A gap between two reads of 1 MiB, or between two parts, is found as well:
     # fixed-width rows put the gap at the first line of the second read.
     row_bytes = len("v,1000000,0.5\n")
-    cut = len(HEADER) + ((1 << 20) - len(HEADER)) // row_bytes * row_bytes
-    rows = ((1 << 20) - len(HEADER)) // row_bytes
+    rows = -(-((1 << 20) - len(HEADER)) // row_bytes)  # the rows of the first read
+    cut = len(HEADER) + rows * row_bytes
     anchors = 1_000_000 + np.arange(rows + 100)
     anchors[rows:] += 1
     path.write_text(HEADER + "".join(f"v,{a},0.5\n" for a in anchors))
     assert path.read_bytes()[cut:].startswith(b"v,%d," % anchors[rows])
     message = (f"anchors of video 'v' must advance by 1, but anchor {anchors[rows - 1]} "
                f"is followed by {anchors[rows]}")
-    assert load_parts(path, [0]) is None
-    assert load_parts(path, [0, cut]) is None
+    assert _read_starts(path) == [0, cut]
+    assert bulk_parse(path) is None
+    assert load_parts(path, [0, cut], 2) is None
     with pytest.raises(CorpusFormatError, match=message) as err:
         load_predictions(path)
     assert (err.value.path, err.value.line) == (str(path), None)
@@ -458,7 +500,8 @@ def test_anchor_errors_keep_their_order(tmp_path):
     for read_bytes in {at - 1, at, at + 1, *read_sizes(text.encode())}:
         assert bulk_parse(path, read_bytes) is None, read_bytes
     for start in (at - len("v,12,0.5\n"), at, at + len("v,14,0.5\n")):
-        assert load_parts(path, [0, start]) is None, start
+        for parts in (1, 2):
+            assert load_parts(path, [0, start], parts) is None, (start, parts)
     with pytest.raises(CorpusFormatError, match="anchor 12 is followed by 14") as err:
         load_predictions(path)
     assert (err.value.path, err.value.line) == (str(path), None)
@@ -555,8 +598,8 @@ def test_prediction_bulk_loader_matches_row_loop(tmp_path, streams, data):
     rows = stream_bits(_load_prediction_rows(path))
     assert rows == stream_bits(streams)
     quoted = any(set(s.video_id) & set(',"\r') for s in streams)
-    # The bulk loader's result must not depend on the read size, down to reads of one line.
-    sizes = [*read_sizes(text), data.draw(st.integers(longest_line(text), len(text) + 1))]
+    # The bulk loader's result must not depend on the read size, down to reads of one byte.
+    sizes = [*read_sizes(text), data.draw(st.integers(1, len(text) + 1))]
     for read_bytes in sizes:
         bulk = bulk_parse(path, read_bytes)
         assert (bulk is None) == quoted, read_bytes
@@ -671,12 +714,24 @@ def test_invalid_utf8_is_found_across_pieces(tmp_path, monkeypatch):
 # -- the bulk parse in parts ----------------------------------------------------
 
 
-def use_parts(monkeypatch, count, read_bytes=len(HEADER)):
-    """Let load_predictions read ``read_bytes`` at a time and cut a file into
-    ``count`` parts of at least that; the default is the header line, the
-    longest line of most files here."""
+def use_parts(monkeypatch, count, read_bytes=1):
+    """Let load_predictions cut reads of ``read_bytes`` or more, by default
+    one a line, and deal them to ``count`` parts."""
     use_cpus(monkeypatch, count)
     monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
+
+
+def dealt_parts(monkeypatch):
+    """A list that grows by the parts of each bulk parse, each the offsets
+    where its reads begin and then where its last one ends."""
+    calls = []
+
+    def deal(fn, parts):
+        calls.append(list(parts))
+        return fork_map(fn, calls[-1])
+
+    monkeypatch.setattr(corpus, "fork_map", deal)
+    return calls
 
 
 def count_row_loops(monkeypatch):
@@ -710,59 +765,86 @@ PART_FILES = [  # (file text, whether the one-part parse gives streams)
 ]
 
 
-def test_parts_give_the_one_part_parse(tmp_path, monkeypatch):
-    # Cut at every line start into 2, 3 and 4 parts (a file the one-part
-    # parse refuses: 2 and 3), so blocks are cut in two and three, parts hold
-    # one line, and the first part may be the header. Reads of the header
-    # line, the longest, and of 7 bytes more cut the lines into reads of one
-    # to four as well, so one file is cut between reads and between parts
-    # at once.
+def test_parts_give_the_one_part_parse(tmp_path):
+    # Reads begin at every set of one to three line starts (a file the
+    # one-part parse refuses: one or two) and are dealt to one part, two
+    # parts and one part a read, so blocks are cut in two to four, reads
+    # and parts hold one line or several, the first read may be the header,
+    # and one file is cut between reads and between parts at once.
     path = tmp_path / "pred.csv"
-    for read_bytes in (len(HEADER), len(HEADER) + 7, 1 << 20):
-        monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
-        for text, canonical in PART_FILES:
-            path.write_text(text)
-            one_part = load_parts(path, [0])
-            assert (one_part is not None) == canonical, text
-            if canonical:
-                assert stream_bits(one_part) == stream_bits(_load_prediction_rows(path))
-            starts = line_starts(path.read_bytes())
-            cut_counts = (1, 2, 3) if canonical else (1, 2)
-            for cuts in itertools.chain.from_iterable(itertools.combinations(starts, n)
-                                                      for n in cut_counts):
-                parts = load_parts(path, [0, *cuts])
+    for text, canonical in PART_FILES:
+        path.write_text(text)
+        one_read = load_parts(path, [0])
+        assert (one_read is not None) == canonical, text
+        if canonical:
+            assert stream_bits(one_read) == stream_bits(_load_prediction_rows(path))
+        starts = line_starts(path.read_bytes())
+        cut_counts = (1, 2, 3) if canonical else (1, 2)
+        for cuts in itertools.chain.from_iterable(itertools.combinations(starts, n)
+                                                  for n in cut_counts):
+            for parts in sorted({1, 2, len(cuts) + 1}):
+                result = load_parts(path, [0, *cuts], parts)
                 assert_no_children()
                 if canonical:
-                    assert stream_bits(parts) == stream_bits(one_part), (read_bytes, cuts)
-                    assert all(s.scores.flags.c_contiguous for s in parts)
+                    assert stream_bits(result) == stream_bits(one_read), (cuts, parts)
+                    assert all(s.scores.flags.c_contiguous for s in result)
                 else:
-                    assert parts is None, (read_bytes, text, cuts)
+                    assert result is None, (text, cuts, parts)
 
 
-def test_part_starts(tmp_path, monkeypatch):
+def test_read_starts(tmp_path, monkeypatch):
+    # Each read begins at the first line start at least _READ_BYTES after
+    # the one before, so a line longer than that is one read.
     path = tmp_path / "pred.csv"
+    path.write_text(HEADER + PART_ROWS.replace("c,4,", "c" * 40 + ",4,"))
+    data = path.read_bytes()
+    lines = [0, *line_starts(data)]
+    for read_bytes in range(1, len(data) + 2):
+        monkeypatch.setattr("alarm_pipeline.corpus._READ_BYTES", read_bytes)
+        want = [0]
+        for line in lines:
+            if line >= want[-1] + read_bytes:
+                want.append(line)
+        assert _read_starts(path) == want, read_bytes
+    for text in (b"", HEADER.encode(), HEADER.encode()[:-1]):
+        path.write_bytes(text)
+        assert _read_starts(path) == [0], text
+
+    # The reads are dealt, as runs of whole reads, to one part per usable
+    # CPU, but no more than the file has whole reads or reads.
+    parts = dealt_parts(monkeypatch)
     path.write_text(HEADER + PART_ROWS)
     data = path.read_bytes()
-    assert _part_starts(path) == [0]  # smaller than _READ_BYTES
+    lines = [0, *line_starts(data), len(data)]
+    want = stream_bits(_load_prediction_rows(path))
     for cpus in (2, 3, 4, 64):
-        use_parts(monkeypatch, cpus, read_bytes=1)
-        starts = _part_starts(path)
-        assert len(starts) == min(cpus, len(data.splitlines())), cpus
-        assert starts[0] == 0 and set(starts[1:]) <= set(line_starts(data))
-        assert starts == sorted(set(starts))
-        use_parts(monkeypatch, cpus, read_bytes=len(data) // 2)
-        assert len(_part_starts(path)) == 2
-        use_parts(monkeypatch, cpus, read_bytes=len(data) + 1)
-        assert _part_starts(path) == [0]
-    use_parts(monkeypatch, 1, read_bytes=1)
-    assert _part_starts(path) == [0]
+        cases = [(1, min(cpus, len(lines) - 1)), (len(data) // 2, 2), (len(data) + 1, 1)]
+        for read_bytes, count in cases:
+            use_parts(monkeypatch, cpus, read_bytes)
+            parts.clear()
+            assert stream_bits(load_predictions(path)) == want, (cpus, read_bytes)
+            assert len(parts[0]) == count, (cpus, read_bytes)
+            # each part ends where the next begins, and together they hold every read
+            assert [part[-1] for part in parts[0]] == [part[0] for part in parts[0][1:]] + [len(data)]
+            assert [read for part in parts[0] for read in part[:-1]] == _read_starts(path)
+        assert_no_children()
+    use_parts(monkeypatch, 4)
+    parts.clear()
+    load_predictions(path)
+    assert [len(part) - 1 for part in parts[0]] == [2, 2, 2, 3]  # 9 one-line reads
+    use_parts(monkeypatch, 1)
+    parts.clear()
+    load_predictions(path)
+    assert parts == [[lines]]
     monkeypatch.delattr(os, "sched_getaffinity")  # the usable CPUs are unknown
-    assert _part_starts(path) == [0]
-    assert stream_bits(load_predictions(path)) == stream_bits(_load_prediction_rows(path))
+    parts.clear()
+    assert stream_bits(load_predictions(path)) == want
+    assert parts == [[lines]]
 
 
 def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
     rows_calls = count_row_loops(monkeypatch)
+    parts = dealt_parts(monkeypatch)
     path = tmp_path / "pred.csv"
     repeats = "a,9,0.5\nb,9,1.0\n" + "".join(f"{v},3,0.3\n" for v in "cdefghi") + "b,10,0.5\na,10,0.5\n"
     for text in (HEADER + repeats,  # ids repeat
@@ -771,9 +853,10 @@ def test_parts_fall_back_to_the_row_loop(tmp_path, monkeypatch):
         want = stream_bits(_load_prediction_rows(path))
         for cpus in (2, 3, 4):
             use_parts(monkeypatch, cpus)
-            assert len(_part_starts(path)) == cpus
             rows_calls.clear()
+            parts.clear()
             assert stream_bits(load_predictions(path)) == want, (text, cpus)
+            assert len(parts[0]) == cpus
             assert rows_calls == [path]
             assert_no_children()
     # A child that fails before it sends its part costs this process a parse
@@ -809,6 +892,7 @@ def test_a_child_part_that_is_not_canonical_is_not_parsed_again(tmp_path, monkey
     # A child whose part is not canonical sends None, so this process parses
     # its own part only and then runs the row loop once.
     rows_calls = count_row_loops(monkeypatch)
+    parts = dealt_parts(monkeypatch)
     parsed, parse, parent = [], corpus._canonical_blocks, os.getpid()
 
     def parse_and_note(run, *args):
@@ -822,33 +906,33 @@ def test_a_child_part_that_is_not_canonical_is_not_parsed_again(tmp_path, monkey
     want = stream_bits(_load_prediction_rows(path))
     for cpus in (2, 3, 4):
         use_parts(monkeypatch, cpus)
-        starts = _part_starts(path)
-        assert len(starts) == cpus
         parsed.clear()
         rows_calls.clear()
+        parts.clear()
         assert stream_bits(load_predictions(path)) == want, cpus
-        assert b"".join(parsed) == path.read_bytes()[:starts[1]], cpus
+        assert len(parts[0]) == cpus
+        assert b"".join(parsed) == path.read_bytes()[:parts[0][0][-1]], cpus
         assert rows_calls == [path]
         assert_no_children()
 
 
-def test_bulk_result_does_not_depend_on_the_read_size(tmp_path, monkeypatch):
-    # Reads from one line up to the whole file, in one part and in parts.
+def test_bulk_result_does_not_depend_on_the_read_size(tmp_path):
+    # Reads from one byte, so each is one line, up to the whole file, in one
+    # part and in parts.
     path = tmp_path / "pred.csv"
     spec = SynthSpec(video_count=6, frames_per_video=200, score_noise=0.2, seed=4)
     save_predictions(generate(spec).streams, path)
     data = path.read_bytes()
     want = stream_bits(_load_prediction_rows(path))
     for read_bytes in [*read_sizes(data), 1 << 10, 4099]:
-        assert stream_bits(bulk_parse(path, read_bytes)) == want, read_bytes
-        for cpus in (2, 4):
-            use_parts(monkeypatch, cpus, read_bytes)
-            starts = _part_starts(path)
-            assert stream_bits(load_parts(path, starts)) == want, (read_bytes, cpus)
+        for parts in (1, 2, 4):
+            assert stream_bits(bulk_parse(path, read_bytes, parts)) == want, (read_bytes, parts)
             assert_no_children()
 
 
-def test_a_line_longer_than_a_read_goes_to_the_row_loop(tmp_path, monkeypatch):
+def test_a_line_longer_than_a_read_is_parsed_in_bulk(tmp_path, monkeypatch):
+    # A line longer than _READ_BYTES is one read, parsed in bulk like any
+    # other, so it gives the row loop's streams without the row loop.
     rows_calls = count_row_loops(monkeypatch)
     long_id = "v" * 100
     path = tmp_path / "pred.csv"
@@ -857,11 +941,11 @@ def test_a_line_longer_than_a_read_goes_to_the_row_loop(tmp_path, monkeypatch):
     want = stream_bits(_load_prediction_rows(path))
     line = len(f"{long_id},10,0.25\n")
     for cpus in (1, 2, 4):
-        for read_bytes, bulk in ((line - 1, False), (line, True)):
+        for read_bytes in (1, line - 1, line):  # the long lines longer than a read, and not
             use_parts(monkeypatch, cpus, read_bytes)
             rows_calls.clear()
             assert stream_bits(load_predictions(path)) == want, (cpus, read_bytes)
-            assert rows_calls == ([] if bulk else [path]), (cpus, read_bytes)
+            assert rows_calls == [], (cpus, read_bytes)
             assert_no_children()
 
 
@@ -870,6 +954,7 @@ def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
     # after it still wait to send more than a pipe holds; they are stopped
     # and reaped, and the row loop reads the file.
     use_parts(monkeypatch, 4, read_bytes=1 << 12)
+    parts = dealt_parts(monkeypatch)
     videos = [(f"v{i}", range(3000)) for i in range(8)]  # 6,000 rows, 96 KB of arrays a part
     path = tmp_path / "pred.csv"
     cases = [  # (the last 100 rows of v3, the row loop's result)
@@ -880,8 +965,7 @@ def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
         rows = [*videos[:3], ("v3", range(2900)), late, *videos[4:]]
         path.write_text(HEADER + "".join(f"{v},{a},0.5\n" for v, anchors in rows for a in anchors))
         data = path.read_bytes()
-        starts = _part_starts(path)
-        assert len(starts) == 4 and starts[1] < data.index(f"{late[0]},{late[1][0]},".encode()) < starts[2]
+        parts.clear()
         if result == "v0 comes back":
             want = stream_bits(_load_prediction_rows(path))
             assert [v for v, *_ in want] == [f"v{i}" for i in range(8)]
@@ -889,6 +973,8 @@ def test_parts_stop_inside_a_child_part(tmp_path, monkeypatch):
         else:
             with pytest.raises(CorpusFormatError, match=result):
                 load_predictions(path)
+        starts = [part[0] for part in parts[0]]
+        assert len(starts) == 4 and starts[1] < data.index(f"{late[0]},{late[1][0]},".encode()) < starts[2]
         assert_no_children()
 
 
@@ -917,12 +1003,14 @@ def test_cli_evaluate_on_parts(tmp_path, monkeypatch, capsys):
     args = ["evaluate", "--annotations", str(data / "annotations.jsonl"),
             "--predictions", str(data / "predictions.csv"), "--w-seconds", "0.3",
             "--t-pred", "0.4", "--out", str(tmp_path / "out")]
+    parts = dealt_parts(monkeypatch)
     outputs = []
     for cpus in (1, 2, 4):
         use_parts(monkeypatch, cpus, read_bytes=1 << 10)
-        assert len(_part_starts(data / "predictions.csv")) == cpus
         capsys.readouterr()
+        parts.clear()
         assert main(args) == 0
+        assert len(parts) == 1 and len(parts[0]) == cpus
         assert_no_children()
         outputs.append((capsys.readouterr(), {p.name: p.read_bytes()
                                               for p in (tmp_path / "out").iterdir()}))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ def test_gate_filter_preserves_bounds_and_linearity():
         lhs = gate_filter(a * x + b * y, w)
         rhs = a * fx + b * gate_filter(y, w)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: gate_filter's running sums drift, so a window "
+                          "whose mean ties the threshold can fall below it")
+def test_gate_filter_decides_ties_by_the_rounded_mean():
+    # The contract: a stack is Fall where the correctly rounded mean of its
+    # window is below T. A constant 0.4 stream at T = 0.4 has no Fall stack;
+    # every case here has some today.
+    wrong = []
+    for width in (2, 5, 9):
+        for length in (10, 100, 1000):
+            x = np.full(length, 0.4)
+            windows = (x[max(i - width + 1, 0):i + 1] for i in range(length))
+            want = [float(sum(map(Fraction, w)) / len(w)) < 0.4 for w in windows]
+            if (gate_filter(x, width) < 0.4).tolist() != want:
+                wrong.append((width, length))
+    assert wrong == []
 
 
 # -- thresholding and alarm extraction -------------------------------------------
